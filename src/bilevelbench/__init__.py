@@ -3,8 +3,8 @@ simplified baselines, synthetic instances with analytic ground truth, and a
 verification/benchmark harness."""
 
 from .algorithms import (IterationView, NumericalDivergenceError, OracleCounter,
-                         SlipState, double_loop_run, masoba_run, sgd_dd,
-                         slip_run, ttsa_run, update_z)
+                         RunAborted, SlipState, double_loop_run, masoba_run,
+                         sgd_dd, slip_run, ttsa_run, update_z)
 from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
                         SmoothnessConstants, derive_constants,
                         schedule_practical, schedule_theorem41,
@@ -25,7 +25,7 @@ __all__ = [
     "AnalyticOracle", "BilevelProblem", "ConfigurationError", "CSV_HEADER",
     "DeterministicOracle", "HypercleanSpec", "IterationView", "NoiseKind",
     "NoiseModel", "NumericalDivergenceError", "OracleCounter", "OracleTag",
-    "ParamSchedule", "QuadraticSpec", "Sample", "ScheduleMode",
+    "ParamSchedule", "QuadraticSpec", "RunAborted", "Sample", "ScheduleMode",
     "SchedulingError", "SlipState", "SmoothnessConstants", "StochasticOracle",
     "Stream", "Trace", "TraceRecord", "UnboundedSmoothSpec",
     "derive_constants", "double_loop_run", "empirical_unbiasedness_check",

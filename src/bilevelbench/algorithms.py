@@ -42,14 +42,27 @@ logger = logging.getLogger(__name__)
 Vec = np.ndarray
 
 
-class NumericalDivergenceError(RuntimeError):
-    """An iterate became NaN/Inf; carries the partial trace and the row index."""
+class RunAborted(RuntimeError):
+    """A run stopped before its last iteration.
 
-    def __init__(self, t: int, trace: Trace, state: "SlipState"):
-        super().__init__(f"non-finite iterate at iteration {t}")
+    Carries the iteration ``t`` that stopped it, the partial trace (its
+    ``aborted_at`` set to ``t``) and the state at that point; ``__cause__``
+    is the exception that stopped it.  Row ``t`` is in the trace when it was
+    recorded before the abort (a non-finite update, a hook) and missing when
+    an oracle failed while computing it.  Raised as is when a hook raises
+    ``TimeoutError``.
+    """
+
+    def __init__(self, message: str, t: int, trace: Trace, state: "SlipState"):
+        super().__init__(message)
         self.t = t
         self.trace = trace
         self.state = state
+
+
+class NumericalDivergenceError(RunAborted):
+    """An iterate became NaN/Inf, or an oracle overflowed or raised a
+    floating-point error."""
 
 
 @dataclass
@@ -191,97 +204,103 @@ def _finite(*arrays: Vec) -> bool:
 def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
               y0_init: Vec, z0: Vec, seed: int, *,
               normalize: bool,
-              beta_override: float | None = None,
-              alpha_fn: Callable[[int], float] | None = None,
-              gamma_fn: Callable[[int], float] | None = None,
-              eta_fn: Callable[[int], float] | None = None,
-              refine: tuple[int, int] | None = None,
-              warm_start: bool = True,
+              decay: tuple[float, float] | None = None,
+              refine: tuple[int, int] = (1, 0),
               hooks: Sequence[HookFn] | HookFn | None = None,
               metrics: MetricFn | None = None) -> tuple[SlipState, Trace]:
-    """Shared driver for the main optimizer and its baselines."""
+    """Shared driver for the main optimizer and its baselines.
+
+    ``decay = (eta_exponent, alpha_exponent)`` scales ``eta`` by
+    ``(t+1)^-eta_exponent`` and ``alpha``/``gamma`` by
+    ``(t+1)^-alpha_exponent`` at iteration ``t``.  ``refine = (interval,
+    extra)`` runs ``extra`` lower-level SGD steps at frozen x after every
+    ``interval``-th iteration.  Any abort raises :class:`RunAborted`.
+    """
     x = np.asarray(x0, dtype=float).copy()
-    y0 = np.asarray(y0_init, dtype=float).copy()
+    y = np.asarray(y0_init, dtype=float).copy()
     z = np.asarray(z0, dtype=float).copy()
     if x.shape != (problem.dim_x,):
         raise ConfigurationError(
             f"x0 has shape {x.shape}, expected ({problem.dim_x},)")
-    if y0.shape != (problem.dim_y,) or z.shape != (problem.dim_y,):
+    if y.shape != (problem.dim_y,) or z.shape != (problem.dim_y,):
         raise ConfigurationError(
-            f"y0/z0 must have shape ({problem.dim_y},), got {y0.shape}/{z.shape}")
+            f"y0/z0 must have shape ({problem.dim_y},), got {y.shape}/{z.shape}")
     if callable(hooks):
         hooks = [hooks]
     hooks = list(hooks or [])
     if metrics is None:
         metrics = default_metrics(problem)
+    interval, extra = refine
+    warm_counter = schedule.T0
 
     calls = OracleCounter()
-    warm_counter = 0
-    if warm_start and schedule.T0 > 0:
-        y, _ = sgd_dd(problem, x, y0, schedule.alpha_init, schedule.T0, seed,
-                      calls=calls)
-        warm_counter = schedule.T0
-    else:
-        y = y0
     m = np.zeros(problem.dim_x)
-    beta = schedule.beta if beta_override is None else beta_override
+    beta = schedule.beta
     trace = Trace()
+    t = 0
+    try:
+        if schedule.T0 > 0:
+            y, _ = sgd_dd(problem, x, y, schedule.alpha_init, schedule.T0, seed,
+                          calls=calls)
 
-    for t in range(schedule.T):
-        alpha = schedule.alpha if alpha_fn is None else alpha_fn(t)
-        gamma = schedule.gamma if gamma_fn is None else gamma_fn(t)
-        eta = schedule.eta if eta_fn is None else eta_fn(t)
+        for t in range(schedule.T):
+            alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
+            if decay is not None:
+                eta = eta * (t + 1) ** (-decay[0])
+                alpha = alpha * (t + 1) ** (-decay[1])
+                gamma = gamma * (t + 1) ** (-decay[1])
 
-        s_pi = Sample(Stream.PI, t, seed)
-        s_zeta = Sample(Stream.ZETA, t, seed)
-        s_xi = Sample(Stream.XI, t, seed)
-        s_xi_p = Sample(Stream.XI_PRIME, t, seed)
-        s_zeta_p = Sample(Stream.ZETA_PRIME, t, seed)
+            s_pi = Sample(Stream.PI, t, seed)
+            s_zeta = Sample(Stream.ZETA, t, seed)
+            s_xi = Sample(Stream.XI, t, seed)
+            s_xi_p = Sample(Stream.XI_PRIME, t, seed)
+            s_zeta_p = Sample(Stream.ZETA_PRIME, t, seed)
 
-        # updates read the current (x_t, y_t, z_t); z feeds the momentum
-        # update before its own refresh
-        with np.errstate(over="ignore", invalid="ignore"):
-            gy = problem.oracle.grad_y_G(x, y, s_pi)
-            calls.n_grad_y_G += 1
-            y_next = y - alpha * gy
-            z_next = update_z(z, x, y, gamma, s_zeta, s_xi, problem, calls)
-            gx = problem.oracle.grad_x_F(x, y, s_xi_p)
-            hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p)
-            calls.n_grad_x_F += 1
-            calls.n_hvp_xy += 1
-            ghat = gx - hxy
-            m = beta * m + (1.0 - beta) * ghat
+            # updates read the current (x_t, y_t, z_t); z feeds the momentum
+            # update before its own refresh
+            with np.errstate(over="ignore", invalid="ignore"):
+                gy = problem.oracle.grad_y_G(x, y, s_pi)
+                calls.n_grad_y_G += 1
+                y_next = y - alpha * gy
+                z_next = update_z(z, x, y, gamma, s_zeta, s_xi, problem, calls)
+                gx = problem.oracle.grad_x_F(x, y, s_xi_p)
+                hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p)
+                calls.n_grad_x_F += 1
+                calls.n_hvp_xy += 1
+                ghat = gx - hxy
+                m = beta * m + (1.0 - beta) * ghat
 
-            norm_m = float(np.linalg.norm(m))
-            if normalize:
-                if norm_m == 0.0:
-                    logger.info("iteration %d: zero momentum, skipping x-step", t)
-                    trace.skipped_steps.append(t)
-                    x_next = x
+                norm_m = float(np.linalg.norm(m))
+                if normalize:
+                    if norm_m == 0.0:
+                        logger.info("iteration %d: zero momentum, skipping x-step", t)
+                        trace.skipped_steps.append(t)
+                        x_next = x
+                    else:
+                        x_next = x - eta * (m / norm_m)
                 else:
-                    x_next = x - eta * (m / norm_m)
-            else:
-                x_next = x - eta * m
+                    x_next = x - eta * m
 
-        row_metrics = metrics(t, x, y, z, m)
-        trace.append(TraceRecord(t, *row_metrics, *calls.as_tuple()))
-        for hook in hooks:
-            hook(IterationView(t=t, x=x.copy(), y=y.copy(), z=z.copy(),
-                               m=m.copy(), ghat=ghat.copy()))
+            row_metrics = metrics(t, x, y, z, m)
+            trace.append(TraceRecord(t, *row_metrics, *calls.as_tuple()))
+            for hook in hooks:
+                hook(IterationView(t=t, x=x.copy(), y=y.copy(), z=z.copy(),
+                                   m=m.copy(), ghat=ghat.copy()))
 
-        if not _finite(x_next, y_next, z_next, m):
-            trace.aborted_at = t
-            state = SlipState(x=x_next, y=y_next, z=z_next, m=m, t=t, calls=calls)
-            raise NumericalDivergenceError(t, trace, state)
+            finite = _finite(x_next, y_next, z_next, m)
+            x, y, z = x_next, y_next, z_next
+            if not finite:
+                raise FloatingPointError(f"non-finite iterate at iteration {t}")
 
-        x, y, z = x_next, y_next, z_next
-
-        if refine is not None:
-            interval, extra = refine
-            if interval > 0 and extra > 0 and (t + 1) % interval == 0:
+            if extra > 0 and (t + 1) % interval == 0:
                 y, _ = sgd_dd(problem, x, y, alpha, extra, seed,
                               counter_start=warm_counter, calls=calls)
                 warm_counter += extra
+    except (FloatingPointError, OverflowError, TimeoutError) as exc:
+        trace.aborted_at = t
+        error = RunAborted if isinstance(exc, TimeoutError) else NumericalDivergenceError
+        state = SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
+        raise error(str(exc), t, trace, state) from exc
 
     return SlipState(x=x, y=y, z=z, m=m, t=schedule.T, calls=calls), trace
 
@@ -341,16 +360,7 @@ def ttsa_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     lower-level and linear-system steps decay as ``(t+1)^-0.4`` from
     ``schedule.alpha`` and ``schedule.gamma``.  No warm-start phase.
     """
-    def eta_fn(t: int) -> float:
-        return schedule.eta * (t + 1) ** (-eta_exponent)
-
-    def alpha_fn(t: int) -> float:
-        return schedule.alpha * (t + 1) ** (-alpha_exponent)
-
-    def gamma_fn(t: int) -> float:
-        return schedule.gamma * (t + 1) ** (-alpha_exponent)
-
-    return _run_loop(problem, schedule, x0, y0_init, z0, seed,
-                     normalize=False, beta_override=0.0,
-                     alpha_fn=alpha_fn, gamma_fn=gamma_fn, eta_fn=eta_fn,
-                     warm_start=False, hooks=hooks, metrics=metrics)
+    return _run_loop(problem, replace(schedule, beta=0.0, T0=0), x0, y0_init,
+                     z0, seed, normalize=False,
+                     decay=(eta_exponent, alpha_exponent),
+                     hooks=hooks, metrics=metrics)

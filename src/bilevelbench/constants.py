@@ -61,9 +61,6 @@ class SmoothnessConstants:
             if v < 0:
                 raise ValueError(f"constant {name} must be non-negative, got {v}")
 
-    def derived(self) -> "SmoothnessConstants":
-        return derive_constants(self)
-
 
 def derive_constants(raw: SmoothnessConstants) -> SmoothnessConstants:
     """Fill ``L0``, ``L1`` and ``l_zstar`` from the raw constants.

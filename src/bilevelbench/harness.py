@@ -2,9 +2,10 @@
 
 Config files are INI-style with sections ``[problem]``, ``[algorithm]``,
 ``[schedule]`` and ``[run]``; every key is typed and unknown keys are
-rejected.  One CSV trace is written per seed plus a single JSON metadata
-record; identical configs reproduce the trace files byte for byte
-regardless of the worker-pool size.
+rejected.  The seeds run in order in the calling thread; one CSV trace is
+written per seed plus a single JSON metadata record, and identical configs
+reproduce the trace files byte for byte.  The ``[run] workers`` key is
+accepted and validated but has no effect.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import configparser
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import verify
-from .algorithms import (NumericalDivergenceError, double_loop_run,
+from .algorithms import (NumericalDivergenceError, RunAborted, double_loop_run,
                          default_metrics, masoba_run, slip_run, ttsa_run)
 from .constants import (ParamSchedule, SchedulingError,
                         SmoothnessConstants, schedule_practical,
@@ -41,7 +41,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: a problem, an algorithm, a schedule, and seeds."""
+    """One experiment: a problem, an algorithm, a schedule, and seeds.
+
+    ``workers`` is validated but has no effect: seeds always run in order.
+    """
 
     problem_kind: str
     problem_params: dict
@@ -54,7 +57,6 @@ class RunConfig:
     max_wall_seconds: float = math.inf
     out: str | None = None
     inits: dict = field(default_factory=dict)
-    grad_every: int = 50
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -67,8 +69,6 @@ class RunConfig:
             raise ConfigError("a schedule (or schedule spec) is required")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.grad_every < 1:
-            raise ConfigError("grad_every must be >= 1")
 
 
 # ---------------------------------------------------------------- config IO
@@ -95,8 +95,7 @@ _SCHEDULE_KEYS = {
     "theorem42": {"mode", "eps", "delta", "delta0", "delta_y0", "delta_z0",
                   "grad_phi_x0"},
 }
-_RUN_KEYS = {"seeds", "out", "max_wall_seconds", "x0", "y0", "z0", "grad_every",
-             "workers"}
+_RUN_KEYS = {"seeds", "out", "max_wall_seconds", "x0", "y0", "z0", "workers"}
 
 
 def _typed(section: dict, key: str, kind, default=None):
@@ -224,7 +223,6 @@ def parse_config(path) -> RunConfig:
         max_wall_seconds=_typed(run, "max_wall_seconds", float, math.inf),
         out=run.get("out"),
         inits=inits,
-        grad_every=_typed(run, "grad_every", int, 50),
         workers=_typed(run, "workers", int, 1),
     )
 
@@ -302,21 +300,6 @@ def _broadcast(v, dim: int, default: float) -> Vec:
 ALGORITHMS = ("slip", "masoba", "doubleloop", "ttsa")
 
 
-def fd_metrics(problem: BilevelProblem, grad_every: int):
-    """Sparse finite-difference metric evaluator for analytic-less problems."""
-    settings = verify.SolverSettings(tol=1e-11, max_iters=500)
-
-    def metrics(t, x, y, z, m_next):
-        if t % grad_every != 0:
-            return (None, None, None, None, None)
-        gn = float(np.linalg.norm(verify.finite_diff_hypergrad(
-            problem, x, settings=settings)))
-        ys = verify.inner_solve_exact(problem, x, settings)
-        return (gn, None, None, None, float(problem.upper(x, ys)))
-
-    return metrics
-
-
 class _Deadline:
     def __init__(self, seconds: float):
         self.t_end = time.monotonic() + seconds
@@ -335,8 +318,7 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
                     meta.get("y0_default", 1.0))
     z0 = _broadcast(cfg.inits.get("z0"), problem.dim_y,
                     meta.get("z0_default", 0.0))
-    metrics = (default_metrics(problem) if problem.analytic is not None
-               else fd_metrics(problem, cfg.grad_every))
+    metrics = default_metrics(problem)
     hooks = []
     if math.isfinite(cfg.max_wall_seconds):
         hooks.append(_Deadline(cfg.max_wall_seconds))
@@ -359,13 +341,11 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
     info: dict = {"seed": seed, "status": "OK", "aborted_at": None}
     try:
         state, trace = runner()
-    except NumericalDivergenceError as exc:
+    except RunAborted as exc:
         trace = exc.trace
-        info["status"] = "FAILED"
+        info["status"] = ("FAILED" if isinstance(exc, NumericalDivergenceError)
+                          else "TIMEOUT")
         info["aborted_at"] = exc.t
-    except TimeoutError:
-        trace = Trace()
-        info["status"] = "TIMEOUT"
     info["wall_seconds"] = time.monotonic() - t_start
     if trace.records:
         last = trace.records[-1]
@@ -392,10 +372,12 @@ class RunResult:
 def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     """Execute every seed of a config; write one CSV per seed plus metadata.
 
-    Seeds may run on a thread pool (``cfg.workers``); each worker owns its
-    run and writes its own trace file, and the metadata record is written
-    once after all workers join.  Output bytes are independent of the pool
-    size.
+    Seeds run in order in the calling thread, each writing its trace file
+    as it finishes; ``cfg.workers`` has no effect.  A seed that fails or
+    times out keeps its partial trace and does not stop the others.  The
+    metadata record is written once, after the last seed; each seed's
+    ``calls`` are the counts of its last trace row, so for ``doubleloop``
+    they leave out the refinement that runs after that row.
     """
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -408,12 +390,7 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
         write_trace(path, trace)
         return path, info
 
-    results: list[tuple[Path, dict]] = []
-    if cfg.workers == 1:
-        results = [job(s) for s in cfg.seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(job, cfg.seeds))
+    results = [job(s) for s in cfg.seeds]
 
     metadata = {
         "problem": {"kind": cfg.problem_kind, "name": problem.name,

@@ -127,10 +127,6 @@ class StochasticOracle:
         self.det = det
         self.noise = noise
 
-    @property
-    def noise_model(self) -> NoiseModel:
-        return self.noise
-
     def _bounded(self) -> bool:
         return self.noise.kind is NoiseKind.BOUNDED
 

@@ -61,7 +61,3 @@ class Sample:
         key = np.array([self.seed & _MASK64, int(self.stream)], dtype=np.uint64)
         counter = np.array([self.counter & _MASK64, int(tag), 0, 0], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
-
-
-def sample_at(stream: Stream, counter: int, seed: int) -> Sample:
-    return Sample(stream=stream, counter=counter, seed=seed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable
 
 CSV_HEADER = ("t,grad_norm,y_err,z_err,eps_err,phi,"
               "calls_gxF,calls_gyF,calls_gyG,calls_hxy,calls_hyy")
@@ -121,11 +120,3 @@ def trace_from_csv(text: str) -> Trace:
 def read_trace(path) -> Trace:
     with open(path, "r", newline="") as fh:
         return trace_from_csv(fh.read())
-
-
-def traces_equal_bytes(paths: Iterable) -> bool:
-    blobs = []
-    for p in paths:
-        with open(p, "rb") as fh:
-            blobs.append(fh.read())
-    return all(b == blobs[0] for b in blobs[1:])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,28 @@ class TestBaselines:
                                    np.zeros(2), seed=0)
         assert np.linalg.norm(q2.analytic.hypergrad(state.x)) <= 0.05
         assert state.calls.as_tuple() == (3000, 3000, 3000, 3000, 3000)
+
+    # sha256 of the noiseless Q2 trace CSVs; noiseless, so they do not
+    # depend on how oracle draws are laid out
+    PINNED_SHA256 = {
+        "masoba": "3fb9afd212eef4d4b1bf40568a0b9b436017e3f3b5f3401491b17dec33c4cd39",
+        "doubleloop": "0691610adbe1e16c99e2b2cf8b39f6f0dc8e879d7b2b5d30af66cf7da6144dc2",
+        "ttsa": "ee88072b43e6d75af83c2ecda18e2e5446af780ce91739afb73b75403ec4be61",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+    def test_trace_bytes_pinned(self, q2, name):
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.01, "T": 300, "T0": 20})
+        inits = (np.zeros(2), np.ones(2), np.zeros(2))
+        if name == "masoba":
+            _, trace = bb.masoba_run(q2, sched, *inits, seed=0)
+        elif name == "doubleloop":
+            _, trace = bb.double_loop_run(q2, sched, 2, 3, *inits, seed=0)
+        else:
+            _, trace = bb.ttsa_run(q2, sched, *inits, seed=0)
+        digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
+        assert digest == self.PINNED_SHA256[name]
 
     def test_refine_interval_validation(self, q2):
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,

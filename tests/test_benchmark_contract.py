@@ -1,0 +1,40 @@
+"""The per-layer benchmark in ``perfbench/`` patches library attributes by
+name; this pins the names it relies on.  ``perfbench/`` is only imported."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import bilevelbench as bb
+from bilevelbench import harness
+from bilevelbench.harness import RunConfig
+
+_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_every_layer(tmp_path):
+    tracing = _load_tracing()
+    cfg = RunConfig(
+        problem_kind="quadratic", problem_params={"preset": "q2"},
+        noise=bb.NoiseModel.gaussian(0.05, 0.05, 0.05), algorithm="slip",
+        schedule=bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                        "eta": 0.01, "T": 20, "T0": 5}),
+        seeds=[1, 2])
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        res = harness.run_experiment(dataclasses.replace(cfg, workers=2),
+                                     tmp_path / "exp")
+    assert not res.failed
+    recorded = {tracer.names[i] for i in np.unique(tracer.columns()["name"])}
+    assert {"algorithms.run", "algorithms.metrics", "algorithms.sgd_dd",
+            "trace.write"} <= recorded
+    assert [len(meta["seeds"]) for meta in tracer.metadata] == [2]

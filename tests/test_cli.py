@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,52 @@ def test_divergent_run_exit_2(tmp_path):
                  .replace("T = 50", "T = 600"))
     rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "d")])
     assert rc == 2
+
+
+OVERFLOW_CFG = """\
+[problem]
+kind = unbounded
+preset = q2
+
+[algorithm]
+name = masoba
+
+[schedule]
+mode = practical
+alpha = 0.1
+beta = 0.9
+gamma = 0.1
+eta = 50
+T = 200
+T0 = 5
+
+[run]
+seeds = 1, 2
+x0 = 3
+"""
+
+
+def test_overflow_run_exit_2(tmp_path):
+    # the unnormalized step throws x past the cosh evaluation range
+    p = tmp_path / "ovf.cfg"
+    p.write_text(OVERFLOW_CFG)
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    meta = json.loads((tmp_path / "o_meta.json").read_text())
+    assert [s["seed"] for s in meta["seeds"]] == [1, 2]
+    for info in meta["seeds"]:
+        assert info["status"] == "FAILED"
+        assert info["aborted_at"] is not None
+        # rows before the overflowing iteration are kept
+        rows = (tmp_path / f"o_seed{info['seed']}.csv").read_text().splitlines()
+        assert len(rows) == info["aborted_at"] + 1
+        assert info["calls"]["calls_gxF"] == info["aborted_at"]
+
+
+def test_grad_every_key_exit_1(tmp_path):
+    p = tmp_path / "old.cfg"
+    p.write_text(CFG + "grad_every = 50\n")
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "x")]) == 1
 
 
 def test_verify_pass_exit_0(capsys):

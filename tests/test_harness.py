@@ -193,7 +193,9 @@ class TestConfig:
 
     def test_build_problem_kinds(self):
         for kind, params in (
+                ("quadratic", {"preset": "q2"}),
                 ("quadratic", {"dim_x": 2, "dim_y": 3, "seed": 1}),
+                ("unbounded", {"preset": "q2"}),
                 ("unbounded", {"a": 1.0, "dim_x": 2, "dim_y": 2, "seed": 1}),
                 ("hyperclean", {"n_train": 20, "n_val": 20, "feature_dim": 2,
                                 "corruption_rate": 0.1, "seed": 1})):
@@ -204,6 +206,8 @@ class TestConfig:
                                  "eta": 0.01, "T": 5}))
             prob = build_problem(cfg)
             assert prob.dim_x >= 1
+            # the harness computes every metric row from this oracle
+            assert prob.analytic is not None
 
 
 class TestRunExperiment:
@@ -247,6 +251,17 @@ class TestRunExperiment:
         # partial trace flushed up to the diagnostic row
         text = res.trace_paths[0].read_text()
         assert len(text.splitlines()) == info["aborted_at"] + 2
+
+    def test_timeout_keeps_partial_trace(self, cfg_file, tmp_path):
+        cfg = dataclasses.replace(parse_config(cfg_file), max_wall_seconds=0.0)
+        res = run_experiment(cfg, tmp_path / "exp")
+        assert res.failed
+        for info, path in zip(res.metadata["seeds"], res.trace_paths):
+            assert info["status"] == "TIMEOUT"
+            assert info["aborted_at"] is not None
+            rows = path.read_text().splitlines()[1:]
+            assert len(rows) == info["aborted_at"] + 1
+            assert info["final"]["t"] == info["aborted_at"]
 
 
 class TestSweep:
