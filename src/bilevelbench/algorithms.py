@@ -19,6 +19,10 @@ the methods they are named after:
 * ``ttsa_run`` - momentum-free, unnormalized, with polynomially decaying
   two-timescale step sizes and a single sample per oracle per iteration.
 
+The frozen-x SGD (``sgd_dd``, used for the warm start and the refinement)
+returns only the final lower-level iterate; the ground truth is read only by
+the metric evaluator (``default_metrics``).
+
 A run is strictly sequential; runs with distinct seeds share no mutable
 state and may execute concurrently.
 """
@@ -119,12 +123,10 @@ HookFn = Callable[[IterationView], None]
 
 
 def default_metrics(problem: BilevelProblem) -> MetricFn:
-    """Metric evaluator using the analytic oracle when present."""
+    """Metric evaluator against the problem's analytic ground truth."""
     analytic = problem.analytic
 
     def metrics(t: int, x: Vec, y: Vec, z: Vec, m_next: Vec):
-        if analytic is None:
-            return (None, None, None, None, None)
         ys = analytic.y_star(x)
         zs = analytic.z_star(x)
         gphi = analytic.hypergrad(x)
@@ -139,46 +141,32 @@ def default_metrics(problem: BilevelProblem) -> MetricFn:
     return metrics
 
 
-def _as_x_sequence(x_sequence) -> Callable[[int], Vec]:
-    if callable(x_sequence):
-        return x_sequence
-    fixed = np.asarray(x_sequence, dtype=float)
-    return lambda t: fixed
-
-
-def sgd_dd(problem: BilevelProblem, x_sequence, y0: Vec, alpha: float,
+def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
            n_steps: int, seed: int, *, counter_start: int = 0,
-           calls: OracleCounter | None = None) -> tuple[Vec, list[float] | None]:
-    """Lower-level SGD along a (possibly drifting) upper-level sequence.
+           calls: OracleCounter | None = None) -> Vec:
+    """Lower-level SGD at a frozen upper-level point ``x``.
 
-    ``x_sequence`` is either a fixed vector or a callable ``t -> x_t``.
-    Performs exactly ``n_steps`` updates, consuming the warm-start stream at
-    counters ``counter_start .. counter_start + n_steps - 1``.  Returns the
-    final iterate and, when the problem has an analytic oracle, the list of
-    distances ``||y_t - y*(x_t)||`` for t = 0..n_steps.
+    Performs exactly ``n_steps`` updates ``y - alpha * grad_y_G(x, y)``,
+    consuming the warm-start stream at counters ``counter_start ..
+    counter_start + n_steps - 1``, and returns the final iterate.  Never
+    reads the ground truth.
     """
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be non-negative, got {n_steps}")
-    consts = problem.constants
-    if consts is not None and consts.l_g1 > 0 and alpha > 1.0 / (2.0 * consts.l_g1):
+    l_g1 = problem.constants.l_g1
+    if l_g1 > 0 and alpha > 1.0 / (2.0 * l_g1):
         warnings.warn(
-            f"alpha={alpha:g} exceeds 1/(2*l_g1)={1.0 / (2.0 * consts.l_g1):g}; "
+            f"alpha={alpha:g} exceeds 1/(2*l_g1)={1.0 / (2.0 * l_g1):g}; "
             "the tracking guarantees assume the smaller step", stacklevel=2)
-    xs = _as_x_sequence(x_sequence)
+    x = np.asarray(x, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
-    dist: list[float] | None = [] if problem.analytic is not None else None
     for t in range(n_steps):
-        xt = xs(t)
-        if dist is not None:
-            dist.append(float(np.linalg.norm(y - problem.analytic.y_star(xt))))
-        g = problem.oracle.grad_y_G(xt, y, Sample(Stream.PI_TILDE,
-                                                  counter_start + t, seed))
+        g = problem.oracle.grad_y_G(x, y, Sample(Stream.PI_TILDE,
+                                                 counter_start + t, seed))
         if calls is not None:
             calls.n_grad_y_G += 1
         y = y - alpha * g
-    if dist is not None:
-        dist.append(float(np.linalg.norm(y - problem.analytic.y_star(xs(n_steps)))))
-    return y, dist
+    return y
 
 
 def update_z(z: Vec, x: Vec, y: Vec, gamma: float, s_zeta: Sample, s_xi: Sample,
@@ -240,8 +228,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     t = 0
     try:
         if schedule.T0 > 0:
-            y, _ = sgd_dd(problem, x, y, schedule.alpha_init, schedule.T0, seed,
-                          calls=calls)
+            y = sgd_dd(problem, x, y, schedule.alpha_init, schedule.T0, seed,
+                       calls=calls)
 
         for t in range(schedule.T):
             alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
@@ -281,7 +269,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                 else:
                     x_next = x - eta * m
 
-            row_metrics = metrics(t, x, y, z, m)
+                # inside the block: the norms of a diverging run overflow
+                row_metrics = metrics(t, x, y, z, m)
             trace.append(TraceRecord(t, *row_metrics, *calls.as_tuple()))
             for hook in hooks:
                 hook(IterationView(t=t, x=x.copy(), y=y.copy(), z=z.copy(),
@@ -293,8 +282,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                 raise FloatingPointError(f"non-finite iterate at iteration {t}")
 
             if extra > 0 and (t + 1) % interval == 0:
-                y, _ = sgd_dd(problem, x, y, alpha, extra, seed,
-                              counter_start=warm_counter, calls=calls)
+                y = sgd_dd(problem, x, y, alpha, extra, seed,
+                           counter_start=warm_counter, calls=calls)
                 warm_counter += extra
     except (FloatingPointError, OverflowError, TimeoutError) as exc:
         trace.aborted_at = t

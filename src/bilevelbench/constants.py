@@ -370,6 +370,8 @@ def schedule_practical(cfg: Mapping[str, float]) -> ParamSchedule:
     missing = {"alpha", "beta", "gamma", "eta", "T"} - set(cfg)
     if missing:
         raise SchedulingError(f"missing practical-schedule keys: {sorted(missing)}")
+    if not all(math.isfinite(cfg.get(k, 0)) for k in ("T", "T0")):
+        raise SchedulingError("T and T0 must be finite")
     t = int(cfg["T"])
     t0 = int(cfg.get("T0", 0))
     if cfg["T"] != t or cfg.get("T0", 0) != t0:

@@ -131,17 +131,22 @@ def _parse_noise(section: dict) -> NoiseModel:
     raise ConfigError(f"unknown noise model {kind!r}")
 
 
-def _parse_init(raw: str) -> float | list[float]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    vals = [float(p) for p in parts]
+def _parse_init(key: str, raw: str) -> float | list[float]:
+    try:
+        vals = [float(p) for p in raw.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r} is not a list of floats: {raw!r}") from exc
     return vals[0] if len(vals) == 1 else vals
 
 
 def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration file."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     required = {"problem", "algorithm", "schedule", "run"}
@@ -214,7 +219,7 @@ def parse_config(path) -> RunConfig:
         seeds = [int(s) for s in run["seeds"].replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"bad seeds list: {run['seeds']!r}") from exc
-    inits = {k: _parse_init(run[k]) for k in ("x0", "y0", "z0") if k in run}
+    inits = {k: _parse_init(k, run[k]) for k in ("x0", "y0", "z0") if k in run}
 
     return RunConfig(
         problem_kind=kind, problem_params=params, noise=noise,
@@ -275,8 +280,6 @@ def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
         return cfg.schedule
     spec = dict(cfg.schedule_spec)
     mode = spec.pop("mode")
-    if problem.constants is None:
-        raise ConfigError("theorem-mode schedules need declared problem constants")
     builder = schedule_theorem41 if mode == "theorem41" else schedule_theorem42
     try:
         return builder(spec["eps"], spec["delta"], problem.constants,

@@ -1,10 +1,12 @@
 """Bilevel problem abstraction: objectives, stochastic oracles, ground truth.
 
 A :class:`BilevelProblem` bundles the two deterministic objectives, their
-deterministic first/second-order maps, the five stochastic oracles built from
-them by an additive noise model, optional analytic ground truth (exact
-lower-level minimizer, linear-system solution and hypergradient) used only
-for verification and metrics, and the declared smoothness constants.
+deterministic first/second-order maps (including the materialized
+lower-level Hessian), the five stochastic oracles built from them by an
+additive noise model, the ground truth (exact lower-level minimizer,
+linear-system solution and hypergradient) used only for verification and
+metrics, and the declared smoothness constants.  Every problem carries all
+three: there is no path for a problem without them.
 
 All oracle evaluations are pure functions of (point, sample): no shared
 mutable state, safe to call concurrently.
@@ -85,8 +87,8 @@ class DeterministicOracle:
 
     ``hvp_xy_g(x, y, z)`` is the mixed second-derivative block applied to
     ``z`` (a length-``dim_x`` vector); ``hvp_yy_g`` the yy block applied to
-    ``z`` (length ``dim_y``).  ``hess_yy_g`` optionally materializes the yy
-    block for direct linear solves.
+    ``z`` (length ``dim_y``).  ``hess_yy_g`` materializes the yy block for
+    the Newton solves of :mod:`bilevelbench.verify`.
     """
 
     grad_x_f: Callable[[Vec, Vec], Vec]
@@ -94,7 +96,7 @@ class DeterministicOracle:
     grad_y_g: Callable[[Vec, Vec], Vec]
     hvp_xy_g: Callable[[Vec, Vec, Vec], Vec]
     hvp_yy_g: Callable[[Vec, Vec, Vec], Vec]
-    hess_yy_g: Callable[[Vec, Vec], Array] | None = None
+    hess_yy_g: Callable[[Vec, Vec], Array]
 
 
 def _noise_vec(sample: Sample, tag: OracleTag, dim: int, scale: float,
@@ -188,8 +190,8 @@ class BilevelProblem:
 
     ``upper``/``lower`` are the deterministic objectives f and g; ``det``
     their exact derivative maps; ``oracle`` the stochastic view used by the
-    optimizers; ``analytic`` optional ground truth; ``constants`` the
-    declared smoothness constants of the instance.
+    optimizers; ``analytic`` the ground truth; ``constants`` the declared
+    smoothness constants of the instance.
     """
 
     dim_x: int
@@ -198,8 +200,8 @@ class BilevelProblem:
     lower: Callable[[Vec, Vec], float]
     det: DeterministicOracle
     oracle: StochasticOracle
-    analytic: AnalyticOracle | None = None
-    constants: SmoothnessConstants | None = None
+    analytic: AnalyticOracle
+    constants: SmoothnessConstants
     name: str = "problem"
     metadata: dict = field(default_factory=dict)
 
@@ -209,9 +211,7 @@ class BilevelProblem:
                 f"dimensions must be positive, got ({self.dim_x}, {self.dim_y})")
 
     def phi(self, x: Vec) -> float:
-        """Composed objective f(x, y*(x)); requires the analytic oracle."""
-        if self.analytic is None:
-            raise ConfigurationError(f"problem {self.name!r} has no analytic oracle")
+        """Composed objective f(x, y*(x))."""
         return float(self.upper(x, self.analytic.y_star(x)))
 
 

@@ -13,7 +13,7 @@ Three families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -319,7 +319,8 @@ def make_hyperclean(spec: HypercleanSpec,
     """Build the hypercleaning instance.
 
     There is no closed-form lower-level minimizer; the analytic oracle is
-    backed by the high-precision deterministic solvers (tolerance 1e-10).
+    backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
+    1e-10).
     The per-sample weights live in dimension ``n_train`` and are meant to be
     initialized at 1.0.
     """
@@ -377,30 +378,18 @@ def make_hyperclean(spec: HypercleanSpec,
         sigma_g2=noise.sigma_g2, sigma_z=noise.sigma_z,
     ))
 
-    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, hess_yy_g)
-    base = BilevelProblem(
-        dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
-        det=det, oracle=StochasticOracle(det, noise),
-        analytic=None, constants=consts, name=name,
-        # per-sample weights start at 1.0; model parameters at zero
-        metadata={"kind": "hyperclean", "corrupted_indices": corrupted,
-                  "x0_default": 1.0, "y0_default": 0.0},
-    )
-
     # Analytic oracle backed by the deterministic solvers; memoized on the
     # query point because y*, z* and the hypergradient share the inner solve.
     from . import verify  # deferred: verify consumes this module's instances
 
-    settings = verify.SolverSettings(tol=1e-10, max_iters=200,
-                                     method=verify.SolverMethod.NEWTON)
+    settings = verify.SolverSettings(tol=1e-10, max_iters=200)
     cache: dict[bytes, tuple[Vec, Vec]] = {}
 
     def _solve(x: Vec) -> tuple[Vec, Vec]:
         key = np.asarray(x, dtype=float).tobytes()
         if key not in cache:
-            ys = verify.inner_solve_exact(base, x, settings)
-            zs = verify.solve_linear_system_exact(base, x, ys, settings)
+            ys = verify.inner_solve_exact(problem, x, settings)
+            zs = verify.solve_linear_system_exact(problem, x, ys, settings)
             if len(cache) > 8:
                 cache.clear()
             cache[key] = (ys, zs)
@@ -416,4 +405,15 @@ def make_hyperclean(spec: HypercleanSpec,
         ys, zs = _solve(x)
         return grad_x_f(x, ys) - hvp_xy_g(x, ys, zs)
 
-    return replace(base, analytic=AnalyticOracle(y_star, z_star, hypergrad))
+    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
+                              hvp_yy_g, hess_yy_g)
+    problem = BilevelProblem(
+        dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
+        det=det, oracle=StochasticOracle(det, noise),
+        analytic=AnalyticOracle(y_star, z_star, hypergrad),
+        constants=consts, name=name,
+        # per-sample weights start at 1.0; model parameters at zero
+        metadata={"kind": "hyperclean", "corrupted_indices": corrupted,
+                  "x0_default": 1.0, "y0_default": 0.0},
+    )
+    return problem

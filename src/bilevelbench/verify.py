@@ -3,13 +3,14 @@
 High-precision deterministic solvers for the lower-level minimizer and the
 linear system, finite-difference hypergradients, empirical checkers for the
 warm-start / tracking / bias guarantees, and the named suites behind the
-``verify --suite`` command.  The solvers are deliberately independent of the
-optimizers: they only consume the deterministic maps of a problem.
+``verify --suite`` command.  Both solvers are Newton on the materialized
+lower-level Hessian ``det.hess_yy_g``, which every problem carries.  They are
+deliberately independent of the optimizers: they only consume the
+deterministic maps of a problem.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -34,24 +35,16 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-class SolverMethod(enum.Enum):
-    GRADIENT_DESCENT = "gd"
-    NEWTON = "newton"
-    CONJUGATE_GRADIENT = "cg"
-
-
 @dataclass(frozen=True)
 class SolverSettings:
-    """Stopping threshold on the gradient/residual norm, budget, and method.
+    """Stopping threshold on the gradient/residual norm, and the step budget.
 
-    ``method=None`` selects automatically: Newton (with direct factorization
-    for small systems) when a materialized Hessian is available, otherwise
-    conjugate gradient / gradient descent.
+    Both solvers are Newton on the problem's materialized Hessian
+    ``det.hess_yy_g``.
     """
 
     tol: float = 1e-10
     max_iters: int = 500
-    method: SolverMethod | None = None
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
@@ -60,71 +53,22 @@ class SolverSettings:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-DIRECT_SOLVE_MAX_DIM = 64
-
-
-def _cg(apply_h, b: Vec, x0: Vec, tol: float, max_iters: int) -> Vec:
-    """Conjugate gradient for SPD systems, matrix-free."""
-    x = x0.copy()
-    r = b - apply_h(x)
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(max_iters):
-        if math.sqrt(rs) <= tol:
-            return x
-        hp = apply_h(p)
-        denom = float(p @ hp)
-        if denom <= 0:
-            raise SolverError("CG encountered a non-positive curvature direction",
-                              math.sqrt(rs))
-        a = rs / denom
-        x += a * p
-        r -= a * hp
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if math.sqrt(rs) <= tol:
-        return x
-    raise SolverError("CG exhausted its iteration budget", math.sqrt(rs))
-
-
 def inner_solve_exact(problem: BilevelProblem, x: Vec,
                       settings: SolverSettings = SolverSettings(),
                       y0: Vec | None = None) -> Vec:
     """Solve the lower-level problem to ``||grad_y g(x, y)|| <= tol``.
 
-    Requires a strongly convex lower level.  Newton steps use the
-    materialized Hessian (direct solve) or conjugate gradient on the
-    Hessian-vector product; plain gradient descent uses the declared
-    smoothness constant for its step size.
+    Requires a strongly convex lower level.  Runs at most
+    ``settings.max_iters`` Newton steps, each a direct solve with the
+    materialized Hessian.
     """
     det = problem.det
     y = np.zeros(problem.dim_y) if y0 is None else np.asarray(y0, dtype=float).copy()
-    method = settings.method
-    if method is None:
-        method = (SolverMethod.NEWTON if det.hess_yy_g is not None
-                  else SolverMethod.GRADIENT_DESCENT)
-    if method is SolverMethod.GRADIENT_DESCENT:
-        if problem.constants is None or problem.constants.l_g1 <= 0:
-            raise ConfigurationError(
-                "gradient-descent inner solve needs a declared l_g1")
-        step = 1.0 / problem.constants.l_g1
     g = det.grad_y_g(x, y)
     for _ in range(settings.max_iters):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= settings.tol:
+        if float(np.linalg.norm(g)) <= settings.tol:
             return y
-        if method is SolverMethod.GRADIENT_DESCENT:
-            y = y - step * g
-        elif method is SolverMethod.NEWTON:
-            if det.hess_yy_g is None:
-                raise ConfigurationError(
-                    "Newton inner solve needs a materialized Hessian")
-            y = y - np.linalg.solve(det.hess_yy_g(x, y), g)
-        else:  # Newton step with a CG linear solve, matrix-free
-            d = _cg(lambda v: det.hvp_yy_g(x, y, v), g, np.zeros_like(g),
-                    tol=0.1 * settings.tol, max_iters=settings.max_iters)
-            y = y - d
+        y = y - np.linalg.solve(det.hess_yy_g(x, y), g)
         g = det.grad_y_g(x, y)
     gnorm = float(np.linalg.norm(g))
     if gnorm <= settings.tol:
@@ -136,45 +80,21 @@ def solve_linear_system_exact(problem: BilevelProblem, x: Vec, y: Vec,
                               settings: SolverSettings = SolverSettings()) -> Vec:
     """Solve ``hess_yy g(x, y) z = grad_y f(x, y)`` to residual ``tol``.
 
-    Direct factorization when a materialized Hessian exists and the system
-    is small; conjugate gradient otherwise.  The returned iterate always
-    satisfies the residual tolerance (re-verified before returning).
+    A direct solve with the materialized Hessian plus up to three steps of
+    iterative refinement.  The returned iterate always satisfies the
+    residual tolerance, re-checked on the Hessian-vector product before
+    returning.
     """
     det = problem.det
     b = det.grad_y_f(x, y)
-
-    def apply_h(v: Vec) -> Vec:
-        return det.hvp_yy_g(x, y, v)
-
-    method = settings.method
-    if method is None:
-        method = (SolverMethod.NEWTON
-                  if det.hess_yy_g is not None and problem.dim_y <= DIRECT_SOLVE_MAX_DIM
-                  else SolverMethod.CONJUGATE_GRADIENT)
-    if method is SolverMethod.NEWTON:
-        if det.hess_yy_g is None:
-            raise ConfigurationError("direct linear solve needs a materialized Hessian")
-        h = det.hess_yy_g(x, y)
-        z = np.linalg.solve(h, b)
-        for _ in range(3):  # iterative refinement against the tolerance
-            r = b - h @ z
-            if float(np.linalg.norm(r)) <= settings.tol:
-                break
-            z = z + np.linalg.solve(h, r)
-    elif method is SolverMethod.CONJUGATE_GRADIENT:
-        z = _cg(apply_h, b, np.zeros_like(b), settings.tol, settings.max_iters)
-    else:
-        if problem.constants is None or problem.constants.l_g1 <= 0:
-            raise ConfigurationError(
-                "gradient-descent linear solve needs a declared l_g1")
-        step = 1.0 / problem.constants.l_g1
-        z = np.zeros_like(b)
-        for _ in range(settings.max_iters):
-            r = apply_h(z) - b
-            if float(np.linalg.norm(r)) <= settings.tol:
-                break
-            z = z - step * r
-    residual = float(np.linalg.norm(apply_h(z) - b))
+    h = det.hess_yy_g(x, y)
+    z = np.linalg.solve(h, b)
+    for _ in range(3):  # iterative refinement against the tolerance
+        r = b - h @ z
+        if float(np.linalg.norm(r)) <= settings.tol:
+            break
+        z = z + np.linalg.solve(h, r)
+    residual = float(np.linalg.norm(det.hvp_yy_g(x, y, z) - b))
     if residual > settings.tol:
         raise SolverError("linear solve missed its tolerance", residual)
     return z
@@ -246,14 +166,11 @@ def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
     x0 = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
     y0_init = (np.ones(problem.dim_y) if y0_init is None
                else np.asarray(y0_init, dtype=float))
-    if problem.analytic is not None:
-        ystar = problem.analytic.y_star(x0)
-    else:
-        ystar = inner_solve_exact(problem, x0)
+    ystar = problem.analytic.y_star(x0)
     threshold = math.inf if L1 == 0 else 1.0 / (8.0 * math.sqrt(2.0) * L1)
     violations = 0
     for s in range(n_seeds):
-        y_end, _ = sgd_dd(problem, x0, y0_init, alpha_init, T0, base_seed + s)
+        y_end = sgd_dd(problem, x0, y0_init, alpha_init, T0, base_seed + s)
         if float(np.linalg.norm(y_end - ystar)) > threshold:
             violations += 1
     return WarmStartReport(n_seeds=n_seeds, n_violations=violations,
@@ -286,8 +203,6 @@ def check_bias_decomposition(problem: BilevelProblem,
         raise ConfigurationError(
             "bias decomposition needs a noiseless run; the per-sample "
             "estimate does not reveal its conditional expectation under noise")
-    if problem.analytic is None or problem.constants is None:
-        raise ConfigurationError("bias check needs analytic oracle and constants")
     c = problem.constants
     coeff = c.L_x0 + c.L_x1 * c.l_g1 * c.l_f0 / c.mu + c.l_g2 * c.l_f0 / c.mu
     max_ratio = 0.0

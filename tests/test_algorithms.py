@@ -1,11 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bilevelbench as bb
 from bilevelbench.algorithms import update_z
-from bilevelbench.problem import DeterministicOracle, StochasticOracle
+from bilevelbench.problem import (AnalyticOracle, DeterministicOracle,
+                                  StochasticOracle)
 from bilevelbench.samples import Sample, Stream
 from bilevelbench.trace import trace_to_csv
 
@@ -19,30 +21,44 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
         grad_y_g=lambda x, y: np.zeros(dim_y),
         hvp_xy_g=lambda x, y, z: np.zeros(dim_x),
         hvp_yy_g=lambda x, y, z: np.zeros(dim_y),
+        hess_yy_g=lambda x, y: np.zeros((dim_y, dim_y)),
     )
+    # the lower level is flat: every y is a minimizer, and z* = 0
+    analytic = AnalyticOracle(y_star=lambda x: np.zeros(dim_y),
+                              z_star=lambda x: np.zeros(dim_y),
+                              hypergrad=lambda x: gx.copy())
     return bb.BilevelProblem(
         dim_x=dim_x, dim_y=dim_y,
         upper=lambda x, y: 0.0, lower=lambda x, y: 0.0,
         det=det, oracle=StochasticOracle(det, bb.NoiseModel.noiseless()),
+        analytic=analytic, constants=bb.SmoothnessConstants(mu=0.0, l_g1=0.0),
         name="stub")
 
 
 class TestSgdDD:
     def test_hand_iteration(self, q2):
-        y, dist = bb.sgd_dd(q2, np.zeros(2), np.ones(2), alpha=0.25,
-                            n_steps=3, seed=0)
+        y = bb.sgd_dd(q2, np.zeros(2), np.ones(2), alpha=0.25,
+                      n_steps=3, seed=0)
+        assert y.shape == (2,)
         np.testing.assert_allclose(y, [0.125, 0.125], atol=1e-15)
 
     def test_zero_steps(self, q2):
         y0 = np.array([0.7, -0.2])
-        y, _ = bb.sgd_dd(q2, np.zeros(2), y0, alpha=0.25, n_steps=0, seed=0)
+        y = bb.sgd_dd(q2, np.zeros(2), y0, alpha=0.25, n_steps=0, seed=0)
+        assert y.shape == (2,)
         np.testing.assert_array_equal(y, y0)
 
     def test_noiseless_contraction(self, q2):
         # distance trace obeys the squared contraction with rate 1 - mu*alpha/2
         alpha = 0.25
-        _, dist = bb.sgd_dd(q2, np.zeros(2), np.ones(2), alpha=alpha,
-                            n_steps=20, seed=0)
+        x = np.zeros(2)
+        ystar = q2.analytic.y_star(x)
+        y = np.ones(2)
+        dist = [float(np.linalg.norm(y - ystar))]
+        for t in range(20):
+            y = bb.sgd_dd(q2, x, y, alpha=alpha, n_steps=1, seed=0,
+                          counter_start=t)
+            dist.append(float(np.linalg.norm(y - ystar)))
         mu = q2.constants.mu
         rate = 1.0 - mu * alpha / 2.0
         for t, d in enumerate(dist):
@@ -54,11 +70,15 @@ class TestSgdDD:
         with pytest.warns(UserWarning, match="tracking"):
             bb.sgd_dd(q2, np.zeros(2), np.ones(2), alpha=1.0, n_steps=1, seed=0)
 
-    def test_drifting_sequence(self, q2):
-        xs = lambda t: np.array([0.01 * t, 0.0])
-        y, dist = bb.sgd_dd(q2, xs, np.ones(2), alpha=0.25, n_steps=10, seed=0)
-        assert len(dist) == 11
-        assert np.all(np.isfinite(y))
+    def test_never_reads_ground_truth(self, q2_gauss):
+        def unreachable(x):
+            raise AssertionError("sgd_dd read the analytic oracle")
+
+        blind = replace(q2_gauss, analytic=AnalyticOracle(
+            unreachable, unreachable, unreachable))
+        args = (np.array([0.3, -0.2]), np.ones(2), 0.25, 7, 3)
+        np.testing.assert_array_equal(bb.sgd_dd(blind, *args),
+                                      bb.sgd_dd(q2_gauss, *args))
 
 
 class TestUpdateZ:
@@ -180,6 +200,32 @@ class TestSlip:
                                        "eta": 0.01, "T": 5, "T0": 0})
         with pytest.raises(bb.ConfigurationError):
             bb.slip_run(q2, sched, np.zeros(3), np.ones(2), np.zeros(2), seed=0)
+
+    # sha256 of noiseless trace CSVs: the solver-backed ground truth of
+    # hypercleaning and the closed-form one of the cosh upper level
+    PINNED_SHA256 = {
+        "hyperclean": "9cec28beecdada0e71faf93351089e3f7ff99dc055f6bfb6bd6c39051d63cab9",
+        "unbounded": "46ee749cfb734310a534725e9b2a778f0b983ca2701e1ab79b45fdd4a6287979",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
+    def test_trace_bytes_pinned(self, kind):
+        if kind == "hyperclean":
+            prob = bb.make_hyperclean(bb.HypercleanSpec(
+                n_train=30, n_val=30, feature_dim=3, corruption_rate=0.2,
+                reg=0.1, seed=5))
+            sched = {"eta": 0.05, "T": 60, "T0": 10}
+            inits = (np.ones(30), np.zeros(3), np.zeros(3))
+        else:
+            prob = bb.make_unbounded_smooth(
+                bb.UnboundedSmoothSpec(a=1.0, core=bb.q2_spec()))
+            sched = {"eta": 0.01, "T": 300, "T0": 20}
+            inits = (np.zeros(2), np.ones(2), np.zeros(2))
+        sched = bb.schedule_practical(
+            {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, **sched})
+        _, trace = bb.slip_run(prob, sched, *inits, seed=0)
+        digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
+        assert digest == self.PINNED_SHA256[kind]
 
 
 class TestBaselines:

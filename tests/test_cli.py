@@ -60,6 +60,26 @@ def test_bad_config_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("old,new", [
+    ("alpha = 0.1", "alpha = 10%"),                  # bare percent sign
+    ("eta = 0.01", "eta = %(missing)s"),             # interpolation syntax
+    ("seeds = 1,2", "seeds = 1,2\nx0 = abc"),
+    ("T = 50", "T = nan"),
+    ("T0 = 5", "T0 = nan"),
+    ("T = 50", "T = 1e400"),
+    ("alpha = 0.1", "alpha = 0.1\nalpha = 0.2"),    # duplicate key
+    ("[problem]", "stray = 1\n[problem]"),          # line before a header
+])
+def test_malformed_value_exit_1(tmp_path, capsys, old, new):
+    p = tmp_path / "bad.cfg"
+    p.write_text(CFG.replace(old, new, 1))
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_config_exit_1(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "x")])

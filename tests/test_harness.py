@@ -9,7 +9,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 import bilevelbench as bb
 from bilevelbench.harness import (ConfigError, RunConfig, bound_check_tracking,
                                   build_problem, hyperclean_weight_report,
-                                  parse_config, run_experiment, sweep_eps,
+                                  parse_config, resolve_schedule,
+                                  run_experiment, sweep_eps,
                                   tracking_bound, weighted_tracking_average)
 from bilevelbench.trace import (Trace, TraceRecord, trace_from_csv,
                                 trace_to_csv)
@@ -208,6 +209,32 @@ class TestConfig:
             assert prob.dim_x >= 1
             # the harness computes every metric row from this oracle
             assert prob.analytic is not None
+
+    _LINES = CFG_TEXT.splitlines()
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(line=st.integers(min_value=0, max_value=len(_LINES)),
+           text=st.text(st.characters(blacklist_categories=("Cs",)),
+                        max_size=30),
+           replace_value=st.booleans())
+    def test_mutated_config_fails_only_as_config_error(self, tmp_path_factory,
+                                                       line, text,
+                                                       replace_value):
+        # one line's value replaced, or one arbitrary line inserted: the
+        # parse, build and resolve path either succeeds or raises one of the
+        # two configuration errors the CLI turns into exit code 1
+        lines = list(self._LINES)
+        if replace_value and line < len(lines) and "=" in lines[line]:
+            lines[line] = lines[line].split("=")[0] + "= " + text
+        else:
+            lines.insert(line, text)
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            cfg = parse_config(path)
+            resolve_schedule(cfg, build_problem(cfg))
+        except (ConfigError, bb.ConfigurationError):
+            pass
 
 
 class TestRunExperiment:
