@@ -2,9 +2,9 @@
 simplified baselines, synthetic instances with analytic ground truth, and a
 verification/benchmark harness."""
 
-from .algorithms import (IterationView, NumericalDivergenceError, OracleCounter,
-                         RunAborted, SlipState, double_loop_run, masoba_run,
-                         sgd_dd, slip_run, ttsa_run, update_z)
+from .algorithms import (NumericalDivergenceError, OracleCounter, RunAborted,
+                         SlipState, double_loop_run, masoba_run, sgd_dd,
+                         slip_run, ttsa_run, update_z)
 from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
                         SmoothnessConstants, derive_constants,
                         schedule_practical, schedule_theorem41,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticOracle", "BilevelProblem", "ConfigurationError", "CSV_HEADER",
-    "DeterministicOracle", "HypercleanSpec", "IterationView", "NoiseKind",
+    "DeterministicOracle", "HypercleanSpec", "NoiseKind",
     "NoiseModel", "NumericalDivergenceError", "OracleCounter", "OracleTag",
     "ParamSchedule", "QuadraticSpec", "RunAborted", "Sample", "ScheduleMode",
     "SchedulingError", "SlipState", "SmoothnessConstants", "StochasticOracle",

@@ -21,18 +21,21 @@ the methods they are named after:
 
 The frozen-x SGD (``sgd_dd``, used for the warm start and the refinement)
 returns only the final lower-level iterate; the ground truth is read only by
-the metric evaluator (``default_metrics``).
+the metric evaluator (``default_metrics``), the loop's one per-iteration
+callback, with one ``analytic.solve`` call per row.
 
 A run is strictly sequential; runs with distinct seeds share no mutable
-state and may execute concurrently.
+state (no problem keeps any) and may execute concurrently.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -52,9 +55,9 @@ class RunAborted(RuntimeError):
     Carries the iteration ``t`` that stopped it, the partial trace (its
     ``aborted_at`` set to ``t``) and the state at that point; ``__cause__``
     is the exception that stopped it.  Row ``t`` is in the trace when it was
-    recorded before the abort (a non-finite update, a hook) and missing when
-    an oracle failed while computing it.  Raised as is when a hook raises
-    ``TimeoutError``.
+    recorded before the abort (a non-finite update, the deadline) and missing
+    when an oracle failed while computing it.  Raised as is when the run
+    passes its wall-clock ``deadline``.
     """
 
     def __init__(self, message: str, t: int, trace: Trace, state: "SlipState"):
@@ -99,27 +102,11 @@ class SlipState:
     calls: OracleCounter
 
 
-@dataclass(frozen=True)
-class IterationView:
-    """Read-only per-iteration snapshot handed to metric callbacks.
-
-    ``x``/``y``/``z`` are the values the iteration read (pre-update), ``m``
-    the freshly updated momentum buffer, ``ghat`` the hypergradient estimate
-    consumed by the momentum update.  Callbacks must not mutate anything.
-    """
-
-    t: int
-    x: Vec
-    y: Vec
-    z: Vec
-    m: Vec
-    ghat: Vec
-
-
+# metrics(t, x, y, z, m) sees the iterates row t read (pre-update) and the
+# updated momentum; it returns the row's five metrics and mutates nothing
 MetricFn = Callable[[int, Vec, Vec, Vec, Vec],
                     tuple[float | None, float | None, float | None,
                           float | None, float | None]]
-HookFn = Callable[[IterationView], None]
 
 
 def default_metrics(problem: BilevelProblem) -> MetricFn:
@@ -127,9 +114,7 @@ def default_metrics(problem: BilevelProblem) -> MetricFn:
     analytic = problem.analytic
 
     def metrics(t: int, x: Vec, y: Vec, z: Vec, m_next: Vec):
-        ys = analytic.y_star(x)
-        zs = analytic.z_star(x)
-        gphi = analytic.hypergrad(x)
+        ys, zs, gphi = analytic.solve(x)
         return (
             float(np.linalg.norm(gphi)),
             float(np.linalg.norm(y - ys)),
@@ -194,7 +179,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
               normalize: bool,
               decay: tuple[float, float] | None = None,
               refine: tuple[int, int] = (1, 0),
-              hooks: Sequence[HookFn] | HookFn | None = None,
+              deadline: float = math.inf,
               metrics: MetricFn | None = None) -> tuple[SlipState, Trace]:
     """Shared driver for the main optimizer and its baselines.
 
@@ -202,7 +187,9 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     ``(t+1)^-eta_exponent`` and ``alpha``/``gamma`` by
     ``(t+1)^-alpha_exponent`` at iteration ``t``.  ``refine = (interval,
     extra)`` runs ``extra`` lower-level SGD steps at frozen x after every
-    ``interval``-th iteration.  Any abort raises :class:`RunAborted`.
+    ``interval``-th iteration.  Once ``time.monotonic()`` passes
+    ``deadline``, the run stops after recording the current row.  Any abort
+    raises :class:`RunAborted`.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0_init, dtype=float).copy()
@@ -213,9 +200,6 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     if y.shape != (problem.dim_y,) or z.shape != (problem.dim_y,):
         raise ConfigurationError(
             f"y0/z0 must have shape ({problem.dim_y},), got {y.shape}/{z.shape}")
-    if callable(hooks):
-        hooks = [hooks]
-    hooks = list(hooks or [])
     if metrics is None:
         metrics = default_metrics(problem)
     interval, extra = refine
@@ -272,9 +256,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                 # inside the block: the norms of a diverging run overflow
                 row_metrics = metrics(t, x, y, z, m)
             trace.append(TraceRecord(t, *row_metrics, *calls.as_tuple()))
-            for hook in hooks:
-                hook(IterationView(t=t, x=x.copy(), y=y.copy(), z=z.copy(),
-                                   m=m.copy(), ghat=ghat.copy()))
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"deadline passed at iteration {t}")
 
             finite = _finite(x_next, y_next, z_next, m)
             x, y, z = x_next, y_next, z_next
@@ -296,7 +279,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
 
 def slip_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
              y0_init: Vec, z0: Vec, seed: int,
-             hooks: Sequence[HookFn] | HookFn | None = None,
+             deadline: float = math.inf,
              metrics: MetricFn | None = None) -> tuple[SlipState, Trace]:
     """Run the single-loop optimizer with normalized momentum upper steps.
 
@@ -304,22 +287,22 @@ def slip_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     Raises :class:`NumericalDivergenceError` on NaN/Inf iterates.
     """
     return _run_loop(problem, schedule, x0, y0_init, z0, seed,
-                     normalize=True, hooks=hooks, metrics=metrics)
+                     normalize=True, deadline=deadline, metrics=metrics)
 
 
 def masoba_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                y0_init: Vec, z0: Vec, seed: int,
-               hooks: Sequence[HookFn] | HookFn | None = None,
+               deadline: float = math.inf,
                metrics: MetricFn | None = None) -> tuple[SlipState, Trace]:
     """Baseline: identical loop, unnormalized upper step ``x - eta * m``."""
     return _run_loop(problem, schedule, x0, y0_init, z0, seed,
-                     normalize=False, hooks=hooks, metrics=metrics)
+                     normalize=False, deadline=deadline, metrics=metrics)
 
 
 def double_loop_run(problem: BilevelProblem, schedule: ParamSchedule,
                     refine_interval: int, refine_steps: int, x0: Vec,
                     y0_init: Vec, z0: Vec, seed: int,
-                    hooks: Sequence[HookFn] | HookFn | None = None,
+                    deadline: float = math.inf,
                     metrics: MetricFn | None = None) -> tuple[SlipState, Trace]:
     """Baseline: periodic lower-level refinement at frozen x.
 
@@ -335,13 +318,13 @@ def double_loop_run(problem: BilevelProblem, schedule: ParamSchedule,
             f"refine_steps must be >= 0, got {refine_steps}")
     return _run_loop(problem, schedule, x0, y0_init, z0, seed,
                      normalize=True, refine=(refine_interval, refine_steps),
-                     hooks=hooks, metrics=metrics)
+                     deadline=deadline, metrics=metrics)
 
 
 def ttsa_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
              y0_init: Vec, z0: Vec, seed: int, *,
              eta_exponent: float = 0.6, alpha_exponent: float = 0.4,
-             hooks: Sequence[HookFn] | HookFn | None = None,
+             deadline: float = math.inf,
              metrics: MetricFn | None = None) -> tuple[SlipState, Trace]:
     """Baseline: two-timescale single-sample method.
 
@@ -352,4 +335,4 @@ def ttsa_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     return _run_loop(problem, replace(schedule, beta=0.0, T0=0), x0, y0_init,
                      z0, seed, normalize=False,
                      decay=(eta_exponent, alpha_exponent),
-                     hooks=hooks, metrics=metrics)
+                     deadline=deadline, metrics=metrics)

@@ -30,7 +30,7 @@ from .problem import BilevelProblem, NoiseModel
 from .synthetic import (HypercleanSpec, UnboundedSmoothSpec, make_hyperclean,
                         make_q2, make_quadratic, make_unbounded_smooth,
                         q2_spec, random_quadratic_spec, sigmoid)
-from .trace import Trace, write_trace
+from .trace import Trace, write_atomic, write_trace
 
 Vec = np.ndarray
 
@@ -303,15 +303,6 @@ def _broadcast(v, dim: int, default: float) -> Vec:
 ALGORITHMS = ("slip", "masoba", "doubleloop", "ttsa")
 
 
-class _Deadline:
-    def __init__(self, seconds: float):
-        self.t_end = time.monotonic() + seconds
-
-    def __call__(self, view) -> None:
-        if time.monotonic() > self.t_end:
-            raise TimeoutError("run exceeded max_wall_seconds")
-
-
 def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
                 cfg: RunConfig, seed: int) -> tuple[Trace, dict]:
     meta = problem.metadata
@@ -322,25 +313,23 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
     z0 = _broadcast(cfg.inits.get("z0"), problem.dim_y,
                     meta.get("z0_default", 0.0))
     metrics = default_metrics(problem)
-    hooks = []
-    if math.isfinite(cfg.max_wall_seconds):
-        hooks.append(_Deadline(cfg.max_wall_seconds))
+    t_start = time.monotonic()
+    deadline = t_start + cfg.max_wall_seconds
     runner = {
         "slip": lambda: slip_run(problem, schedule, x0, y0, z0, seed,
-                                 hooks=hooks, metrics=metrics),
+                                 deadline=deadline, metrics=metrics),
         "masoba": lambda: masoba_run(problem, schedule, x0, y0, z0, seed,
-                                     hooks=hooks, metrics=metrics),
+                                     deadline=deadline, metrics=metrics),
         "doubleloop": lambda: double_loop_run(
             problem, schedule, cfg.algo_params.get("refine_interval", 2),
             cfg.algo_params.get("refine_steps", 3), x0, y0, z0, seed,
-            hooks=hooks, metrics=metrics),
+            deadline=deadline, metrics=metrics),
         "ttsa": lambda: ttsa_run(
             problem, schedule, x0, y0, z0, seed,
             eta_exponent=cfg.algo_params.get("eta_exponent", 0.6),
             alpha_exponent=cfg.algo_params.get("alpha_exponent", 0.4),
-            hooks=hooks, metrics=metrics),
+            deadline=deadline, metrics=metrics),
     }[cfg.algorithm]
-    t_start = time.monotonic()
     info: dict = {"seed": seed, "status": "OK", "aborted_at": None}
     try:
         state, trace = runner()
@@ -376,7 +365,8 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     """Execute every seed of a config; write one CSV per seed plus metadata.
 
     Seeds run in order in the calling thread, each writing its trace file
-    as it finishes; ``cfg.workers`` has no effect.  A seed that fails or
+    as it finishes; ``cfg.workers`` has no effect.  Every file is written
+    through a temporary file and renamed into place.  A seed that fails or
     times out keeps its partial trace and does not stop the others.  The
     metadata record is written once, after the last seed; each seed's
     ``calls`` are the counts of its last trace row, so for ``doubleloop``
@@ -407,9 +397,8 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
         "seeds": [info for _, info in results],
     }
     meta_path = Path(f"{out_prefix}_meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(metadata, fh, indent=2, default=_json_default)
-        fh.write("\n")
+    write_atomic(meta_path,
+                 json.dumps(metadata, indent=2, default=_json_default) + "\n")
     return RunResult(trace_paths=[p for p, _ in results],
                      metadata_path=meta_path, metadata=metadata)
 
@@ -461,7 +450,6 @@ def tracking_bound(t: int, dist0_sq: float, alpha: float, drift_radius: float,
 
 @dataclass(frozen=True)
 class TrackingReport:
-    available: bool
     n_seeds: int
     n_violations: int
     pass_rate_bound: float
@@ -472,7 +460,7 @@ class TrackingReport:
 
     @property
     def passed(self) -> bool:
-        return self.available and self.violation_rate <= self.pass_rate_bound
+        return self.violation_rate <= self.pass_rate_bound
 
 
 def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
@@ -485,7 +473,8 @@ def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
     A seed violates when any of its iterations exceeds the bound; PASS when
     the violating fraction stays within ``delta`` plus a two-sigma binomial
     margin.  ``drift_radius`` defaults to the upper-level step length.
-    ``bound_scale`` inflates the bound (used by monotonicity tests).
+    ``bound_scale`` inflates the bound (used by monotonicity tests).  A
+    trace with no rows or an empty ``y_err`` column raises ``ConfigError``.
     """
     if len(traces) < 50:
         raise ConfigError(f"need at least 50 seeds, got {len(traces)}")
@@ -493,13 +482,9 @@ def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
         drift_radius = schedule.eta
     n_viol = 0
     for tr in traces:
-        if isinstance(tr, Trace):
-            vals = tr.column("y_err")
-            if not vals or any(v is None for v in vals):
-                return TrackingReport(available=False, n_seeds=len(traces),
-                                      n_violations=0, pass_rate_bound=0.0)
-        else:
-            vals = list(tr)
+        vals = tr.column("y_err") if isinstance(tr, Trace) else list(tr)
+        if not vals or any(v is None for v in vals):
+            raise ConfigError("trace lacks the y_err column")
         d0_sq = vals[0] ** 2
         horizon = len(vals)
         violated = any(
@@ -507,7 +492,7 @@ def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
                 t, d0_sq, schedule.alpha, drift_radius, c, horizon, delta)
             for t in range(horizon))
         n_viol += violated
-    return TrackingReport(available=True, n_seeds=len(traces),
+    return TrackingReport(n_seeds=len(traces),
                           n_violations=n_viol,
                           pass_rate_bound=verify.binomial_margin(delta, len(traces)))
 

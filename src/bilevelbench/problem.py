@@ -8,8 +8,9 @@ linear-system solution and hypergradient) used only for verification and
 metrics, and the declared smoothness constants.  Every problem carries all
 three: there is no path for a problem without them.
 
-All oracle evaluations are pure functions of (point, sample): no shared
-mutable state, safe to call concurrently.
+All oracle and ground-truth evaluations are pure functions of (point,
+sample) or of the point: no problem keeps shared mutable state, so every
+one is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -177,11 +178,22 @@ class StochasticOracle:
 
 @dataclass(frozen=True)
 class AnalyticOracle:
-    """Exact ground truth for verification: y*(x), z*(x) and the hypergradient."""
+    """Exact ground truth for verification.
 
-    y_star: Callable[[Vec], Vec]
-    z_star: Callable[[Vec], Vec]
-    hypergrad: Callable[[Vec], Vec]
+    ``solve(x)`` returns ``(y*(x), z*(x), grad Phi(x))`` from one
+    computation; the three accessors below each return one of them.
+    """
+
+    solve: Callable[[Vec], tuple[Vec, Vec, Vec]]
+
+    def y_star(self, x: Vec) -> Vec:
+        return self.solve(x)[0]
+
+    def z_star(self, x: Vec) -> Vec:
+        return self.solve(x)[1]
+
+    def hypergrad(self, x: Vec) -> Vec:
+        return self.solve(x)[2]
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,11 @@ def _quadratic_lower_parts(spec: QuadraticSpec):
     def hess_yy_g(x: Vec, y: Vec) -> np.ndarray:
         return a.copy()
 
-    def y_star(x: Vec) -> Vec:
-        return a_inv @ (b @ x + c)
+    def lower_solve(x: Vec) -> tuple[Vec, Vec]:
+        ys = a_inv @ (b @ x + c)
+        return ys, a_inv @ (ys - spec.e)
 
-    def z_star(x: Vec) -> Vec:
-        return a_inv @ (y_star(x) - spec.e)
-
-    return lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, y_star, z_star
+    return lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, lower_solve
 
 
 def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless(),
@@ -130,7 +128,7 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
     gradient-growth coefficient (any such value is a valid upper bound); the
     warm-start thresholds are finite only then.
     """
-    lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, y_star, z_star = (
+    lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, lower_solve = (
         _quadratic_lower_parts(spec))
     consts = _quadratic_constants(spec, noise, L_x0=spec.r, L_x1=declared_L_x1)
     e, r, b = spec.e, spec.r, spec.B
@@ -144,15 +142,16 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
     def grad_y_f(x: Vec, y: Vec) -> Vec:
         return y - e
 
-    def hypergrad(x: Vec) -> Vec:
-        return r * x + b.T @ z_star(x)
+    def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
+        ys, zs = lower_solve(x)
+        return ys, zs, r * x + b.T @ zs
 
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
                               hvp_yy_g, hess_yy_g)
     return BilevelProblem(
         dim_x=spec.dim_x, dim_y=spec.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
-        analytic=AnalyticOracle(y_star, z_star, hypergrad),
+        analytic=AnalyticOracle(solve),
         constants=consts, name=name,
         metadata={"kind": "quadratic", "x_box_radius": spec.x_box_radius},
     )
@@ -224,7 +223,7 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     overflows double precision.
     """
     core = spec.core
-    lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, y_star, z_star = (
+    lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, lower_solve = (
         _quadratic_lower_parts(core))
     a_rate = spec.a
     x_max = 700.0 / a_rate
@@ -248,9 +247,10 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     def grad_y_f(x: Vec, y: Vec) -> Vec:
         return y - e
 
-    def hypergrad(x: Vec) -> Vec:
+    def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
         _guard(x)
-        return a_rate * np.sinh(a_rate * x) + b.T @ z_star(x)
+        ys, zs = lower_solve(x)
+        return ys, zs, a_rate * np.sinh(a_rate * x) + b.T @ zs
 
     base = _quadratic_constants(core, noise, L_x0=a_rate ** 2, L_x1=a_rate)
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
@@ -258,7 +258,7 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     return BilevelProblem(
         dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
-        analytic=AnalyticOracle(y_star, z_star, hypergrad),
+        analytic=AnalyticOracle(solve),
         constants=base, name=name,
         metadata={"kind": "unbounded", "a": a_rate, "x_max": x_max},
     )
@@ -320,7 +320,7 @@ def make_hyperclean(spec: HypercleanSpec,
 
     There is no closed-form lower-level minimizer; the analytic oracle is
     backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
-    1e-10).
+    1e-10), one inner and one linear solve per call, uncached.
     The per-sample weights live in dimension ``n_train`` and are meant to be
     initialized at 1.0.
     """
@@ -378,39 +378,23 @@ def make_hyperclean(spec: HypercleanSpec,
         sigma_g2=noise.sigma_g2, sigma_z=noise.sigma_z,
     ))
 
-    # Analytic oracle backed by the deterministic solvers; memoized on the
-    # query point because y*, z* and the hypergradient share the inner solve.
+    # Analytic oracle backed by the deterministic solvers, read as module
+    # attributes so that a wrapper patched onto them sees every solve.
     from . import verify  # deferred: verify consumes this module's instances
 
     settings = verify.SolverSettings(tol=1e-10, max_iters=200)
-    cache: dict[bytes, tuple[Vec, Vec]] = {}
 
-    def _solve(x: Vec) -> tuple[Vec, Vec]:
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in cache:
-            ys = verify.inner_solve_exact(problem, x, settings)
-            zs = verify.solve_linear_system_exact(problem, x, ys, settings)
-            if len(cache) > 8:
-                cache.clear()
-            cache[key] = (ys, zs)
-        return cache[key]
-
-    def y_star(x: Vec) -> Vec:
-        return _solve(x)[0].copy()
-
-    def z_star(x: Vec) -> Vec:
-        return _solve(x)[1].copy()
-
-    def hypergrad(x: Vec) -> Vec:
-        ys, zs = _solve(x)
-        return grad_x_f(x, ys) - hvp_xy_g(x, ys, zs)
+    def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
+        ys = verify.inner_solve_exact(problem, x, settings)
+        zs = verify.solve_linear_system_exact(problem, x, ys, settings)
+        return ys, zs, grad_x_f(x, ys) - hvp_xy_g(x, ys, zs)
 
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
                               hvp_yy_g, hess_yy_g)
     problem = BilevelProblem(
         dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
-        analytic=AnalyticOracle(y_star, z_star, hypergrad),
+        analytic=AnalyticOracle(solve),
         constants=consts, name=name,
         # per-sample weights start at 1.0; model parameters at zero
         metadata={"kind": "hyperclean", "corrupted_indices": corrupted,

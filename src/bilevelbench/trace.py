@@ -10,7 +10,9 @@ trace and re-emitting it reproduces the file byte for byte.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 CSV_HEADER = ("t,grad_norm,y_err,z_err,eps_err,phi,"
               "calls_gxF,calls_gyF,calls_gyG,calls_hxy,calls_hyy")
@@ -83,9 +85,26 @@ def trace_to_csv(trace: Trace) -> str:
     return buf.getvalue()
 
 
+def write_atomic(path, text: str) -> None:
+    """Replace the file at ``path`` by ``text`` in one step.
+
+    Writes a temporary file next to ``path`` and renames it into place, so
+    the path holds either its old bytes or all of the new ones, never a
+    partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace(path, trace: Trace) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(trace_to_csv(trace))
+    write_atomic(path, trace_to_csv(trace))
 
 
 def _parse_opt_float(s: str) -> float | None:

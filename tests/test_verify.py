@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench.algorithms import IterationView
 from bilevelbench.verify import (SolverError, SolverSettings,
                                  check_bias_decomposition, check_warm_start,
                                  finite_diff_hypergrad, inner_solve_exact,
@@ -147,18 +146,20 @@ class TestBiasCheck:
     def run_records(self, prob, T=200):
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
                                        "eta": 0.01, "T": T, "T0": 20})
-        records = []
+        points = []
+
+        def record_point(t, x, y, z, m):
+            points.append((x, y, z))
+            return (None,) * 5
+
         bb.slip_run(prob, sched, np.zeros(2), np.ones(2), np.zeros(2), seed=0,
-                    hooks=records.append)
-        return records
+                    metrics=record_point)
+        return points
 
     def test_trivial_at_exact_solution(self, q2):
         x = np.array([0.2, -0.1])
-        view = IterationView(
-            t=0, x=x, y=q2.analytic.y_star(x), z=q2.analytic.z_star(x),
-            m=np.zeros(2),
-            ghat=q2.analytic.hypergrad(x))
-        report = check_bias_decomposition(q2, [view])
+        point = (x, q2.analytic.y_star(x), q2.analytic.z_star(x))
+        report = check_bias_decomposition(q2, [point])
         assert report.max_ratio == 0.0
         assert report.passed
 
@@ -170,11 +171,11 @@ class TestBiasCheck:
     def test_inflating_constants_decreases_ratio(self, q2):
         import dataclasses
 
-        records = self.run_records(q2)
-        base = check_bias_decomposition(q2, records)
+        points = self.run_records(q2)
+        base = check_bias_decomposition(q2, points)
         fat = dataclasses.replace(q2, constants=dataclasses.replace(
             q2.constants, l_g1=2.0 * q2.constants.l_g1))
-        inflated = check_bias_decomposition(fat, records)
+        inflated = check_bias_decomposition(fat, points)
         assert inflated.max_ratio < base.max_ratio
 
     def test_noisy_run_rejected(self, q2_gauss):
