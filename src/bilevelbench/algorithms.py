@@ -25,7 +25,9 @@ the metric evaluator (``default_metrics``), the loop's one per-iteration
 callback, with one ``analytic.solve`` call per row.
 
 A run is strictly sequential; runs with distinct seeds share no mutable
-state (no problem keeps any) and may execute concurrently.
+state and may execute concurrently in separate threads: no problem keeps
+any, and the only generator a draw uses is its thread's own, rewound to the
+draw's position (see :mod:`bilevelbench.samples`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import ParamSchedule
-from .problem import BilevelProblem, ConfigurationError
+from .problem import BilevelProblem, ConfigurationError, _norm
 from .samples import Sample, Stream
 from .trace import Trace, TraceRecord
 
@@ -116,10 +118,10 @@ def default_metrics(problem: BilevelProblem) -> MetricFn:
     def metrics(t: int, x: Vec, y: Vec, z: Vec, m_next: Vec):
         ys, zs, gphi = analytic.solve(x)
         return (
-            float(np.linalg.norm(gphi)),
-            float(np.linalg.norm(y - ys)),
-            float(np.linalg.norm(z - zs)),
-            float(np.linalg.norm(m_next - gphi)),
+            _norm(gphi),
+            _norm(y - ys),
+            _norm(z - zs),
+            _norm(m_next - gphi),
             float(problem.upper(x, ys)),
         )
 
@@ -171,7 +173,7 @@ def update_z(z: Vec, x: Vec, y: Vec, gamma: float, s_zeta: Sample, s_xi: Sample,
 
 
 def _finite(*arrays: Vec) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return bool(np.isfinite(np.concatenate(arrays)).all())
 
 
 def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
@@ -242,7 +244,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                 ghat = gx - hxy
                 m = beta * m + (1.0 - beta) * ghat
 
-                norm_m = float(np.linalg.norm(m))
+                norm_m = _norm(m)
                 if normalize:
                     if norm_m == 0.0:
                         logger.info("iteration %d: zero momentum, skipping x-step", t)

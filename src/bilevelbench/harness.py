@@ -62,6 +62,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        bad = [s for s in self.seeds if not 0 <= s < 1 << 64]
+        if bad:
+            raise ConfigError(f"seeds must lie in [0, 2**64), got {bad}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose from {sorted(ALGORITHMS)}")
@@ -368,9 +371,10 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     as it finishes; ``cfg.workers`` has no effect.  Every file is written
     through a temporary file and renamed into place.  A seed that fails or
     times out keeps its partial trace and does not stop the others.  The
-    metadata record is written once, after the last seed; each seed's
-    ``calls`` are the counts of its last trace row, so for ``doubleloop``
-    they leave out the refinement that runs after that row.
+    metadata record is rewritten after every seed, so an exception that
+    escapes a later seed still leaves the finished seeds' records; each
+    seed's ``calls`` are the counts of its last trace row, so for
+    ``doubleloop`` they leave out the refinement that runs after that row.
     """
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -378,12 +382,11 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     schedule = resolve_schedule(cfg, problem)
 
     def job(seed: int):
+        # the trace is dropped on return, so one seed's rows are alive at a time
         trace, info = _run_single(problem, schedule, cfg, seed)
         path = Path(f"{out_prefix}_seed{seed}.csv")
         write_trace(path, trace)
         return path, info
-
-    results = [job(s) for s in cfg.seeds]
 
     metadata = {
         "problem": {"kind": cfg.problem_kind, "name": problem.name,
@@ -394,13 +397,18 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
             "alpha_init": schedule.alpha_init, "T0": schedule.T0,
             "alpha": schedule.alpha, "beta": schedule.beta,
             "gamma": schedule.gamma, "eta": schedule.eta, "T": schedule.T},
-        "seeds": [info for _, info in results],
+        "seeds": [],
     }
     meta_path = Path(f"{out_prefix}_meta.json")
-    write_atomic(meta_path,
-                 json.dumps(metadata, indent=2, default=_json_default) + "\n")
-    return RunResult(trace_paths=[p for p, _ in results],
-                     metadata_path=meta_path, metadata=metadata)
+    trace_paths = []
+    for seed in cfg.seeds:
+        path, info = job(seed)
+        trace_paths.append(path)
+        metadata["seeds"].append(info)
+        write_atomic(meta_path,
+                     json.dumps(metadata, indent=2, default=_json_default) + "\n")
+    return RunResult(trace_paths=trace_paths, metadata_path=meta_path,
+                     metadata=metadata)
 
 
 def _json_default(obj):

@@ -9,8 +9,9 @@ metrics, and the declared smoothness constants.  Every problem carries all
 three: there is no path for a problem without them.
 
 All oracle and ground-truth evaluations are pure functions of (point,
-sample) or of the point: no problem keeps shared mutable state, so every
-one is safe to call concurrently.
+sample) or of the point: no problem keeps shared mutable state, and each
+noise draw uses its thread's own generator, so every one is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ class DeterministicOracle:
     hess_yy_g: Callable[[Vec, Vec], Array]
 
 
+def _norm(v: Vec) -> float:
+    """Euclidean norm of a 1-D float array, bit for bit ``np.linalg.norm``
+    (which computes ``sqrt(v.dot(v))`` for it) without that call's overhead."""
+    return math.sqrt(v.dot(v))
+
+
 def _noise_vec(sample: Sample, tag: OracleTag, dim: int, scale: float,
                clip: float | None = None) -> Vec:
     """Mean-zero noise with total standard deviation ``scale``.
@@ -111,7 +118,7 @@ def _noise_vec(sample: Sample, tag: OracleTag, dim: int, scale: float,
         return np.zeros(dim)
     v = (scale / math.sqrt(dim)) * sample.generator(tag).standard_normal(dim)
     if clip is not None:
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         if n > clip:
             # shave slightly below the bound: the almost-sure contract must
             # survive the add-then-subtract round trip in float arithmetic
@@ -161,7 +168,7 @@ class StochasticOracle:
         g = self.det.hvp_xy_g(x, y, z)
         if self.noise.kind is NoiseKind.NOISELESS:
             return g
-        scale = self.noise.sigma_g2 * float(np.linalg.norm(z))
+        scale = self.noise.sigma_g2 * _norm(z)
         clip = scale if self._bounded() else None
         return g + _noise_vec(sample, OracleTag.HVP_XY_G, g.shape[0], scale, clip)
 
@@ -172,7 +179,7 @@ class StochasticOracle:
         if self._bounded():
             return g + _noise_vec(sample, OracleTag.HVP_YY_G, g.shape[0],
                                   self.noise.sigma_z, self.noise.sigma_z)
-        scale = self.noise.sigma_g2 * float(np.linalg.norm(z))
+        scale = self.noise.sigma_g2 * _norm(z)
         return g + _noise_vec(sample, OracleTag.HVP_YY_G, g.shape[0], scale)
 
 

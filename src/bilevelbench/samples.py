@@ -1,21 +1,33 @@
 """Counter-based random samples.
 
 Every stochastic oracle draw is a pure function of a :class:`Sample`, which
-names a stream, a counter position within that stream, and a run seed.  The
-underlying bit generator is Philox, keyed by ``(seed, stream)`` with the
-counter placed in the counter block, so distinct streams are statistically
-independent and any draw can be replayed (or evaluated in parallel) without
-generator state.
+names a stream, a counter position within that stream, and a run seed, and
+of an :class:`OracleTag`.  The bit generator is Philox4x64: its key words
+are ``(seed, stream)`` and its four counter words ``(0, 0, tag, counter)``.
+Philox advances the counter from word 0, carrying into word 1, so a draw
+of any length walks words 0 and 1 and never reaches the words that hold
+the tag and the counter: distinct ``(seed, stream)`` use distinct keys,
+distinct ``(tag, counter)`` disjoint blocks, and any draw can be replayed
+without generator state.  Seeds and counters must lie in ``[0, 2**64)``,
+because each fills one 64-bit word.
+
+No generator is built per draw: each thread keeps one Philox generator, and
+:meth:`Sample.generator` rewinds it by assigning its state.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_WORD = 1 << 64
+
+# one generator per thread, rewound to each draw's position by
+# Sample.generator; a generator is never shared between threads
+_local = threading.local()
 
 
 class Stream(enum.IntEnum):
@@ -53,11 +65,28 @@ class Sample:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.counter < 0:
-            raise ValueError(f"sample counter must be non-negative, got {self.counter}")
+        # each fills one 64-bit Philox word; wrapping would alias two draws
+        if not 0 <= self.counter < _WORD:
+            raise ValueError(f"sample counter must lie in [0, 2**64), got {self.counter}")
+        if not 0 <= self.seed < _WORD:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def generator(self, tag: OracleTag = OracleTag.GENERIC) -> np.random.Generator:
-        """Return a fresh generator deterministic in (seed, stream, counter, tag)."""
-        key = np.array([self.seed & _MASK64, int(self.stream)], dtype=np.uint64)
-        counter = np.array([self.counter & _MASK64, int(tag), 0, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+        """Return a generator positioned at (seed, stream, counter, tag).
+
+        The generator is this thread's one Philox generator, rewound to the
+        draw's position; it stays valid until the next ``generator()`` call
+        on the same thread.
+        """
+        try:
+            gen = _local.generator
+        except AttributeError:
+            gen = _local.generator = np.random.Generator(np.random.Philox())
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, int(tag), self.counter),
+                      "key": (self.seed, int(self.stream))},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return gen

@@ -19,7 +19,7 @@ import numpy as np
 from .algorithms import double_loop_run, sgd_dd, slip_run
 from .constants import schedule_practical
 from .problem import (BilevelProblem, ConfigurationError, NoiseKind,
-                      NoiseModel, hypergrad_estimate)
+                      NoiseModel, _norm, hypergrad_estimate)
 from .samples import Sample, Stream
 from . import synthetic
 
@@ -65,11 +65,11 @@ def inner_solve_exact(problem: BilevelProblem, x: Vec,
     y = np.zeros(problem.dim_y) if y0 is None else np.asarray(y0, dtype=float).copy()
     g = det.grad_y_g(x, y)
     for _ in range(settings.max_iters):
-        if float(np.linalg.norm(g)) <= settings.tol:
+        if _norm(g) <= settings.tol:
             return y
         y = y - np.linalg.solve(det.hess_yy_g(x, y), g)
         g = det.grad_y_g(x, y)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     if gnorm <= settings.tol:
         return y
     raise SolverError("inner solve exhausted max_iters", gnorm)
@@ -90,10 +90,10 @@ def solve_linear_system_exact(problem: BilevelProblem, x: Vec, y: Vec,
     z = np.linalg.solve(h, b)
     for _ in range(3):  # iterative refinement against the tolerance
         r = b - h @ z
-        if float(np.linalg.norm(r)) <= settings.tol:
+        if _norm(r) <= settings.tol:
             break
         z = z + np.linalg.solve(h, r)
-    residual = float(np.linalg.norm(det.hvp_yy_g(x, y, z) - b))
+    residual = _norm(det.hvp_yy_g(x, y, z) - b)
     if residual > settings.tol:
         raise SolverError("linear solve missed its tolerance", residual)
     return z

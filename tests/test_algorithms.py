@@ -10,6 +10,7 @@ from bilevelbench.algorithms import update_z
 from bilevelbench.problem import (AnalyticOracle, DeterministicOracle,
                                   StochasticOracle)
 from bilevelbench.samples import Sample, Stream
+from bilevelbench.synthetic import random_quadratic_spec
 from bilevelbench.trace import trace_to_csv
 
 
@@ -377,3 +378,43 @@ class TestBaselines:
         with pytest.raises(bb.ConfigurationError):
             bb.double_loop_run(q2, sched, 0, 3, np.zeros(2), np.ones(2),
                                np.zeros(2), seed=0)
+
+
+# sha256 of noisy trace CSVs.  They pin the draw path (the Philox word layout
+# and the per-thread rewind) along with the loop: slip on Q2 under Gaussian
+# noise and under bounded noise (the radial clip), and the baselines on a
+# 6-dimensional cosh instance, whose noise vectors are wider than one block.
+NOISY_SHA256 = {
+    "slip": "b6fa4319cc22b7deec7fb023074762de17553417658e4b7a69a4dfe8c1dee807",
+    "slip-bounded": "a9e10d487b27314d2b27aaa171339a97c1b236357c6bd9aa33fb19d5652724ae",
+    "masoba": "4529b773376733a3fc7eb6cd4cbf34267f67870d41b079a52230f740f7fc721b",
+    "doubleloop": "da116e9efe0d627027bb1d07d01cad6b1c4195e5d805a4f59437a7748d45c090",
+    "ttsa": "d936694bd24170d0ce2558d92bd8b3d54ba8f99ea4236af278f03ba46f381691",
+}
+
+
+def noisy_pinned_trace(name):
+    sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                   "eta": 0.01, "T": 200, "T0": 20})
+    if name.startswith("slip"):
+        noise = (bb.NoiseModel.bounded(0.05, 0.05, 0.05, 0.05)
+                 if name == "slip-bounded" else bb.NoiseModel.gaussian(0.05, 0.05, 0.05))
+        return bb.slip_run(bb.make_q2(noise), sched, np.zeros(2), np.ones(2),
+                           np.zeros(2), seed=3)[1]
+    prob = bb.make_unbounded_smooth(
+        bb.UnboundedSmoothSpec(a=1.0, core=random_quadratic_spec(6, 6, 11, r=0.0)),
+        bb.NoiseModel.gaussian(0.05, 0.05, 0.05))
+    inits = (np.zeros(6), np.ones(6), np.zeros(6))
+    if name == "masoba":
+        return bb.masoba_run(prob, sched, *inits, seed=3)[1]
+    if name == "doubleloop":
+        return bb.double_loop_run(prob, sched, 2, 3, *inits, seed=3)[1]
+    return bb.ttsa_run(prob, sched, *inits, seed=3)[1]
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_SHA256))
+def test_noisy_trace_bytes_pinned(name):
+    trace = noisy_pinned_trace(name)
+    assert trace.aborted_at is None
+    digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
+    assert digest == NOISY_SHA256[name]

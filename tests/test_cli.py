@@ -69,6 +69,8 @@ def test_bad_config_exit_1(tmp_path):
     ("T = 50", "T = 1e400"),
     ("alpha = 0.1", "alpha = 0.1\nalpha = 0.2"),    # duplicate key
     ("[problem]", "stray = 1\n[problem]"),          # line before a header
+    ("seeds = 1,2", "seeds = -1,2"),                 # would alias seed 2**64 - 1
+    ("seeds = 1,2", "seeds = 1, 18446744073709551616"),  # 2**64, would alias 0
 ])
 def test_malformed_value_exit_1(tmp_path, capsys, old, new):
     p = tmp_path / "bad.cfg"

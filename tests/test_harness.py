@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 import bilevelbench as bb
+from bilevelbench import harness
 from bilevelbench.harness import (ConfigError, RunConfig, bound_check_tracking,
                                   build_problem, hyperclean_weight_report,
                                   parse_config, resolve_schedule,
@@ -300,6 +301,24 @@ class TestRunExperiment:
         # partial trace flushed up to the diagnostic row
         text = res.trace_paths[0].read_text()
         assert len(text.splitlines()) == info["aborted_at"] + 2
+
+    def test_crash_keeps_finished_seeds_metadata(self, cfg_file, tmp_path,
+                                                 monkeypatch):
+        run = harness.slip_run
+
+        def crash_on_seed_3(*args, **kwargs):
+            if args[5] == 3:
+                raise KeyError("not a RunAborted")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "slip_run", crash_on_seed_3)
+        with pytest.raises(KeyError):
+            run_experiment(parse_config(cfg_file), tmp_path / "exp")
+        meta = json.loads((tmp_path / "exp_meta.json").read_text())
+        assert [s["seed"] for s in meta["seeds"]] == [1, 2]
+        assert all(s["status"] == "OK" for s in meta["seeds"])
+        assert (tmp_path / "exp_seed2.csv").exists()
+        assert not (tmp_path / "exp_seed3.csv").exists()
 
     def test_timeout_keeps_partial_trace(self, cfg_file, tmp_path):
         cfg = dataclasses.replace(parse_config(cfg_file), max_wall_seconds=0.0)
