@@ -3,8 +3,8 @@ simplified baselines, synthetic instances with analytic ground truth, and a
 verification/benchmark harness."""
 
 from .algorithms import (NumericalDivergenceError, OracleCounter, RunAborted,
-                         SlipState, double_loop_run, masoba_run, sgd_dd,
-                         slip_run, ttsa_run, update_z)
+                         RunError, SlipState, double_loop_run, masoba_run,
+                         sgd_dd, slip_run, ttsa_run, update_z)
 from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
                         SmoothnessConstants, derive_constants,
                         schedule_practical, schedule_theorem41,
@@ -25,9 +25,9 @@ __all__ = [
     "AnalyticOracle", "BilevelProblem", "ConfigurationError", "CSV_HEADER",
     "DeterministicOracle", "HypercleanSpec", "NoiseKind",
     "NoiseModel", "NumericalDivergenceError", "OracleCounter", "OracleTag",
-    "ParamSchedule", "QuadraticSpec", "RunAborted", "Sample", "ScheduleMode",
-    "SchedulingError", "SlipState", "SmoothnessConstants", "StochasticOracle",
-    "Stream", "Trace", "TraceRecord", "UnboundedSmoothSpec",
+    "ParamSchedule", "QuadraticSpec", "RunAborted", "RunError", "Sample",
+    "ScheduleMode", "SchedulingError", "SlipState", "SmoothnessConstants",
+    "StochasticOracle", "Stream", "Trace", "TraceRecord", "UnboundedSmoothSpec",
     "derive_constants", "double_loop_run", "empirical_unbiasedness_check",
     "hypergrad_estimate", "make_hyperclean", "make_q2", "make_quadratic",
     "make_unbounded_smooth", "masoba_run", "q2_spec", "random_quadratic",

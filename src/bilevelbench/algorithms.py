@@ -28,6 +28,12 @@ A run is strictly sequential; runs with distinct seeds share no mutable
 state and may execute concurrently in separate threads: no problem keeps
 any, and the only generator a draw uses is its thread's own, rewound to the
 draw's position (see :mod:`bilevelbench.samples`).
+
+The loop's fixed cost per iteration is kept small: the seed and the largest
+counter are range-checked once per run, not once per sample, and
+``np.errstate`` is entered once around the main loop, so an overflow in the
+in-loop refinement gives ``inf`` without a warning, as one in the main
+update does, and ends the run at the next finiteness check.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 
 from .constants import ParamSchedule
 from .problem import BilevelProblem, ConfigurationError, _norm
-from .samples import Sample, Stream
+from .samples import Sample, Stream, unchecked_sample
 from .trace import Trace, TraceRecord
 
 logger = logging.getLogger(__name__)
@@ -72,6 +78,11 @@ class RunAborted(RuntimeError):
 class NumericalDivergenceError(RunAborted):
     """An iterate became NaN/Inf, or an oracle overflowed or raised a
     floating-point error."""
+
+
+class RunError(RunAborted):
+    """Any other exception stopped the run once it had started: a solver
+    failure, a negative metric, a bug in an oracle."""
 
 
 @dataclass
@@ -140,6 +151,10 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
     """
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be non-negative, got {n_steps}")
+    if n_steps:
+        # the range check of every counter this call uses
+        Sample(Stream.PI_TILDE, counter_start, seed)
+        Sample(Stream.PI_TILDE, counter_start + n_steps - 1, seed)
     l_g1 = problem.constants.l_g1
     if l_g1 > 0 and alpha > 1.0 / (2.0 * l_g1):
         warnings.warn(
@@ -148,8 +163,8 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
     for t in range(n_steps):
-        g = problem.oracle.grad_y_G(x, y, Sample(Stream.PI_TILDE,
-                                                 counter_start + t, seed))
+        g = problem.oracle.grad_y_G(
+            x, y, unchecked_sample(Stream.PI_TILDE, counter_start + t, seed))
         if calls is not None:
             calls.n_grad_y_G += 1
         y = y - alpha * g
@@ -172,10 +187,6 @@ def update_z(z: Vec, x: Vec, y: Vec, gamma: float, s_zeta: Sample, s_xi: Sample,
     return z - gamma * (hz - gf)
 
 
-def _finite(*arrays: Vec) -> bool:
-    return bool(np.isfinite(np.concatenate(arrays)).all())
-
-
 def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
               y0_init: Vec, z0: Vec, seed: int, *,
               normalize: bool,
@@ -190,8 +201,10 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     ``(t+1)^-alpha_exponent`` at iteration ``t``.  ``refine = (interval,
     extra)`` runs ``extra`` lower-level SGD steps at frozen x after every
     ``interval``-th iteration.  Once ``time.monotonic()`` passes
-    ``deadline``, the run stops after recording the current row.  Any abort
-    raises :class:`RunAborted`.
+    ``deadline``, the run stops after recording the current row.  Any
+    exception once the warm start has begun ends the run with a
+    :class:`RunAborted`: :class:`NumericalDivergenceError` for overflow and
+    non-finite iterates, :class:`RunError` for anything but the deadline.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0_init, dtype=float).copy()
@@ -204,12 +217,18 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
             f"y0/z0 must have shape ({problem.dim_y},), got {y.shape}/{z.shape}")
     if metrics is None:
         metrics = default_metrics(problem)
+    # the range check of every main-loop sample: counters run over [0, T),
+    # so only the seed and the top end can be out of range
+    Sample(Stream.PI, max(schedule.T - 1, 0), seed)
     interval, extra = refine
     warm_counter = schedule.T0
 
     calls = OracleCounter()
     m = np.zeros(problem.dim_x)
     beta = schedule.beta
+    # v.dot(0) is 0 for a finite v and nan once v holds a nan or an inf, and
+    # unlike v.dot(v) it cannot overflow on a finite v
+    zero_x, zero_y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
     trace = Trace()
     t = 0
     try:
@@ -217,22 +236,24 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
             y = sgd_dd(problem, x, y, schedule.alpha_init, schedule.T0, seed,
                        calls=calls)
 
-        for t in range(schedule.T):
-            alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
-            if decay is not None:
-                eta = eta * (t + 1) ** (-decay[0])
-                alpha = alpha * (t + 1) ** (-decay[1])
-                gamma = gamma * (t + 1) ** (-decay[1])
+        # updates and metrics of a diverging run overflow: the finiteness
+        # check below decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(schedule.T):
+                alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
+                if decay is not None:
+                    eta = eta * (t + 1) ** (-decay[0])
+                    alpha = alpha * (t + 1) ** (-decay[1])
+                    gamma = gamma * (t + 1) ** (-decay[1])
 
-            s_pi = Sample(Stream.PI, t, seed)
-            s_zeta = Sample(Stream.ZETA, t, seed)
-            s_xi = Sample(Stream.XI, t, seed)
-            s_xi_p = Sample(Stream.XI_PRIME, t, seed)
-            s_zeta_p = Sample(Stream.ZETA_PRIME, t, seed)
+                s_pi = unchecked_sample(Stream.PI, t, seed)
+                s_zeta = unchecked_sample(Stream.ZETA, t, seed)
+                s_xi = unchecked_sample(Stream.XI, t, seed)
+                s_xi_p = unchecked_sample(Stream.XI_PRIME, t, seed)
+                s_zeta_p = unchecked_sample(Stream.ZETA_PRIME, t, seed)
 
-            # updates read the current (x_t, y_t, z_t); z feeds the momentum
-            # update before its own refresh
-            with np.errstate(over="ignore", invalid="ignore"):
+                # updates read the current (x_t, y_t, z_t); z feeds the
+                # momentum update before its own refresh
                 gy = problem.oracle.grad_y_G(x, y, s_pi)
                 calls.n_grad_y_G += 1
                 y_next = y - alpha * gy
@@ -255,26 +276,29 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                 else:
                     x_next = x - eta * m
 
-                # inside the block: the norms of a diverging run overflow
-                row_metrics = metrics(t, x, y, z, m)
-            trace.append(TraceRecord(t, *row_metrics, *calls.as_tuple()))
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"deadline passed at iteration {t}")
+                trace.append(TraceRecord(t, *metrics(t, x, y, z, m),
+                                         *calls.as_tuple()))
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"deadline passed at iteration {t}")
 
-            finite = _finite(x_next, y_next, z_next, m)
-            x, y, z = x_next, y_next, z_next
-            if not finite:
-                raise FloatingPointError(f"non-finite iterate at iteration {t}")
+                finite = (x_next.dot(zero_x) + y_next.dot(zero_y)
+                          + z_next.dot(zero_y) + m.dot(zero_x)) == 0.0
+                x, y, z = x_next, y_next, z_next
+                if not finite:
+                    raise FloatingPointError(f"non-finite iterate at iteration {t}")
 
-            if extra > 0 and (t + 1) % interval == 0:
-                y = sgd_dd(problem, x, y, alpha, extra, seed,
-                           counter_start=warm_counter, calls=calls)
-                warm_counter += extra
-    except (FloatingPointError, OverflowError, TimeoutError) as exc:
+                if extra > 0 and (t + 1) % interval == 0:
+                    y = sgd_dd(problem, x, y, alpha, extra, seed,
+                               counter_start=warm_counter, calls=calls)
+                    warm_counter += extra
+    except Exception as exc:
         trace.aborted_at = t
-        error = RunAborted if isinstance(exc, TimeoutError) else NumericalDivergenceError
         state = SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
-        raise error(str(exc), t, trace, state) from exc
+        if isinstance(exc, (FloatingPointError, OverflowError)):
+            raise NumericalDivergenceError(str(exc), t, trace, state) from exc
+        if isinstance(exc, TimeoutError):
+            raise RunAborted(str(exc), t, trace, state) from exc
+        raise RunError(f"{type(exc).__name__}: {exc}", t, trace, state) from exc
 
     return SlipState(x=x, y=y, z=z, m=m, t=schedule.T, calls=calls), trace
 

@@ -4,10 +4,11 @@ Subcommands: ``run`` (execute a config), ``sweep`` (closed-form schedule
 sweep over target accuracies), ``verify`` (named verification suites) and
 ``plot`` (trace metrics to SVG).  Exit codes: 0 success, 1 usage or config
 error (any unknown config key included), 2 run failure (a seed ended
-``FAILED`` on a non-finite iterate or an oracle overflow, or ``TIMEOUT``;
-the other seeds still run, and every seed's partial trace is written), 3
-verification failure.  Seeds run in order; ``[run] workers`` is accepted
-and has no effect.
+``FAILED`` on a non-finite iterate or an oracle overflow, ``TIMEOUT``, or
+``ERROR`` on any other exception once its run had started; the other seeds
+still run, and every seed's partial trace is written), 3 verification
+failure.  Seeds run in order; ``[run] workers`` is accepted and has no
+effect.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import verify
-from .algorithms import (NumericalDivergenceError, RunAborted, double_loop_run,
-                         default_metrics, masoba_run, slip_run, ttsa_run)
+from .algorithms import (NumericalDivergenceError, RunAborted, RunError,
+                         double_loop_run, default_metrics, masoba_run,
+                         slip_run, ttsa_run)
 from .constants import (ParamSchedule, SchedulingError,
                         SmoothnessConstants, schedule_practical,
                         schedule_theorem41, schedule_theorem42)
@@ -65,6 +66,9 @@ class RunConfig:
         bad = [s for s in self.seeds if not 0 <= s < 1 << 64]
         if bad:
             raise ConfigError(f"seeds must lie in [0, 2**64), got {bad}")
+        if len(set(self.seeds)) != len(self.seeds):
+            # a repeat would run twice into one trace file
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose from {sorted(ALGORITHMS)}")
@@ -338,9 +342,14 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
         state, trace = runner()
     except RunAborted as exc:
         trace = exc.trace
-        info["status"] = ("FAILED" if isinstance(exc, NumericalDivergenceError)
-                          else "TIMEOUT")
         info["aborted_at"] = exc.t
+        if isinstance(exc, NumericalDivergenceError):
+            info["status"] = "FAILED"
+        elif isinstance(exc, RunError):
+            info["status"] = "ERROR"
+            info["reason"] = str(exc)
+        else:
+            info["status"] = "TIMEOUT"
     info["wall_seconds"] = time.monotonic() - t_start
     if trace.records:
         last = trace.records[-1]
@@ -369,12 +378,15 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
 
     Seeds run in order in the calling thread, each writing its trace file
     as it finishes; ``cfg.workers`` has no effect.  Every file is written
-    through a temporary file and renamed into place.  A seed that fails or
-    times out keeps its partial trace and does not stop the others.  The
-    metadata record is rewritten after every seed, so an exception that
-    escapes a later seed still leaves the finished seeds' records; each
-    seed's ``calls`` are the counts of its last trace row, so for
-    ``doubleloop`` they leave out the refinement that runs after that row.
+    through a temporary file and renamed into place.  A seed that fails
+    (``FAILED``), times out (``TIMEOUT``) or raises anything else once its
+    run has started (``ERROR``, with the exception as ``reason``) keeps its
+    partial trace and does not stop the others.  The metadata record is
+    rewritten after every seed, so an exception that escapes a later seed
+    (a configuration error before its loop) still leaves the finished
+    seeds' records.  Each seed's ``calls`` are the counts of its last trace
+    row, so for ``doubleloop`` they leave out the refinement that runs after
+    that row.
     """
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,10 @@ because each fills one 64-bit word.
 
 No generator is built per draw: each thread keeps one Philox generator, and
 :meth:`Sample.generator` rewinds it by assigning its state.
+
+Constructing a :class:`Sample` checks both ranges.  A run checks its seed
+and its largest counter once, by building that one ``Sample``, and then
+builds its per-iteration samples with :func:`unchecked_sample`.
 """
 
 from __future__ import annotations
@@ -90,3 +94,20 @@ class Sample:
             "has_uint32": 0, "uinteger": 0,
         }
         return gen
+
+
+_new = object.__new__
+
+
+def unchecked_sample(stream: Stream, counter: int, seed: int) -> Sample:
+    """A :class:`Sample` built without the range check.
+
+    Only for a caller that has checked the seed and its counters already,
+    by building the checked ``Sample`` at the ends of its counter range.
+    """
+    s = _new(Sample)
+    fields = s.__dict__   # frozen: its __setattr__ refuses every write
+    fields["stream"] = stream
+    fields["counter"] = counter
+    fields["seed"] = seed
+    return s

@@ -134,7 +134,7 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
     e, r, b = spec.e, spec.r, spec.B
 
     def upper(x: Vec, y: Vec) -> float:
-        return float(0.5 * np.sum((y - e) ** 2) + 0.5 * r * np.sum(x ** 2))
+        return float(0.5 * ((y - e) ** 2).sum() + 0.5 * r * (x ** 2).sum())
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         return r * x
@@ -230,15 +230,15 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     e, b = core.e, core.B
 
     def _guard(x: Vec) -> None:
-        m = float(np.max(np.abs(x))) if x.size else 0.0
+        m = float(np.abs(x).max()) if x.size else 0.0
         if m > x_max:
             raise OverflowError(
                 f"|x| up to {m:g} exceeds the cosh evaluation range {x_max:g}")
 
     def upper(x: Vec, y: Vec) -> float:
         _guard(x)
-        return float(np.sum(np.cosh(a_rate * x)) - x.shape[0]
-                     + 0.5 * np.sum((y - e) ** 2))
+        return float(np.cosh(a_rate * x).sum() - x.shape[0]
+                     + 0.5 * ((y - e) ** 2).sum())
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         _guard(x)
@@ -326,6 +326,7 @@ def make_hyperclean(spec: HypercleanSpec,
     """
     feats_tr, lab_tr, feats_val, lab_val, corrupted = _hyperclean_data(spec)
     n_tr, lam = spec.n_train, spec.reg
+    reg_hess = 2.0 * lam * np.eye(spec.feature_dim)
 
     def _margins(y: Vec) -> Vec:
         return lab_tr * (feats_tr @ y)
@@ -335,7 +336,7 @@ def make_hyperclean(spec: HypercleanSpec,
         return float(sigmoid(x) @ losses / n_tr + lam * np.sum(y ** 2))
 
     def upper(x: Vec, y: Vec) -> float:
-        return float(np.mean(np.logaddexp(0.0, -lab_val * (feats_val @ y))))
+        return float(np.logaddexp(0.0, -lab_val * (feats_val @ y)).mean())
 
     def grad_y_g(x: Vec, y: Vec) -> Vec:
         s = sigmoid(-_margins(y))
@@ -349,7 +350,7 @@ def make_hyperclean(spec: HypercleanSpec,
     def hess_yy_g(x: Vec, y: Vec) -> np.ndarray:
         m = _margins(y)
         w = sigmoid(x) * sigmoid(m) * sigmoid(-m)
-        return (feats_tr.T * w) @ feats_tr / n_tr + 2.0 * lam * np.eye(spec.feature_dim)
+        return (feats_tr.T * w) @ feats_tr / n_tr + reg_hess
 
     def hvp_xy_g(x: Vec, y: Vec, z: Vec) -> Vec:
         s = sigmoid(-_margins(y))

@@ -5,14 +5,19 @@ The CSV header is a stable external contract:
 Missing metrics are written as empty fields, never as omitted columns.
 Float fields use the shortest round-tripping decimal form, so parsing a
 trace and re-emitting it reproduces the file byte for byte.
+
+A row is a :class:`TraceRecord` named tuple.  Its metrics are checked once,
+when :meth:`Trace.append` adds it (every loop row and every parsed row
+passes through there), and :func:`trace_to_csv` encodes it with one
+``",".join``.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 CSV_HEADER = ("t,grad_norm,y_err,z_err,eps_err,phi,"
               "calls_gxF,calls_gyF,calls_gyG,calls_hxy,calls_hyy")
@@ -22,9 +27,12 @@ _CALL_COLUMNS = ("calls_gxF", "calls_gyF", "calls_gyG", "calls_hxy", "calls_hyy"
 COLUMNS = ("t",) + _METRIC_COLUMNS + _CALL_COLUMNS
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One iteration's metrics; ``None`` marks a metric that was not computed."""
+class TraceRecord(NamedTuple):
+    """One iteration's metrics; ``None`` marks a metric that was not computed.
+
+    :meth:`Trace.append` rejects a negative ``grad_norm``, ``y_err``,
+    ``z_err`` or ``eps_err``.
+    """
 
     t: int
     grad_norm: float | None
@@ -38,11 +46,13 @@ class TraceRecord:
     calls_hxy: int
     calls_hyy: int
 
-    def __post_init__(self) -> None:
-        for name in ("grad_norm", "y_err", "z_err", "eps_err"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be non-negative, got {v}")
+
+# the metrics that are norms or errors, at positions 1-4 of a row
+_NONNEGATIVE = _METRIC_COLUMNS[:4]
+# the value types of a row with every metric computed, as the metric
+# evaluator and a parsed file give it
+_PLAIN_ROW = ((int,) + (float,) * len(_METRIC_COLUMNS)
+              + (int,) * len(_CALL_COLUMNS))
 
 
 @dataclass
@@ -56,6 +66,9 @@ class Trace:
     def append(self, rec: TraceRecord) -> None:
         if self.records and rec.t <= self.records[-1].t:
             raise ValueError("trace iteration indices must be strictly increasing")
+        for name, v in zip(_NONNEGATIVE, rec[1:5]):
+            if v is not None and v < 0:
+                raise ValueError(f"{name} must be non-negative, got {v}")
         self.records.append(rec)
 
     def __len__(self) -> int:
@@ -74,15 +87,19 @@ def _fmt(v: float | int | None) -> str:
         raise TypeError("bool is not a trace value")
     if isinstance(v, int):
         return str(v)
+    # repr(float(v)): under numpy 2 a numpy scalar's own repr names its type
     return repr(float(v))
 
 
+def _row_text(r: TraceRecord) -> str:
+    # for an exact int or float, repr is what _fmt returns
+    if tuple(map(type, r)) == _PLAIN_ROW:
+        return ",".join(map(repr, r))
+    return ",".join(map(_fmt, r))
+
+
 def trace_to_csv(trace: Trace) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in trace.records:
-        buf.write(",".join(_fmt(getattr(r, c)) for c in COLUMNS) + "\n")
-    return buf.getvalue()
+    return "\n".join([CSV_HEADER, *map(_row_text, trace.records), ""])
 
 
 def write_atomic(path, text: str) -> None:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 from dataclasses import replace
 
@@ -272,6 +273,76 @@ class TestSlip:
         _, trace = bb.slip_run(prob, sched, *inits, seed=0)
         digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
         assert digest == self.PINNED_SHA256[kind]
+
+
+class InjectingOracle:
+    """Noiseless stub oracles: ``grad_x_F`` is the constant (1, 0), the rest
+    are zero, except that the oracle feeding ``target`` returns ``value`` in
+    its first coordinate at sample counter ``at``."""
+
+    def __init__(self, target=None, value=0.0, at=0):
+        self.target, self.value, self.at = target, value, at
+
+    def _out(self, target, sample, base):
+        out = np.array(base, dtype=float)
+        if target == self.target and sample.counter == self.at:
+            out[0] = self.value
+        return out
+
+    def grad_x_F(self, x, y, sample):
+        return self._out("m", sample, [1.0, 0.0])
+
+    def grad_y_F(self, x, y, sample):
+        return np.zeros(2)
+
+    def grad_y_G(self, x, y, sample):
+        return self._out("y", sample, [0.0, 0.0])
+
+    def hvp_xy_G(self, x, y, z, sample):
+        return np.zeros(2)
+
+    def hvp_yy_G(self, x, y, z, sample):
+        return self._out("z", sample, [0.0, 0.0])
+
+
+class TestFiniteCheck:
+    """The loop aborts at the first row whose updated x, y, z or m holds a
+    NaN or an inf, and never on finite iterates, however large."""
+
+    SCHED = {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01,
+             "T": 8, "T0": 0}
+
+    def run(self, oracle, x0=(0.0, 0.0), y0=(1.0, 1.0), z0=(0.0, 0.0)):
+        prob = replace(constant_ghat_problem([1.0, 0.0]), oracle=oracle)
+        return bb.slip_run(prob, bb.schedule_practical(self.SCHED),
+                           np.array(x0), np.array(y0), np.array(z0), seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("target", ["x", "y", "z", "m"])
+    def test_non_finite_aborts_at_its_row(self, target, value):
+        if target == "x":
+            # slip's step of length eta cannot make a finite x alone
+            # non-finite: start there
+            oracle, x0, row = InjectingOracle(), (value, 0.0), 0
+        else:
+            oracle, x0, row = InjectingOracle(target, value, at=3), (0.0, 0.0), 3
+        with pytest.raises(bb.NumericalDivergenceError) as exc_info:
+            self.run(oracle, x0=x0)
+        err = exc_info.value
+        assert err.t == row
+        assert err.trace.aborted_at == row
+        assert len(err.trace.records) == row + 1
+        assert "non-finite iterate" in str(err)
+
+    def test_huge_finite_iterates_do_not_abort(self):
+        # every square overflows: a sum-of-squares test would abort at row 0
+        oracle = InjectingOracle("m", 1e300, at=0)
+        _, trace = self.run(oracle, x0=(1e300, -1e300), y0=(1e300, 1e300),
+                            z0=(-1e300, 1e300))
+        assert trace.aborted_at is None
+        assert len(trace) == self.SCHED["T"]
+        assert trace.column("eps_err")[0] == math.inf
 
 
 class TestBaselines:

@@ -34,9 +34,18 @@ def test_tracer_records_every_layer(tmp_path):
         res = harness.run_experiment(dataclasses.replace(cfg, workers=2),
                                      tmp_path / "exp")
     assert not res.failed
-    recorded = {tracer.names[i] for i in np.unique(tracer.columns()["name"])}
+    cols = tracer.columns()
+    spans = {name: cols["name"] == i for i, name in enumerate(tracer.names)}
     assert {"algorithms.run", "algorithms.metrics", "algorithms.sgd_dd",
-            "trace.write"} <= recorded
+            "samples.draw", "trace.encode", "trace.write",
+            *(f"problem.{name}" for name in tracing.ORACLES)} <= set(spans)
+    # every oracle call is one span: 20 iterations and 5 warm-start steps
+    # per seed
+    for name in tracing.ORACLES:
+        per_seed = 25 if name == "grad_y_G" else 20
+        assert spans[f"problem.{name}"].sum() == 2 * per_seed, name
+    # trace.encode_us_per_row divides by this work: the row count
+    assert cols["work"][spans["trace.encode"]].tolist() == [20, 20]
     assert [len(meta["seeds"]) for meta in tracer.metadata] == [2]
 
 

@@ -71,6 +71,8 @@ def test_bad_config_exit_1(tmp_path):
     ("[problem]", "stray = 1\n[problem]"),          # line before a header
     ("seeds = 1,2", "seeds = -1,2"),                 # would alias seed 2**64 - 1
     ("seeds = 1,2", "seeds = 1, 18446744073709551616"),  # 2**64, would alias 0
+    ("seeds = 1,2", "seeds = 1, 1"),                 # one trace file, two runs
+    ("seeds = 1,2", "seeds = 1,2\nx0 = 1, 2, 3"),     # found before the loop
 ])
 def test_malformed_value_exit_1(tmp_path, capsys, old, new):
     p = tmp_path / "bad.cfg"
@@ -141,6 +143,37 @@ def test_overflow_run_exit_2(tmp_path):
         rows = (tmp_path / f"o_seed{info['seed']}.csv").read_text().splitlines()
         assert len(rows) == info["aborted_at"] + 1
         assert info["calls"]["calls_gxF"] == info["aborted_at"]
+
+
+def test_crashed_run_exit_2(cfg_path, tmp_path, capsys, monkeypatch):
+    # a solver failure at row 2 of seed 1: that seed is ERROR, seed 2 runs
+    from bilevelbench import harness
+    from bilevelbench.verify import SolverError
+
+    make = harness.default_metrics
+    made = []
+
+    def failing_on_first_seed(problem):
+        metrics = make(problem)
+        made.append(metrics)
+        first = len(made) == 1
+
+        def evaluate(t, *iterates):
+            if first and t == 2:
+                raise SolverError("no convergence", 1.0)
+            return metrics(t, *iterates)
+        return evaluate
+
+    monkeypatch.setattr(harness, "default_metrics", failing_on_first_seed)
+    rc = cli.main(["run", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "e")])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "seed 1: ERROR" in out and "seed 2: OK" in out
+    meta = json.loads((tmp_path / "e_meta.json").read_text())
+    assert meta["seeds"][0]["aborted_at"] == 2
+    assert meta["seeds"][0]["reason"] == (
+        "SolverError: no convergence (residual 1.000e+00)")
 
 
 def test_grad_every_key_exit_1(tmp_path):

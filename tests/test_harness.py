@@ -175,6 +175,56 @@ class TestTraceCsv:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    # rows as the metric evaluator, a custom metric function and a parsed
+    # file give them, with the exact text each encodes to
+    ENCODED_ROWS = [
+        (TraceRecord(0, np.float64(0.1), -0.0, 5e-324, 1e16, None,
+                     1, 1, 2, 1, 1),
+         "0,0.1,-0.0,5e-324,1e+16,,1,1,2,1,1"),
+        (TraceRecord(1, math.inf, None, None, None, np.float64(-2.5),
+                     2, 2, 4, 2, 2),
+         "1,inf,,,,-2.5,2,2,4,2,2"),
+        (TraceRecord(7, 1.5, 0.25, np.float64(1e-05), 0.0, -1e300,
+                     3, 3, 6, 3, 3),
+         "7,1.5,0.25,1e-05,0.0,-1e+300,3,3,6,3,3"),
+    ]
+
+    def test_encoding_pinned(self):
+        tr = Trace()
+        for rec, _ in self.ENCODED_ROWS:
+            tr.append(rec)
+        text = trace_to_csv(tr)
+        assert text == "\n".join(
+            [bb.CSV_HEADER, *(line for _, line in self.ENCODED_ROWS), ""])
+        # read, then write: the same bytes
+        assert trace_to_csv(trace_from_csv(text)) == text
+
+    def test_empty_trace_is_header_only(self):
+        assert trace_to_csv(Trace()) == bb.CSV_HEADER + "\n"
+
+    def test_bool_metric_rejected(self):
+        # a bool count: see test_failed_write_keeps_old_file
+        tr = Trace()
+        tr.append(TraceRecord(0, True, 0.5, 0.25, 0.0, 2.0, 1, 1, 1, 1, 1))
+        with pytest.raises(TypeError, match="bool"):
+            trace_to_csv(tr)
+
+    @pytest.mark.parametrize("column", [1, 2, 3, 4],
+                             ids=["grad_norm", "y_err", "z_err", "eps_err"])
+    def test_negative_metric_rejected_at_append(self, column):
+        name = TraceRecord._fields[column]
+        row = [0, 1.0, 0.5, 0.25, 0.0, -2.0, 1, 1, 1, 1, 1]  # phi may be < 0
+        row[column] = -1e-300
+        rec = TraceRecord(*row)   # building a row does not check it
+        tr = Trace()
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            tr.append(rec)
+        assert len(tr) == 0
+        # every parsed row passes through append as well
+        text = bb.CSV_HEADER + "\n" + ",".join(map(str, row)) + "\n"
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            trace_from_csv(text)
+
     def test_header_pinned(self):
         assert bb.CSV_HEADER == ("t,grad_norm,y_err,z_err,eps_err,phi,"
                                  "calls_gxF,calls_gyF,calls_gyG,calls_hxy,"
@@ -304,21 +354,58 @@ class TestRunExperiment:
 
     def test_crash_keeps_finished_seeds_metadata(self, cfg_file, tmp_path,
                                                  monkeypatch):
+        # an exception the loop has no status of its own for, raised while
+        # seed 2 computes row 4: the seed ends ERROR, and seed 3 still runs
         run = harness.slip_run
 
-        def crash_on_seed_3(*args, **kwargs):
-            if args[5] == 3:
-                raise KeyError("not a RunAborted")
+        def crash_on_seed_2(*args, **kwargs):
+            if args[5] == 2:
+                metrics = kwargs["metrics"]
+
+                def crash_at_row_4(t, *iterates):
+                    if t == 4:
+                        raise KeyError("not a RunAborted")
+                    return metrics(t, *iterates)
+
+                kwargs["metrics"] = crash_at_row_4
             return run(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "slip_run", crash_on_seed_3)
-        with pytest.raises(KeyError):
-            run_experiment(parse_config(cfg_file), tmp_path / "exp")
+        monkeypatch.setattr(harness, "slip_run", crash_on_seed_2)
+        res = run_experiment(parse_config(cfg_file), tmp_path / "exp")
+        assert res.failed
         meta = json.loads((tmp_path / "exp_meta.json").read_text())
-        assert [s["seed"] for s in meta["seeds"]] == [1, 2]
-        assert all(s["status"] == "OK" for s in meta["seeds"])
-        assert (tmp_path / "exp_seed2.csv").exists()
-        assert not (tmp_path / "exp_seed3.csv").exists()
+        assert [s["seed"] for s in meta["seeds"]] == [1, 2, 3]
+        assert [s["status"] for s in meta["seeds"]] == ["OK", "ERROR", "OK"]
+        crashed = meta["seeds"][1]
+        assert crashed["aborted_at"] == 4
+        assert crashed["reason"] == "KeyError: 'not a RunAborted'"
+        assert crashed["final"]["t"] == 3
+        assert "reason" not in meta["seeds"][0]
+        # rows 0-3 are kept; row 4 failed while its metrics were computed
+        rows = (tmp_path / "exp_seed2.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
+        assert (tmp_path / "exp_seed3.csv").exists()
+
+    def test_negative_metric_marked_error(self, cfg_file, tmp_path,
+                                          monkeypatch):
+        make = harness.default_metrics
+
+        def negative_y_err_at_row_2(problem):
+            metrics = make(problem)
+
+            def evaluate(t, *iterates):
+                row = metrics(t, *iterates)
+                return row if t != 2 else (row[0], -1.0, *row[2:])
+            return evaluate
+
+        monkeypatch.setattr(harness, "default_metrics", negative_y_err_at_row_2)
+        res = run_experiment(parse_config(cfg_file), tmp_path / "exp")
+        for info, path in zip(res.metadata["seeds"], res.trace_paths):
+            assert info["status"] == "ERROR"
+            assert info["aborted_at"] == 2
+            assert info["reason"] == ("ValueError: y_err must be "
+                                      "non-negative, got -1.0")
+            assert len(path.read_text().splitlines()) == 1 + 2
 
     def test_timeout_keeps_partial_trace(self, cfg_file, tmp_path):
         cfg = dataclasses.replace(parse_config(cfg_file), max_wall_seconds=0.0)
