@@ -29,11 +29,12 @@ state and may execute concurrently in separate threads: no problem keeps
 any, and the only generator a draw uses is its thread's own, rewound to the
 draw's position (see :mod:`bilevelbench.samples`).
 
-The loop's fixed cost per iteration is kept small: the seed and the largest
-counter are range-checked once per run, not once per sample, and
-``np.errstate`` is entered once around the main loop, so an overflow in the
-in-loop refinement gives ``inf`` without a warning, as one in the main
-update does, and ends the run at the next finiteness check.
+The loop's fixed cost per iteration is kept small: the seed and the counter
+range are checked once per run (:func:`~bilevelbench.samples.check_range`),
+not once per sample, and ``np.errstate`` is entered once around the main
+loop, so an overflow in the in-loop refinement gives ``inf`` without a
+warning, as one in the main update does, and ends the run at the next
+finiteness check.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from .constants import ParamSchedule
 from .problem import BilevelProblem, ConfigurationError, _norm
-from .samples import Sample, Stream, unchecked_sample
+from .samples import Sample, Stream, check_range, unchecked_sample
 from .trace import Trace, TraceRecord
 
 logger = logging.getLogger(__name__)
@@ -151,10 +152,7 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
     """
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be non-negative, got {n_steps}")
-    if n_steps:
-        # the range check of every counter this call uses
-        Sample(Stream.PI_TILDE, counter_start, seed)
-        Sample(Stream.PI_TILDE, counter_start + n_steps - 1, seed)
+    check_range(seed, counter_start, counter_start + n_steps - 1)
     l_g1 = problem.constants.l_g1
     if l_g1 > 0 and alpha > 1.0 / (2.0 * l_g1):
         warnings.warn(
@@ -217,9 +215,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
             f"y0/z0 must have shape ({problem.dim_y},), got {y.shape}/{z.shape}")
     if metrics is None:
         metrics = default_metrics(problem)
-    # the range check of every main-loop sample: counters run over [0, T),
-    # so only the seed and the top end can be out of range
-    Sample(Stream.PI, max(schedule.T - 1, 0), seed)
+    check_range(seed, 0, schedule.T - 1)   # every main-loop sample's counter
     interval, extra = refine
     warm_counter = schedule.T0
 

@@ -383,10 +383,10 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     run has started (``ERROR``, with the exception as ``reason``) keeps its
     partial trace and does not stop the others.  The metadata record is
     rewritten after every seed, so an exception that escapes a later seed
-    (a configuration error before its loop) still leaves the finished
-    seeds' records.  Each seed's ``calls`` are the counts of its last trace
-    row, so for ``doubleloop`` they leave out the refinement that runs after
-    that row.
+    (say, an ``OSError`` from writing its trace file) still leaves the
+    finished seeds' records.  Each seed's ``calls`` are the counts of its
+    last trace row, so for ``doubleloop`` they leave out the refinement that
+    runs after that row.
     """
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)

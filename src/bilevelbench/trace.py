@@ -7,9 +7,10 @@ Float fields use the shortest round-tripping decimal form, so parsing a
 trace and re-emitting it reproduces the file byte for byte.
 
 A row is a :class:`TraceRecord` named tuple.  Its metrics are checked once,
-when :meth:`Trace.append` adds it (every loop row and every parsed row
-passes through there), and :func:`trace_to_csv` encodes it with one
-``",".join``.
+when it enters a :class:`Trace` through :meth:`Trace.append` or the
+constructor (every loop row and every parsed row passes through append);
+a row put into ``Trace.records`` directly is not checked.
+:func:`trace_to_csv` encodes a row with one ``",".join`` of its values.
 """
 
 from __future__ import annotations
@@ -49,19 +50,24 @@ class TraceRecord(NamedTuple):
 
 # the metrics that are norms or errors, at positions 1-4 of a row
 _NONNEGATIVE = _METRIC_COLUMNS[:4]
-# the value types of a row with every metric computed, as the metric
-# evaluator and a parsed file give it
-_PLAIN_ROW = ((int,) + (float,) * len(_METRIC_COLUMNS)
-              + (int,) * len(_CALL_COLUMNS))
 
 
 @dataclass
 class Trace:
-    """An ordered run trace plus run-level events."""
+    """An ordered run trace plus run-level events.
+
+    Add rows with :meth:`append` or the constructor, which check them.
+    """
 
     records: list[TraceRecord] = field(default_factory=list)
     skipped_steps: list[int] = field(default_factory=list)
     aborted_at: int | None = None
+
+    def __post_init__(self) -> None:
+        # rows given to the constructor pass the same checks as appended ones
+        rows, self.records = self.records, []
+        for rec in rows:
+            self.append(rec)
 
     def append(self, rec: TraceRecord) -> None:
         if self.records and rec.t <= self.records[-1].t:
@@ -91,15 +97,9 @@ def _fmt(v: float | int | None) -> str:
     return repr(float(v))
 
 
-def _row_text(r: TraceRecord) -> str:
-    # for an exact int or float, repr is what _fmt returns
-    if tuple(map(type, r)) == _PLAIN_ROW:
-        return ",".join(map(repr, r))
-    return ",".join(map(_fmt, r))
-
-
 def trace_to_csv(trace: Trace) -> str:
-    return "\n".join([CSV_HEADER, *map(_row_text, trace.records), ""])
+    return "\n".join([CSV_HEADER,
+                      *(",".join(map(_fmt, r)) for r in trace.records), ""])
 
 
 def write_atomic(path, text: str) -> None:

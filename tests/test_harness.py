@@ -220,10 +220,19 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=f"{name} must be non-negative"):
             tr.append(rec)
         assert len(tr) == 0
+        # so do the rows given to the constructor
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            Trace(records=[rec])
         # every parsed row passes through append as well
         text = bb.CSV_HEADER + "\n" + ",".join(map(str, row)) + "\n"
         with pytest.raises(ValueError, match=f"{name} must be non-negative"):
             trace_from_csv(text)
+
+    def test_constructor_checks_row_order(self):
+        rec = TraceRecord(3, 1.0, 0.5, 0.25, 0.0, 2.0, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trace(records=[rec, rec])
+        assert Trace(records=[rec]).records == [rec]
 
     def test_header_pinned(self):
         assert bb.CSV_HEADER == ("t,grad_norm,y_err,z_err,eps_err,phi,"
@@ -385,6 +394,39 @@ class TestRunExperiment:
         rows = (tmp_path / "exp_seed2.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
         assert (tmp_path / "exp_seed3.csv").exists()
+
+    @pytest.mark.parametrize("where", ["trace-write", "before-loop"])
+    def test_escaping_exception_keeps_finished_seeds_metadata(
+            self, where, cfg_file, tmp_path, monkeypatch):
+        # exceptions that no seed status covers escape run_experiment; the
+        # metadata written after seeds 1 and 2 is left on disk
+        if where == "trace-write":
+            write = harness.write_trace
+
+            def refuse_seed_3(path, trace):
+                if path.name.endswith("_seed3.csv"):
+                    raise OSError("disk full")
+                write(path, trace)
+
+            monkeypatch.setattr(harness, "write_trace", refuse_seed_3)
+            expected = OSError
+        else:
+            run = harness.slip_run
+
+            def crash_on_seed_3(*args, **kwargs):
+                if args[5] == 3:
+                    raise KeyError("not a RunAborted")
+                return run(*args, **kwargs)
+
+            monkeypatch.setattr(harness, "slip_run", crash_on_seed_3)
+            expected = KeyError
+        with pytest.raises(expected):
+            run_experiment(parse_config(cfg_file), tmp_path / "exp")
+        meta = json.loads((tmp_path / "exp_meta.json").read_text())
+        assert [s["seed"] for s in meta["seeds"]] == [1, 2]
+        assert all(s["status"] == "OK" for s in meta["seeds"])
+        assert (tmp_path / "exp_seed2.csv").exists()
+        assert not (tmp_path / "exp_seed3.csv").exists()
 
     def test_negative_metric_marked_error(self, cfg_file, tmp_path,
                                           monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bilevelbench.samples import OracleTag, Sample, Stream
+from bilevelbench.samples import (OracleTag, Sample, Stream, check_range,
+                                  unchecked_sample)
 
 
 def fresh_normals(sample, tag, d):
@@ -57,6 +59,33 @@ def test_negative_counter_rejected():
 def test_out_of_range_rejected(counter, seed):
     with pytest.raises(ValueError):
         Sample(Stream.XI, counter, seed)
+
+
+@pytest.mark.parametrize("seed,first,last,ok", [
+    (0, 0, -1, True), (0, -5, -6, True),        # no counters
+    (2**64 - 1, 0, 2**64 - 1, True),
+    (-1, 0, -1, False), (2**64, 0, 2, False),
+    (0, -1, 2, False), (0, 5, 2**64, False),
+])
+def test_check_range(seed, first, last, ok):
+    if ok:
+        check_range(seed, first, last)
+    else:
+        with pytest.raises(ValueError, match="must lie in"):
+            check_range(seed, first, last)
+
+
+def test_unchecked_sample_is_the_checked_sample():
+    # unchecked_sample fills the dataclass's fields itself: a new field, a
+    # default or slots would make it differ from Sample(...) and fail here
+    for stream in Stream:
+        for counter, seed in ((0, 0), (17, 123456789), (2**64 - 1, 2**64 - 1)):
+            a, b = Sample(stream, counter, seed), unchecked_sample(stream, counter, seed)
+            assert type(b) is Sample and a == b and hash(a) == hash(b)
+            assert vars(b) == {f.name: getattr(a, f.name)
+                               for f in dataclasses.fields(Sample)}
+            assert np.array_equal(a.generator().standard_normal(3),
+                                  b.generator().standard_normal(3))
 
 
 @pytest.mark.parametrize("tag", list(OracleTag))
