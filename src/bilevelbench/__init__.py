@@ -11,13 +11,13 @@ from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
                         schedule_theorem42, warm_start_T0)
 from .problem import (AnalyticOracle, BilevelProblem, ConfigurationError,
                       DeterministicOracle, NoiseKind, NoiseModel,
-                      StochasticOracle, empirical_unbiasedness_check,
-                      hypergrad_estimate)
+                      StochasticOracle, hypergrad_estimate)
 from .samples import OracleTag, Sample, Stream
 from .synthetic import (HypercleanSpec, QuadraticSpec, UnboundedSmoothSpec,
                         make_hyperclean, make_q2, make_quadratic,
                         make_unbounded_smooth, q2_spec, random_quadratic)
 from .trace import CSV_HEADER, Trace, TraceRecord, read_trace, write_trace
+from .verify import empirical_unbiasedness_check
 
 __version__ = "0.1.0"
 

@@ -100,9 +100,6 @@ class OracleCounter:
         return (self.n_grad_x_F, self.n_grad_y_F, self.n_grad_y_G,
                 self.n_hvp_xy, self.n_hvp_yy)
 
-    def copy(self) -> "OracleCounter":
-        return replace(self)
-
 
 @dataclass
 class SlipState:

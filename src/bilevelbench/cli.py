@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: ``run`` (execute a config), ``sweep`` (closed-form schedule
-sweep over target accuracies), ``verify`` (named verification suites) and
-``plot`` (trace metrics to SVG).  Exit codes: 0 success, 1 usage or config
-error (any unknown config key included), 2 run failure (a seed ended
-``FAILED`` on a non-finite iterate or an oracle overflow, ``TIMEOUT``, or
-``ERROR`` on any other exception once its run had started; the other seeds
-still run, and every seed's partial trace is written), 3 verification
-failure.  Seeds run in order; ``[run] workers`` is accepted and has no
-effect.
+sweep over target accuracies), ``verify`` (the named suites of
+:mod:`bilevelbench.harness`) and ``plot`` (trace metrics to SVG).  Exit
+codes: 0 success, 1 usage or config error (a
+:class:`~bilevelbench.problem.ConfigurationError`, any unknown config key
+included), 2 run failure (a seed ended ``FAILED`` on a non-finite iterate
+or an oracle overflow, ``TIMEOUT``, or ``ERROR`` on any other exception
+once its run had started; the other seeds still run, and every seed's
+partial trace is written), 3 verification failure.  ``run`` prints each
+seed's status, and after a status other than ``OK`` the seed's reason.
+Seeds run in order; ``[run] workers`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, parse_config, run_experiment, sweep_eps
+from .harness import parse_config, run_experiment, run_suite, sweep_eps
 from .plotting import PlotError, plot
 from .problem import ConfigurationError
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,7 +73,8 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
     result = run_experiment(cfg, prefix)
     for info in result.metadata["seeds"]:
-        print(f"seed {info['seed']}: {info['status']} "
+        reason = f": {info['reason']}" if "reason" in info else ""
+        print(f"seed {info['seed']}: {info['status']}{reason} "
               f"({info['wall_seconds']:.2f}s)")
     print(f"wrote {len(result.trace_paths)} trace file(s) and "
           f"{result.metadata_path}")
@@ -120,7 +122,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "plot": _cmd_plot}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ConfigurationError, PlotError, FileNotFoundError) as exc:
+    except (ConfigurationError, PlotError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,18 +1,26 @@
-"""Experiment runner: config files, multi-seed runs, trace files, checkers.
+"""Experiment runner: config files, multi-seed runs, sweeps, named suites.
 
 Config files are INI-style with sections ``[problem]``, ``[algorithm]``,
 ``[schedule]`` and ``[run]``; every key is typed and unknown keys are
-rejected.  The seeds run in order in the calling thread; one CSV trace is
-written per seed plus a single JSON metadata record, and identical configs
-reproduce the trace files byte for byte.  The ``[run] workers`` key is
-accepted and validated but has no effect.
+rejected with :class:`~bilevelbench.problem.ConfigurationError`.  The seeds
+run in order in the calling thread; one CSV trace is written per seed plus
+a single JSON metadata record, and identical configs reproduce the trace
+files byte for byte.  The ``[run] workers`` key is accepted and validated
+but has no effect.
+
+The named verification suites behind ``bilevelbench verify --suite`` are
+fixed runs, so they live here beside :func:`run_experiment` and
+:func:`sweep_eps`; each runs checkers of :mod:`bilevelbench.verify` on the
+shipped instances and returns :class:`CheckResult` lines.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import logging
 import math
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,24 +28,26 @@ from typing import Sequence
 
 import numpy as np
 
-from . import verify
 from .algorithms import (NumericalDivergenceError, RunAborted, RunError,
                          double_loop_run, default_metrics, masoba_run,
                          slip_run, ttsa_run)
-from .constants import (ParamSchedule, SchedulingError,
-                        SmoothnessConstants, schedule_practical,
-                        schedule_theorem41, schedule_theorem42)
-from .problem import BilevelProblem, NoiseModel
+from .constants import (ParamSchedule, SchedulingError, schedule_practical,
+                        schedule_theorem41, schedule_theorem42, warm_start_T0)
+from .problem import (BilevelProblem, ConfigurationError, NoiseModel,
+                      hypergrad_estimate)
+from .samples import Sample, Stream, check_range
 from .synthetic import (HypercleanSpec, UnboundedSmoothSpec, make_hyperclean,
                         make_q2, make_quadratic, make_unbounded_smooth,
-                        q2_spec, random_quadratic_spec, sigmoid)
+                        q2_spec, random_quadratic, random_quadratic_spec)
 from .trace import Trace, write_atomic, write_trace
+from .verify import (SolverSettings, bound_check_tracking,
+                     check_bias_decomposition, check_warm_start,
+                     finite_diff_hypergrad, inner_solve_exact,
+                     probe_strong_convexity)
+
+logger = logging.getLogger(__name__)
 
 Vec = np.ndarray
-
-
-class ConfigError(ValueError):
-    """Invalid or unknown configuration content (CLI exit code 1)."""
 
 
 @dataclass(frozen=True)
@@ -62,20 +72,22 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        bad = [s for s in self.seeds if not 0 <= s < 1 << 64]
-        if bad:
-            raise ConfigError(f"seeds must lie in [0, 2**64), got {bad}")
+            raise ConfigurationError("seeds must be nonempty")
+        for s in self.seeds:
+            try:
+                check_range(s, 0, -1)   # the seed alone: no counters
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from exc
         if len(set(self.seeds)) != len(self.seeds):
             # a repeat would run twice into one trace file
-            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
+            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
+            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose from {sorted(ALGORITHMS)}")
         if self.schedule is None and self.schedule_spec is None:
-            raise ConfigError("a schedule (or schedule spec) is required")
+            raise ConfigurationError("a schedule (or schedule spec) is required")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ConfigurationError("workers must be >= 1")
 
 
 # ---------------------------------------------------------------- config IO
@@ -108,15 +120,13 @@ _RUN_KEYS = {"seeds", "out", "max_wall_seconds", "x0", "y0", "z0", "workers"}
 def _typed(section: dict, key: str, kind, default=None):
     if key not in section:
         if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+            raise ConfigurationError(f"missing required key {key!r}")
         return default
     raw = section[key]
     try:
-        if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes")
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r} is not a valid {kind.__name__}: {raw!r}") \
+        raise ConfigurationError(f"key {key!r} is not a valid {kind.__name__}: {raw!r}") \
             from exc
 
 
@@ -126,23 +136,23 @@ def _parse_noise(section: dict) -> NoiseModel:
            for k in ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")}
     if kind == "noiseless":
         if any(v != 0.0 for v in sig.values()):
-            raise ConfigError("noiseless model cannot declare sigmas")
+            raise ConfigurationError("noiseless model cannot declare sigmas")
         return NoiseModel.noiseless()
     if kind == "gaussian":
         if sig["sigma_z"] != 0.0:
-            raise ConfigError("sigma_z applies to the bounded model only")
+            raise ConfigurationError("sigma_z applies to the bounded model only")
         return NoiseModel.gaussian(sig["sigma_f1"], sig["sigma_g1"], sig["sigma_g2"])
     if kind == "bounded":
         return NoiseModel.bounded(sig["sigma_f1"], sig["sigma_g1"],
                                   sig["sigma_g2"], sig["sigma_z"])
-    raise ConfigError(f"unknown noise model {kind!r}")
+    raise ConfigurationError(f"unknown noise model {kind!r}")
 
 
 def _parse_init(key: str, raw: str) -> float | list[float]:
     try:
         vals = [float(p) for p in raw.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"key {key!r} is not a list of floats: {raw!r}") from exc
+        raise ConfigurationError(f"key {key!r} is not a list of floats: {raw!r}") from exc
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -153,23 +163,24 @@ def parse_config(path) -> RunConfig:
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
     if not read:
-        raise ConfigError(f"cannot read config file {path}")
+        raise ConfigurationError(f"cannot read config file {path}")
     required = {"problem", "algorithm", "schedule", "run"}
     present = set(parser.sections())
     if present != required:
-        raise ConfigError(f"config must have exactly the sections "
+        raise ConfigurationError(f"config must have exactly the sections "
                           f"{sorted(required)}, got {sorted(present)}")
 
     prob = dict(parser["problem"])
     kind = prob.get("kind")
     if kind not in _PROBLEM_KEYS:
-        raise ConfigError(f"unknown problem kind {kind!r}; "
+        raise ConfigurationError(f"unknown problem kind {kind!r}; "
                           f"choose from {sorted(_PROBLEM_KEYS)}")
     unknown = set(prob) - _PROBLEM_KEYS[kind]
     if unknown:
-        raise ConfigError(f"unknown [problem] keys for kind={kind}: {sorted(unknown)}")
+        raise ConfigurationError(
+            f"unknown [problem] keys for kind={kind}: {sorted(unknown)}")
     noise = _parse_noise(prob)
     params = {k: v for k, v in prob.items()
               if k not in ("kind", *_NOISE_KEYS)}
@@ -177,10 +188,11 @@ def parse_config(path) -> RunConfig:
     algo = dict(parser["algorithm"])
     name = algo.get("name")
     if name not in _ALGO_KEYS:
-        raise ConfigError(f"unknown algorithm {name!r}")
+        raise ConfigurationError(f"unknown algorithm {name!r}")
     unknown = set(algo) - _ALGO_KEYS[name]
     if unknown:
-        raise ConfigError(f"unknown [algorithm] keys for {name}: {sorted(unknown)}")
+        raise ConfigurationError(
+            f"unknown [algorithm] keys for {name}: {sorted(unknown)}")
     algo_params: dict = {}
     if name == "doubleloop":
         algo_params["refine_interval"] = _typed(algo, "refine_interval", int, 2)
@@ -192,10 +204,11 @@ def parse_config(path) -> RunConfig:
     sched = dict(parser["schedule"])
     mode = sched.get("mode")
     if mode not in _SCHEDULE_KEYS:
-        raise ConfigError(f"unknown schedule mode {mode!r}")
+        raise ConfigurationError(f"unknown schedule mode {mode!r}")
     unknown = set(sched) - _SCHEDULE_KEYS[mode]
     if unknown:
-        raise ConfigError(f"unknown [schedule] keys for mode={mode}: {sorted(unknown)}")
+        raise ConfigurationError(
+            f"unknown [schedule] keys for mode={mode}: {sorted(unknown)}")
     schedule = None
     schedule_spec = None
     try:
@@ -214,18 +227,18 @@ def parse_config(path) -> RunConfig:
                                 if "grad_phi_x0" in sched else None),
             }
     except SchedulingError as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
+        raise ConfigurationError(f"invalid schedule: {exc}") from exc
 
     run = dict(parser["run"])
     unknown = set(run) - _RUN_KEYS
     if unknown:
-        raise ConfigError(f"unknown [run] keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown [run] keys: {sorted(unknown)}")
     if "seeds" not in run:
-        raise ConfigError("[run] seeds is required")
+        raise ConfigurationError("[run] seeds is required")
     try:
         seeds = [int(s) for s in run["seeds"].replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"bad seeds list: {run['seeds']!r}") from exc
+        raise ConfigurationError(f"bad seeds list: {run['seeds']!r}") from exc
     inits = {k: _parse_init(k, run[k]) for k in ("x0", "y0", "z0") if k in run}
 
     return RunConfig(
@@ -247,7 +260,7 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
             if p.get("preset") == "q2":
                 return make_q2(cfg.noise)
             if "preset" in p:
-                raise ConfigError(f"unknown quadratic preset {p['preset']!r}")
+                raise ConfigurationError(f"unknown quadratic preset {p['preset']!r}")
             spec = random_quadratic_spec(
                 _typed(p, "dim_x", int), _typed(p, "dim_y", int),
                 _typed(p, "seed", int),
@@ -259,7 +272,7 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
                 core = q2_spec()
             else:
                 if "preset" in p:
-                    raise ConfigError(f"unknown unbounded preset {p['preset']!r}")
+                    raise ConfigurationError(f"unknown unbounded preset {p['preset']!r}")
                 core = random_quadratic_spec(
                     _typed(p, "dim_x", int), _typed(p, "dim_y", int),
                     _typed(p, "seed", int),
@@ -278,8 +291,8 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
                 seed=_typed(p, "seed", int, 0))
             return make_hyperclean(spec, cfg.noise)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown problem kind {cfg.problem_kind!r}")
+        raise ConfigurationError(str(exc)) from exc
+    raise ConfigurationError(f"unknown problem kind {cfg.problem_kind!r}")
 
 
 def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
@@ -293,7 +306,7 @@ def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
                        spec["Delta0"], spec["Delta_y0"], spec["Delta_z0"],
                        grad_phi_x0=spec["grad_phi_x0"])
     except SchedulingError as exc:
-        raise ConfigError(f"schedule rejected: {exc}") from exc
+        raise ConfigurationError(f"schedule rejected: {exc}") from exc
 
 
 def _broadcast(v, dim: int, default: float) -> Vec:
@@ -303,7 +316,7 @@ def _broadcast(v, dim: int, default: float) -> Vec:
         return np.full(dim, float(v))
     arr = np.asarray(v, dtype=float)
     if arr.shape != (dim,):
-        raise ConfigError(f"init vector has length {arr.shape[0]}, expected {dim}")
+        raise ConfigurationError(f"init vector has length {arr.shape[0]}, expected {dim}")
     return arr
 
 
@@ -343,11 +356,14 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
     except RunAborted as exc:
         trace = exc.trace
         info["aborted_at"] = exc.t
+        cause = exc.__cause__   # the exception that stopped the run
+        info["reason"] = f"{type(cause).__name__}: {cause}"
         if isinstance(exc, NumericalDivergenceError):
             info["status"] = "FAILED"
         elif isinstance(exc, RunError):
             info["status"] = "ERROR"
-            info["reason"] = str(exc)
+            logger.error("seed %d ended ERROR at iteration %d: %s", seed,
+                         exc.t, info["reason"], exc_info=cause)
         else:
             info["status"] = "TIMEOUT"
     info["wall_seconds"] = time.monotonic() - t_start
@@ -380,13 +396,14 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     as it finishes; ``cfg.workers`` has no effect.  Every file is written
     through a temporary file and renamed into place.  A seed that fails
     (``FAILED``), times out (``TIMEOUT``) or raises anything else once its
-    run has started (``ERROR``, with the exception as ``reason``) keeps its
-    partial trace and does not stop the others.  The metadata record is
-    rewritten after every seed, so an exception that escapes a later seed
-    (say, an ``OSError`` from writing its trace file) still leaves the
-    finished seeds' records.  Each seed's ``calls`` are the counts of its
-    last trace row, so for ``doubleloop`` they leave out the refinement that
-    runs after that row.
+    run has started (``ERROR``) keeps its partial trace and does not stop
+    the others; its ``reason`` is ``"<Class>: <message>"`` of the exception
+    that stopped it, and an ``ERROR`` seed's exception is also logged with
+    its traceback.  The metadata record is rewritten after every seed, so
+    an exception that escapes a later seed (say, an ``OSError`` from writing
+    its trace file) still leaves the finished seeds' records.  Each seed's
+    ``calls`` are the counts of its last trace row, so for ``doubleloop``
+    they leave out the refinement that runs after that row.
     """
     out_prefix = Path(out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -429,92 +446,6 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-# ------------------------------------------------------------- checkers
-
-
-def weighted_tracking_average(y_err: Sequence[float] | Trace, beta: float) -> float:
-    """Momentum-weighted average of the lower-level tracking error.
-
-    Computes ``(1-beta)/T * sum_t sum_{i<=t} beta^(t-i) * y_err[i]`` by the
-    single-pass recurrence ``S_t = beta * S_{t-1} + y_err[t]``.
-    """
-    if isinstance(y_err, Trace):
-        vals = y_err.column("y_err")
-        if any(v is None for v in vals):
-            raise ConfigError("trace lacks the y_err column")
-        y_err = vals
-    if not 0.0 <= beta < 1.0:
-        raise ConfigError(f"beta must lie in [0, 1), got {beta}")
-    if len(y_err) == 0:
-        return 0.0
-    s = 0.0
-    total = 0.0
-    for v in y_err:
-        s = beta * s + v
-        total += (1.0 - beta) * s
-    return total / len(y_err)
-
-
-def tracking_bound(t: int, dist0_sq: float, alpha: float, drift_radius: float,
-                   c: SmoothnessConstants, horizon: int, delta: float) -> float:
-    """All-iterations high-probability tracking bound at iteration ``t``."""
-    noise_term = 8.0 * alpha * c.sigma_g1 ** 2 / c.mu
-    drift_term = (4.0 * drift_radius ** 2 * c.l_g1 ** 2
-                  / (c.mu ** 4 * alpha ** 2))
-    log_factor = math.log(math.e * max(horizon, 1) / delta)
-    return ((1.0 - c.mu * alpha / 2.0) ** t * dist0_sq
-            + (noise_term + drift_term) * log_factor)
-
-
-@dataclass(frozen=True)
-class TrackingReport:
-    n_seeds: int
-    n_violations: int
-    pass_rate_bound: float
-
-    @property
-    def violation_rate(self) -> float:
-        return self.n_violations / self.n_seeds if self.n_seeds else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_rate <= self.pass_rate_bound
-
-
-def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
-                         schedule: ParamSchedule, c: SmoothnessConstants,
-                         delta: float, *,
-                         drift_radius: float | None = None,
-                         bound_scale: float = 1.0) -> TrackingReport:
-    """Check the all-iterations tracking bound across a seed ensemble.
-
-    A seed violates when any of its iterations exceeds the bound; PASS when
-    the violating fraction stays within ``delta`` plus a two-sigma binomial
-    margin.  ``drift_radius`` defaults to the upper-level step length.
-    ``bound_scale`` inflates the bound (used by monotonicity tests).  A
-    trace with no rows or an empty ``y_err`` column raises ``ConfigError``.
-    """
-    if len(traces) < 50:
-        raise ConfigError(f"need at least 50 seeds, got {len(traces)}")
-    if drift_radius is None:
-        drift_radius = schedule.eta
-    n_viol = 0
-    for tr in traces:
-        vals = tr.column("y_err") if isinstance(tr, Trace) else list(tr)
-        if not vals or any(v is None for v in vals):
-            raise ConfigError("trace lacks the y_err column")
-        d0_sq = vals[0] ** 2
-        horizon = len(vals)
-        violated = any(
-            vals[t] ** 2 > bound_scale * tracking_bound(
-                t, d0_sq, schedule.alpha, drift_radius, c, horizon, delta)
-            for t in range(horizon))
-        n_viol += violated
-    return TrackingReport(n_seeds=len(traces),
-                          n_violations=n_viol,
-                          pass_rate_bound=verify.binomial_margin(delta, len(traces)))
 
 
 # ------------------------------------------------------------- sweeps
@@ -566,7 +497,7 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     eps is actually run and the average final gradient norm recorded.
     """
     if cfg.schedule_spec is None:
-        raise ConfigError("sweep requires a theorem-mode schedule")
+        raise ConfigurationError("sweep requires a theorem-mode schedule")
     problem = build_problem(cfg)
     rows: list[SweepRow] = []
     for eps in eps_list:
@@ -575,7 +506,7 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
         sub = replace(cfg, schedule=None, schedule_spec=spec)
         try:
             schedule = resolve_schedule(sub, problem)
-        except ConfigError as exc:
+        except ConfigurationError as exc:
             binding = None
             cause = exc.__cause__
             if isinstance(cause, SchedulingError):
@@ -602,29 +533,205 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     return SweepSummary(rows=rows, slope=slope)
 
 
-# ------------------------------------------------------------- reports
+# ------------------------------------------------------------- suites
 
 
 @dataclass(frozen=True)
-class WeightReport:
-    mean_sigma_clean: float
-    mean_sigma_corrupted: float | None
-
-    @property
-    def separated(self) -> bool:
-        return (self.mean_sigma_corrupted is not None
-                and self.mean_sigma_corrupted < self.mean_sigma_clean)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
 
 
-def hyperclean_weight_report(x: Vec, corrupted_indices: Sequence[int]) -> WeightReport:
-    """Mean learned weight ``sigmoid(x_i)`` over clean vs corrupted samples."""
-    x = np.asarray(x, dtype=float)
-    corrupted = np.asarray(corrupted_indices, dtype=int)
-    if corrupted.size and (corrupted.min() < 0 or corrupted.max() >= x.shape[0]):
-        raise ConfigError("corrupted indices out of range for the weight vector")
-    mask = np.zeros(x.shape[0], dtype=bool)
-    mask[corrupted] = True
-    sig = sigmoid(x)
-    clean_mean = float(sig[~mask].mean()) if (~mask).any() else float("nan")
-    corr_mean = float(sig[mask].mean()) if mask.any() else None
-    return WeightReport(mean_sigma_clean=clean_mean, mean_sigma_corrupted=corr_mean)
+def _result(name: str, passed: bool, detail: str) -> CheckResult:
+    return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def suite_oracles() -> list[CheckResult]:
+    """Ground-truth consistency: analytic vs finite differences, fixed points."""
+    results = []
+    rng = np.random.default_rng(20240501)
+    worst_fd = 0.0
+    worst_inner = 0.0
+    for k in range(20):
+        dx = int(rng.integers(1, 6))
+        dy = int(rng.integers(1, 6))
+        prob = random_quadratic(dx, dy, seed=1000 + k)
+        for _ in range(10):
+            x = rng.uniform(-1.0, 1.0, size=dx)
+            exact = prob.analytic.hypergrad(x)
+            fd = finite_diff_hypergrad(prob, x)
+            rel = float(np.linalg.norm(fd - exact)) / max(1e-30,
+                                                          float(np.linalg.norm(exact)))
+            worst_fd = max(worst_fd, rel)
+        x = rng.uniform(-1.0, 1.0, size=dx)
+        ys = inner_solve_exact(prob, x, SolverSettings(tol=1e-12))
+        worst_inner = max(worst_inner, float(np.linalg.norm(
+            ys - prob.analytic.y_star(x))))
+    results.append(_result(
+        "hypergrad-finite-difference",
+        worst_fd <= 1e-4,
+        f"max relative error {worst_fd:.3e} over 20 instances x 10 points"))
+    results.append(_result(
+        "inner-solve-vs-closed-form", worst_inner <= 1e-8,
+        f"max deviation {worst_inner:.3e}"))
+
+    worst_fix = 0.0
+    for prob in _shipped_instances():
+        for j in range(5):
+            x = np.random.default_rng(77 + j).uniform(-0.5, 0.5, size=prob.dim_x)
+            ys, zs, gphi = prob.analytic.solve(x)
+            est = hypergrad_estimate(
+                x, ys, zs, Sample(Stream.XI_PRIME, j, 3), Sample(Stream.ZETA_PRIME, j, 3),
+                prob.oracle)
+            worst_fix = max(worst_fix, float(np.linalg.norm(est - gphi)))
+    results.append(_result(
+        "fixed-point-consistency", worst_fix <= 1e-10,
+        f"max deviation {worst_fix:.3e} at (y*, z*) under noiseless oracles"))
+
+    convexity = max(
+        probe_strong_convexity(p, p.constants.mu, 1000, seed=5)
+        for p in _shipped_instances())
+    results.append(_result(
+        "strong-convexity-probe", convexity <= 1e-9,
+        f"worst relative violation {convexity:.3e} over 1000 probes/instance"))
+    return results
+
+
+def _shipped_instances() -> list[BilevelProblem]:
+    return [
+        make_q2(),
+        make_unbounded_smooth(UnboundedSmoothSpec(a=1.0, core=q2_spec())),
+        make_hyperclean(HypercleanSpec(n_train=60, n_val=60, feature_dim=4,
+                                       corruption_rate=0.2, reg=0.1, seed=3)),
+    ]
+
+
+def _q2_warmstart_setup():
+    """Noisy Q2 (``sigma_g1 = 0.1``), the warm-start step capped for
+    ``delta = 0.05``, and the ``T0`` that step needs from ``y0_init = 1``."""
+    sigma_g1, delta = 0.1, 0.05
+    prob = make_q2(NoiseModel.gaussian(0.0, sigma_g1, 0.0))
+    c = prob.constants
+    cap = c.mu / (2048.0 * c.L1 ** 2 * sigma_g1 ** 2 * math.log(math.e / delta))
+    alpha_init = min(1.0 / (2.0 * c.l_g1), cap)
+    dist0 = math.sqrt(2.0)  # ||y0_init - y*(x0)|| for y0_init = 1, x0 = 0
+    t0 = warm_start_T0(alpha_init, c.mu, c.L1, dist0)
+    return prob, alpha_init, t0, c
+
+
+def suite_warmstart() -> list[CheckResult]:
+    """Warm-start tail bound on the noisy pinned quadratic instance, 200
+    seeds at ``delta = 0.05``."""
+    prob, alpha_init, t0, c = _q2_warmstart_setup()
+    report = check_warm_start(prob, alpha_init, t0, c.L1, 200, 0.05)
+    return [_result(
+        "warm-start-bound",
+        report.passed,
+        f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f} "
+        f"(threshold {report.threshold:.4f}, T0 ={t0})")]
+
+
+def suite_tracking() -> list[CheckResult]:
+    """Main-loop tracking bound with drift radius equal to the step length,
+    200 seeds at ``delta = 0.05``."""
+    prob = make_q2(NoiseModel.gaussian(0.0, 0.1, 0.0))
+    schedule = schedule_practical(
+        {"alpha": 0.25, "beta": 0.9, "gamma": 0.1, "eta": 0.005, "T": 300,
+         "T0": 50, "alpha_init": 0.25})
+    traces = []
+    for s in range(200):
+        _, tr = slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2),
+                         seed=s)
+        traces.append(tr)
+    report = bound_check_tracking(traces, schedule, prob.constants, 0.05)
+    return [_result(
+        "tracking-bound",
+        report.passed,
+        f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f}")]
+
+
+def suite_bias() -> list[CheckResult]:
+    """Pointwise hypergradient bias inequality on a noiseless pinned run."""
+    prob = make_q2()
+    schedule = schedule_practical(
+        {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01, "T": 500,
+         "T0": 50})
+    points: list[tuple[Vec, Vec, Vec]] = []
+
+    def record(t, x, y, z, m):
+        points.append((x, y, z))
+        return (None,) * 5
+
+    slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2), seed=0,
+             metrics=record)
+    report = check_bias_decomposition(prob, points)
+    return [_result("bias-inequality", report.passed,
+                    f"max LHS/RHS ratio {report.max_ratio:.4f} over "
+                    f"{report.n_points} iterations")]
+
+
+def suite_counts() -> list[CheckResult]:
+    """Closed-form oracle accounting for the main loop and the refinement baseline."""
+    prob = make_q2(NoiseModel.gaussian(0.05, 0.05, 0.05))
+    t0, t = 7, 40
+    schedule = schedule_practical(
+        {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01, "T": t, "T0": t0})
+    state, _ = slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2), seed=1)
+    expected = (t, t, t0 + t, t, t)
+    ok1 = state.calls.as_tuple() == expected
+    interval, extra = 2, 3
+    state2, _ = double_loop_run(prob, schedule, interval, extra, np.zeros(2),
+                                np.ones(2), np.zeros(2), seed=1)
+    expected2 = (t, t, t0 + t + extra * (t // interval), t, t)
+    ok2 = state2.calls.as_tuple() == expected2
+    return [
+        _result("oracle-counts-main", ok1,
+                f"{state.calls.as_tuple()} == {expected}"),
+        _result("oracle-counts-refinement", ok2,
+                f"{state2.calls.as_tuple()} == {expected2}"),
+    ]
+
+
+def suite_determinism() -> list[CheckResult]:
+    """Byte-identical traces across two repeats of one config."""
+    cfg = RunConfig(
+        problem_kind="quadratic", problem_params={"preset": "q2"},
+        noise=NoiseModel.gaussian(0.05, 0.05, 0.05),
+        algorithm="slip",
+        schedule=schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                     "eta": 0.01, "T": 60, "T0": 5}),
+        seeds=[1, 2, 3],
+    )
+    blobs = []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory() as td:
+            res = run_experiment(cfg, Path(td) / "run")
+            blobs.append(tuple(p.read_bytes() for p in res.trace_paths))
+    ok = blobs[0] == blobs[1]
+    return [_result("determinism-across-repeats", ok,
+                    f"{len(blobs[0])} traces compared across two repeats")]
+
+
+SUITES = {
+    "oracles": suite_oracles,
+    "warmstart": suite_warmstart,
+    "tracking": suite_tracking,
+    "bias": suite_bias,
+    "counts": suite_counts,
+    "determinism": suite_determinism,
+}
+
+
+def run_suite(name: str) -> tuple[list[CheckResult], bool]:
+    """Run one named suite (or ``all``); returns results and overall pass."""
+    if name == "all":
+        results: list[CheckResult] = []
+        for fn in SUITES.values():
+            results.extend(fn())
+    elif name in SUITES:
+        results = SUITES[name]()
+    else:
+        raise ConfigurationError(
+            f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}")
+    return results, all(r.passed for r in results)

@@ -149,9 +149,3 @@ def plot(trace_paths: Sequence, metric: str, out_path, logy: bool = False) -> No
     with open(out_path, "w", newline="\n") as fh:
         fh.write(svg)
 
-
-def count_polyline_vertices(svg_text: str) -> int:
-    total = 0
-    for chunk in svg_text.split('points="')[1:]:
-        total += len(chunk.split('"')[0].split())
-    return total

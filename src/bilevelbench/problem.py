@@ -6,7 +6,9 @@ lower-level Hessian), the five stochastic oracles built from them by an
 additive noise model, the ground truth (exact lower-level minimizer,
 linear-system solution and hypergradient) used only for verification and
 metrics, and the declared smoothness constants.  Every problem carries all
-three: there is no path for a problem without them.
+three: there is no path for a problem without them.  The checkers that
+test a problem's oracles against these maps live in
+:mod:`bilevelbench.verify`.
 
 All oracle and ground-truth evaluations are pure functions of (point,
 sample) or of the point: no problem keeps shared mutable state, and each
@@ -31,7 +33,8 @@ Vec = np.ndarray
 
 
 class ConfigurationError(ValueError):
-    """Fatal mis-configuration: wrong dimensions, wrong stream, bad enum."""
+    """Bad input: wrong dimensions, wrong stream, an invalid or unknown
+    config key or value (CLI exit code 1)."""
 
 
 class NoiseKind(enum.Enum):
@@ -188,16 +191,13 @@ class AnalyticOracle:
     """Exact ground truth for verification.
 
     ``solve(x)`` returns ``(y*(x), z*(x), grad Phi(x))`` from one
-    computation; the three accessors below each return one of them.
+    computation; the two accessors below each return one of them.
     """
 
     solve: Callable[[Vec], tuple[Vec, Vec, Vec]]
 
     def y_star(self, x: Vec) -> Vec:
         return self.solve(x)[0]
-
-    def z_star(self, x: Vec) -> Vec:
-        return self.solve(x)[1]
 
     def hypergrad(self, x: Vec) -> Vec:
         return self.solve(x)[2]
@@ -258,67 +258,3 @@ def hypergrad_estimate(x: Vec, y: Vec, z: Vec, s1: Sample, s2: Sample,
             f"oracle outputs disagree on the upper-level dimension: "
             f"{g.shape} vs {h.shape}")
     return g - h
-
-
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    """Deviation of empirical oracle means from the deterministic values.
-
-    Deviations are in units of ``sigma / sqrt(n)``; a maximum of at most 4
-    is the PASS threshold.
-    """
-
-    n: int
-    deviations: dict[str, float]
-
-    @property
-    def max_deviation_in_sigmas(self) -> float:
-        return max(self.deviations.values())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation_in_sigmas <= 4.0
-
-
-def empirical_unbiasedness_check(oracle: StochasticOracle, problem: BilevelProblem,
-                                 x: Vec, y: Vec, n: int,
-                                 rng_seed: int) -> UnbiasednessReport:
-    """Average n independent draws of each oracle against its exact value."""
-    noise = oracle.noise
-    names = ("grad_x_F", "grad_y_F", "grad_y_G", "hvp_xy_G", "hvp_yy_G")
-    if noise.kind is NoiseKind.NOISELESS or all(
-            getattr(noise, s) == 0.0
-            for s in ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")):
-        return UnbiasednessReport(n=n, deviations={k: 0.0 for k in names})
-    if n < 100:
-        raise ConfigurationError(f"need at least 100 draws, got {n}")
-
-    z = np.random.default_rng(rng_seed).standard_normal(problem.dim_y)
-    znorm = float(np.linalg.norm(z))
-    plans = {
-        "grad_x_F": (Stream.XI_PRIME, noise.sigma_f1,
-                     lambda s: oracle.grad_x_F(x, y, s), problem.det.grad_x_f(x, y)),
-        "grad_y_F": (Stream.XI, noise.sigma_f1,
-                     lambda s: oracle.grad_y_F(x, y, s), problem.det.grad_y_f(x, y)),
-        "grad_y_G": (Stream.PI, noise.sigma_g1,
-                     lambda s: oracle.grad_y_G(x, y, s), problem.det.grad_y_g(x, y)),
-        "hvp_xy_G": (Stream.ZETA_PRIME, noise.sigma_g2 * znorm,
-                     lambda s: oracle.hvp_xy_G(x, y, z, s),
-                     problem.det.hvp_xy_g(x, y, z)),
-        "hvp_yy_G": (Stream.ZETA,
-                     noise.sigma_z if noise.kind is NoiseKind.BOUNDED
-                     else noise.sigma_g2 * znorm,
-                     lambda s: oracle.hvp_yy_G(x, y, z, s),
-                     problem.det.hvp_yy_g(x, y, z)),
-    }
-    deviations: dict[str, float] = {}
-    for key, (stream, sigma, draw, exact) in plans.items():
-        acc = np.zeros_like(exact)
-        for i in range(n):
-            acc += draw(Sample(stream, i, rng_seed))
-        dev = float(np.linalg.norm(acc / n - exact))
-        if sigma == 0.0:
-            deviations[key] = 0.0 if dev <= 1e-12 else math.inf
-        else:
-            deviations[key] = dev / (sigma / math.sqrt(n))
-    return UnbiasednessReport(n=n, deviations=deviations)

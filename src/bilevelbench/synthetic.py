@@ -7,16 +7,23 @@ Three families:
 * the same lower level under a ``cosh`` upper level whose curvature grows
   with the gradient norm (a relaxed-smoothness stress case),
 * a data-hypercleaning instance: per-sample weights on a corrupted logistic
-  training set, scored on a clean validation set.
+  training set, scored on a clean validation set, with the report of how the
+  learned weights separate clean from corrupted samples
+  (:func:`hyperclean_weight_report`).
+
+Hypercleaning has no closed-form ground truth: it calls the Newton solvers
+of :mod:`bilevelbench.verify`, which imports nothing from this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from . import verify
 from .constants import SmoothnessConstants, derive_constants
 from .problem import (AnalyticOracle, BilevelProblem, ConfigurationError,
                       DeterministicOracle, NoiseModel, StochasticOracle)
@@ -215,8 +222,8 @@ class UnboundedSmoothSpec:
 
 
 def make_unbounded_smooth(spec: UnboundedSmoothSpec,
-                          noise: NoiseModel = NoiseModel.noiseless(),
-                          name: str = "unbounded") -> BilevelProblem:
+                          noise: NoiseModel = NoiseModel.noiseless()
+                          ) -> BilevelProblem:
     """Build the cosh-upper-level instance with analytic ground truth.
 
     Evaluations with ``max|x_i| > 700/a`` raise OverflowError before cosh
@@ -259,7 +266,7 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
         dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
         analytic=AnalyticOracle(solve),
-        constants=base, name=name,
+        constants=base, name="unbounded",
         metadata={"kind": "unbounded", "a": a_rate, "x_max": x_max},
     )
 
@@ -314,8 +321,8 @@ def _hyperclean_data(spec: HypercleanSpec):
 
 
 def make_hyperclean(spec: HypercleanSpec,
-                    noise: NoiseModel = NoiseModel.noiseless(),
-                    name: str = "hyperclean") -> BilevelProblem:
+                    noise: NoiseModel = NoiseModel.noiseless()
+                    ) -> BilevelProblem:
     """Build the hypercleaning instance.
 
     There is no closed-form lower-level minimizer; the analytic oracle is
@@ -380,9 +387,8 @@ def make_hyperclean(spec: HypercleanSpec,
     ))
 
     # Analytic oracle backed by the deterministic solvers, read as module
-    # attributes so that a wrapper patched onto them sees every solve.
-    from . import verify  # deferred: verify consumes this module's instances
-
+    # attributes at each call so that a wrapper patched onto them sees every
+    # solve.
     settings = verify.SolverSettings(tol=1e-10, max_iters=200)
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
@@ -396,9 +402,34 @@ def make_hyperclean(spec: HypercleanSpec,
         dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
         analytic=AnalyticOracle(solve),
-        constants=consts, name=name,
+        constants=consts, name="hyperclean",
         # per-sample weights start at 1.0; model parameters at zero
         metadata={"kind": "hyperclean", "corrupted_indices": corrupted,
                   "x0_default": 1.0, "y0_default": 0.0},
     )
     return problem
+
+
+@dataclass(frozen=True)
+class WeightReport:
+    mean_sigma_clean: float
+    mean_sigma_corrupted: float | None
+
+    @property
+    def separated(self) -> bool:
+        return (self.mean_sigma_corrupted is not None
+                and self.mean_sigma_corrupted < self.mean_sigma_clean)
+
+
+def hyperclean_weight_report(x: Vec, corrupted_indices: Sequence[int]) -> WeightReport:
+    """Mean learned weight ``sigmoid(x_i)`` over clean vs corrupted samples."""
+    x = np.asarray(x, dtype=float)
+    corrupted = np.asarray(corrupted_indices, dtype=int)
+    if corrupted.size and (corrupted.min() < 0 or corrupted.max() >= x.shape[0]):
+        raise ConfigurationError("corrupted indices out of range for the weight vector")
+    mask = np.zeros(x.shape[0], dtype=bool)
+    mask[corrupted] = True
+    sig = sigmoid(x)
+    clean_mean = float(sig[~mask].mean()) if (~mask).any() else float("nan")
+    corr_mean = float(sig[mask].mean()) if mask.any() else None
+    return WeightReport(mean_sigma_clean=clean_mean, mean_sigma_corrupted=corr_mean)

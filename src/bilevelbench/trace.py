@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 CSV_HEADER = ("t,grad_norm,y_err,z_err,eps_err,phi,"
               "calls_gxF,calls_gyF,calls_gyG,calls_hxy,calls_hyy")
 
@@ -87,12 +89,20 @@ class Trace:
 
 
 def _fmt(v: float | int | None) -> str:
+    """One field: integers of any type as plain digits, other numbers in
+    the shortest round-tripping float form, ``None`` as empty."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        raise TypeError("bool is not a trace value")
-    if isinstance(v, int):
+    # exact types first: the loop writes Python floats and ints
+    cls = type(v)
+    if cls is float:
+        return repr(v)
+    if cls is int:
         return str(v)
+    if cls is bool:
+        raise TypeError("bool is not a trace value")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
     # repr(float(v)): under numpy 2 a numpy scalar's own repr names its type
     return repr(float(v))
 

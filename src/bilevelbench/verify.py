@@ -1,27 +1,35 @@
-"""Independent oracles and the verification suite.
+"""Independent ground truth and the checkers of the paper's guarantees.
 
 High-precision deterministic solvers for the lower-level minimizer and the
-linear system, finite-difference hypergradients, empirical checkers for the
-warm-start / tracking / bias guarantees, and the named suites behind the
-``verify --suite`` command.  Both solvers are Newton on the materialized
-lower-level Hessian ``det.hess_yy_g``, which every problem carries.  They are
-deliberately independent of the optimizers: they only consume the
-deterministic maps of a problem.
+linear system, finite-difference hypergradients, and one empirical checker
+with its report per guarantee: the warm-start tail bound
+(:func:`check_warm_start`), the drift-aware tracking bound
+(:func:`bound_check_tracking`), the pointwise hypergradient bias inequality
+(:func:`check_bias_decomposition`), lower-level strong convexity
+(:func:`probe_strong_convexity`) and oracle unbiasedness
+(:func:`empirical_unbiasedness_check`).  Both solvers are Newton on the
+materialized lower-level Hessian ``det.hess_yy_g``, which every problem
+carries.  They are deliberately independent of the optimizers: they only
+consume the deterministic maps of a problem.  The named suites that run
+these checkers on fixed instances live in :mod:`bilevelbench.harness`,
+which, like the instances of :mod:`bilevelbench.synthetic`, builds on this
+module and never the reverse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .algorithms import double_loop_run, sgd_dd, slip_run
-from .constants import schedule_practical
+from .algorithms import sgd_dd
+from .constants import ParamSchedule, SmoothnessConstants
 from .problem import (BilevelProblem, ConfigurationError, NoiseKind,
-                      NoiseModel, _norm, hypergrad_estimate)
+                      StochasticOracle, _norm)
 from .samples import Sample, Stream
-from . import synthetic
+from .trace import Trace
 
 Vec = np.ndarray
 
@@ -151,25 +159,25 @@ class WarmStartReport:
 
 def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
                      L1: float, n_seeds: int, delta: float, *,
-                     x0: Vec | None = None, y0_init: Vec | None = None,
-                     base_seed: int = 0) -> WarmStartReport:
+                     y0_init: Vec | None = None) -> WarmStartReport:
     """Empirical check of the warm-start guarantee.
 
-    Runs the frozen-x lower-level SGD for ``T0`` steps per seed and reports
+    Runs the frozen-x lower-level SGD at ``x = 0`` from ``y0_init`` (all
+    ones by default) for ``T0`` steps per seed ``0 .. n_seeds-1`` and reports
     the fraction of seeds whose final distance to the minimizer exceeds
     ``1/(8*sqrt(2)*L1)``; PASS when the fraction stays within ``delta`` plus
     a two-sigma binomial margin.
     """
     if n_seeds < 100:
         raise ConfigurationError(f"need at least 100 seeds, got {n_seeds}")
-    x0 = np.zeros(problem.dim_x) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.zeros(problem.dim_x)
     y0_init = (np.ones(problem.dim_y) if y0_init is None
                else np.asarray(y0_init, dtype=float))
     ystar = problem.analytic.y_star(x0)
     threshold = math.inf if L1 == 0 else 1.0 / (8.0 * math.sqrt(2.0) * L1)
     violations = 0
     for s in range(n_seeds):
-        y_end = sgd_dd(problem, x0, y0_init, alpha_init, T0, base_seed + s)
+        y_end = sgd_dd(problem, x0, y0_init, alpha_init, T0, s)
         if float(np.linalg.norm(y_end - ystar)) > threshold:
             violations += 1
     return WarmStartReport(n_seeds=n_seeds, n_violations=violations,
@@ -223,7 +231,7 @@ def check_bias_decomposition(problem: BilevelProblem,
 
 
 def probe_strong_convexity(problem: BilevelProblem, mu: float, n_probes: int,
-                           seed: int, rel_tol: float = 1e-9) -> float:
+                           seed: int) -> float:
     """Largest relative violation of the three-point strong-convexity bound.
 
     Probes ``g(x, y2) >= g(x, y1) + <grad_y g(x, y1), y2 - y1> +
@@ -245,211 +253,123 @@ def probe_strong_convexity(problem: BilevelProblem, mu: float, n_probes: int,
     return max(worst, 0.0)
 
 
+def tracking_bound(t: int, dist0_sq: float, alpha: float, drift_radius: float,
+                   c: SmoothnessConstants, horizon: int, delta: float) -> float:
+    """All-iterations high-probability tracking bound at iteration ``t``."""
+    noise_term = 8.0 * alpha * c.sigma_g1 ** 2 / c.mu
+    drift_term = (4.0 * drift_radius ** 2 * c.l_g1 ** 2
+                  / (c.mu ** 4 * alpha ** 2))
+    log_factor = math.log(math.e * max(horizon, 1) / delta)
+    return ((1.0 - c.mu * alpha / 2.0) ** t * dist0_sq
+            + (noise_term + drift_term) * log_factor)
+
+
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class TrackingReport:
+    n_seeds: int
+    n_violations: int
+    pass_rate_bound: float
+
+    @property
+    def violation_rate(self) -> float:
+        return self.n_violations / self.n_seeds if self.n_seeds else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.violation_rate <= self.pass_rate_bound
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
+def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
+                         schedule: ParamSchedule, c: SmoothnessConstants,
+                         delta: float, *,
+                         bound_scale: float = 1.0) -> TrackingReport:
+    """Check the all-iterations tracking bound across a seed ensemble.
+
+    A seed violates when any of its iterations exceeds the bound; PASS when
+    the violating fraction stays within ``delta`` plus a two-sigma binomial
+    margin.  The drift radius is the upper-level step length
+    ``schedule.eta``.  ``bound_scale`` inflates the bound (used by
+    monotonicity tests).  A trace with no rows or an empty ``y_err`` column
+    raises ``ConfigurationError``.
+    """
+    if len(traces) < 50:
+        raise ConfigurationError(f"need at least 50 seeds, got {len(traces)}")
+    n_viol = 0
+    for tr in traces:
+        vals = tr.column("y_err") if isinstance(tr, Trace) else list(tr)
+        if not vals or any(v is None for v in vals):
+            raise ConfigurationError("trace lacks the y_err column")
+        d0_sq = vals[0] ** 2
+        horizon = len(vals)
+        violated = any(
+            vals[t] ** 2 > bound_scale * tracking_bound(
+                t, d0_sq, schedule.alpha, schedule.eta, c, horizon, delta)
+            for t in range(horizon))
+        n_viol += violated
+    return TrackingReport(n_seeds=len(traces),
+                          n_violations=n_viol,
+                          pass_rate_bound=binomial_margin(delta, len(traces)))
 
 
-def suite_oracles() -> list[CheckResult]:
-    """Ground-truth consistency: analytic vs finite differences, fixed points."""
-    results = []
-    rng = np.random.default_rng(20240501)
-    worst_fd = 0.0
-    worst_inner = 0.0
-    for k in range(20):
-        dx = int(rng.integers(1, 6))
-        dy = int(rng.integers(1, 6))
-        prob = synthetic.random_quadratic(dx, dy, seed=1000 + k)
-        for _ in range(10):
-            x = rng.uniform(-1.0, 1.0, size=dx)
-            exact = prob.analytic.hypergrad(x)
-            fd = finite_diff_hypergrad(prob, x)
-            rel = float(np.linalg.norm(fd - exact)) / max(1e-30,
-                                                          float(np.linalg.norm(exact)))
-            worst_fd = max(worst_fd, rel)
-        x = rng.uniform(-1.0, 1.0, size=dx)
-        ys = inner_solve_exact(prob, x, SolverSettings(tol=1e-12))
-        worst_inner = max(worst_inner, float(np.linalg.norm(
-            ys - prob.analytic.y_star(x))))
-    results.append(_result(
-        "hypergrad-finite-difference",
-        worst_fd <= 1e-4,
-        f"max relative error {worst_fd:.3e} over 20 instances x 10 points"))
-    results.append(_result(
-        "inner-solve-vs-closed-form", worst_inner <= 1e-8,
-        f"max deviation {worst_inner:.3e}"))
+@dataclass(frozen=True)
+class UnbiasednessReport:
+    """Deviation of empirical oracle means from the deterministic values.
 
-    worst_fix = 0.0
-    for prob in _shipped_instances():
-        for j in range(5):
-            x = np.random.default_rng(77 + j).uniform(-0.5, 0.5, size=prob.dim_x)
-            ys, zs, gphi = prob.analytic.solve(x)
-            est = hypergrad_estimate(
-                x, ys, zs, Sample(Stream.XI_PRIME, j, 3), Sample(Stream.ZETA_PRIME, j, 3),
-                prob.oracle)
-            worst_fix = max(worst_fix, float(np.linalg.norm(est - gphi)))
-    results.append(_result(
-        "fixed-point-consistency", worst_fix <= 1e-10,
-        f"max deviation {worst_fix:.3e} at (y*, z*) under noiseless oracles"))
+    Deviations are in units of ``sigma / sqrt(n)``; a maximum of at most 4
+    is the PASS threshold.
+    """
 
-    convexity = max(
-        probe_strong_convexity(p, p.constants.mu, 1000, seed=5)
-        for p in _shipped_instances())
-    results.append(_result(
-        "strong-convexity-probe", convexity <= 1e-9,
-        f"worst relative violation {convexity:.3e} over 1000 probes/instance"))
-    return results
+    n: int
+    deviations: dict[str, float]
+
+    @property
+    def max_deviation_in_sigmas(self) -> float:
+        return max(self.deviations.values())
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation_in_sigmas <= 4.0
 
 
-def _shipped_instances() -> list[BilevelProblem]:
-    core = synthetic.q2_spec()
-    return [
-        synthetic.make_q2(),
-        synthetic.make_unbounded_smooth(
-            synthetic.UnboundedSmoothSpec(a=1.0, core=core)),
-        synthetic.make_hyperclean(
-            synthetic.HypercleanSpec(n_train=60, n_val=60, feature_dim=4,
-                                     corruption_rate=0.2, reg=0.1, seed=3)),
-    ]
+def empirical_unbiasedness_check(oracle: StochasticOracle, problem: BilevelProblem,
+                                 x: Vec, y: Vec, n: int,
+                                 rng_seed: int) -> UnbiasednessReport:
+    """Average n independent draws of each oracle against its exact value."""
+    noise = oracle.noise
+    names = ("grad_x_F", "grad_y_F", "grad_y_G", "hvp_xy_G", "hvp_yy_G")
+    if noise.kind is NoiseKind.NOISELESS or all(
+            getattr(noise, s) == 0.0
+            for s in ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")):
+        return UnbiasednessReport(n=n, deviations={k: 0.0 for k in names})
+    if n < 100:
+        raise ConfigurationError(f"need at least 100 draws, got {n}")
 
-
-def _q2_warmstart_setup(sigma_g1: float = 0.1, delta: float = 0.05):
-    from .constants import warm_start_T0
-
-    noise = NoiseModel.gaussian(0.0, sigma_g1, 0.0)
-    prob = synthetic.make_q2(noise)
-    c = prob.constants
-    cap = c.mu / (2048.0 * c.L1 ** 2 * sigma_g1 ** 2 * math.log(math.e / delta))
-    alpha_init = min(1.0 / (2.0 * c.l_g1), cap)
-    dist0 = math.sqrt(2.0)  # ||y0_init - y*(x0)|| for y0_init = 1, x0 = 0
-    t0 = warm_start_T0(alpha_init, c.mu, c.L1, dist0)
-    return prob, alpha_init, t0, c
-
-
-def suite_warmstart(n_seeds: int = 200, delta: float = 0.05) -> list[CheckResult]:
-    """Warm-start tail bound on the noisy pinned quadratic instance."""
-    prob, alpha_init, t0, c = _q2_warmstart_setup(delta=delta)
-    report = check_warm_start(prob, alpha_init, t0, c.L1, n_seeds, delta)
-    return [_result(
-        "warm-start-bound",
-        report.passed,
-        f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f} "
-        f"(threshold {report.threshold:.4f}, T0 ={t0})")]
-
-
-def suite_tracking(n_seeds: int = 200, delta: float = 0.05) -> list[CheckResult]:
-    """Main-loop tracking bound with drift radius equal to the step length."""
-    from .harness import bound_check_tracking
-
-    noise = NoiseModel.gaussian(0.0, 0.1, 0.0)
-    prob = synthetic.make_q2(noise)
-    schedule = schedule_practical(
-        {"alpha": 0.25, "beta": 0.9, "gamma": 0.1, "eta": 0.005, "T": 300,
-         "T0": 50, "alpha_init": 0.25})
-    traces = []
-    for s in range(n_seeds):
-        _, tr = slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2),
-                         seed=s)
-        traces.append(tr)
-    report = bound_check_tracking(traces, schedule, prob.constants, delta)
-    return [_result(
-        "tracking-bound",
-        report.passed,
-        f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f}")]
-
-
-def suite_bias() -> list[CheckResult]:
-    """Pointwise hypergradient bias inequality on a noiseless pinned run."""
-    prob = synthetic.make_q2()
-    schedule = schedule_practical(
-        {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01, "T": 500,
-         "T0": 50})
-    points: list[tuple[Vec, Vec, Vec]] = []
-
-    def record(t, x, y, z, m):
-        points.append((x, y, z))
-        return (None,) * 5
-
-    slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2), seed=0,
-             metrics=record)
-    report = check_bias_decomposition(prob, points)
-    return [_result("bias-inequality", report.passed,
-                    f"max LHS/RHS ratio {report.max_ratio:.4f} over "
-                    f"{report.n_points} iterations")]
-
-
-def suite_counts() -> list[CheckResult]:
-    """Closed-form oracle accounting for the main loop and the refinement baseline."""
-    prob = synthetic.make_q2(NoiseModel.gaussian(0.05, 0.05, 0.05))
-    t0, t = 7, 40
-    schedule = schedule_practical(
-        {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01, "T": t, "T0": t0})
-    state, _ = slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2), seed=1)
-    expected = (t, t, t0 + t, t, t)
-    ok1 = state.calls.as_tuple() == expected
-    interval, extra = 2, 3
-    state2, _ = double_loop_run(prob, schedule, interval, extra, np.zeros(2),
-                                np.ones(2), np.zeros(2), seed=1)
-    expected2 = (t, t, t0 + t + extra * (t // interval), t, t)
-    ok2 = state2.calls.as_tuple() == expected2
-    return [
-        _result("oracle-counts-main", ok1,
-                f"{state.calls.as_tuple()} == {expected}"),
-        _result("oracle-counts-refinement", ok2,
-                f"{state2.calls.as_tuple()} == {expected2}"),
-    ]
-
-
-def suite_determinism() -> list[CheckResult]:
-    """Byte-identical traces across two repeats of one config."""
-    import tempfile
-    from pathlib import Path
-
-    from .harness import RunConfig, run_experiment
-
-    cfg = RunConfig(
-        problem_kind="quadratic", problem_params={"preset": "q2"},
-        noise=NoiseModel.gaussian(0.05, 0.05, 0.05),
-        algorithm="slip",
-        schedule=schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
-                                     "eta": 0.01, "T": 60, "T0": 5}),
-        seeds=[1, 2, 3],
-    )
-    blobs = []
-    for _ in range(2):
-        with tempfile.TemporaryDirectory() as td:
-            res = run_experiment(cfg, Path(td) / "run")
-            blobs.append(tuple(p.read_bytes() for p in res.trace_paths))
-    ok = blobs[0] == blobs[1]
-    return [_result("determinism-across-repeats", ok,
-                    f"{len(blobs[0])} traces compared across two repeats")]
-
-
-SUITES = {
-    "oracles": suite_oracles,
-    "warmstart": suite_warmstart,
-    "tracking": suite_tracking,
-    "bias": suite_bias,
-    "counts": suite_counts,
-    "determinism": suite_determinism,
-}
-
-
-def run_suite(name: str) -> tuple[list[CheckResult], bool]:
-    """Run one named suite (or ``all``); returns results and overall pass."""
-    if name == "all":
-        results: list[CheckResult] = []
-        for fn in SUITES.values():
-            results.extend(fn())
-    elif name in SUITES:
-        results = SUITES[name]()
-    else:
-        raise ConfigurationError(
-            f"unknown suite {name!r}; available: {', '.join([*SUITES, 'all'])}")
-    return results, all(r.passed for r in results)
+    z = np.random.default_rng(rng_seed).standard_normal(problem.dim_y)
+    znorm = float(np.linalg.norm(z))
+    plans = {
+        "grad_x_F": (Stream.XI_PRIME, noise.sigma_f1,
+                     lambda s: oracle.grad_x_F(x, y, s), problem.det.grad_x_f(x, y)),
+        "grad_y_F": (Stream.XI, noise.sigma_f1,
+                     lambda s: oracle.grad_y_F(x, y, s), problem.det.grad_y_f(x, y)),
+        "grad_y_G": (Stream.PI, noise.sigma_g1,
+                     lambda s: oracle.grad_y_G(x, y, s), problem.det.grad_y_g(x, y)),
+        "hvp_xy_G": (Stream.ZETA_PRIME, noise.sigma_g2 * znorm,
+                     lambda s: oracle.hvp_xy_G(x, y, z, s),
+                     problem.det.hvp_xy_g(x, y, z)),
+        "hvp_yy_G": (Stream.ZETA,
+                     noise.sigma_z if noise.kind is NoiseKind.BOUNDED
+                     else noise.sigma_g2 * znorm,
+                     lambda s: oracle.hvp_yy_G(x, y, z, s),
+                     problem.det.hvp_yy_g(x, y, z)),
+    }
+    deviations: dict[str, float] = {}
+    for key, (stream, sigma, draw, exact) in plans.items():
+        acc = np.zeros_like(exact)
+        for i in range(n):
+            acc += draw(Sample(stream, i, rng_seed))
+        dev = float(np.linalg.norm(acc / n - exact))
+        if sigma == 0.0:
+            deviations[key] = 0.0 if dev <= 1e-12 else math.inf
+        else:
+            deviations[key] = dev / (sigma / math.sqrt(n))
+    return UnbiasednessReport(n=n, deviations=deviations)

@@ -95,7 +95,7 @@ class TestUpdateZ:
     def test_fixed_point(self, q2):
         x = np.zeros(2)
         y = q2.analytic.y_star(x)
-        zstar = q2.analytic.z_star(x)
+        zstar = q2.analytic.solve(x)[1]
         np.testing.assert_allclose(zstar, [-0.5, -0.5], atol=1e-15)
         z1 = update_z(zstar, x, y, 0.3, Sample(Stream.ZETA, 0, 0),
                       Sample(Stream.XI, 0, 0), q2)

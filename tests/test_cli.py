@@ -5,7 +5,7 @@ import pytest
 
 import bilevelbench as bb
 from bilevelbench import cli
-from bilevelbench.verify import CheckResult
+from bilevelbench.harness import CheckResult
 
 CFG = """\
 [problem]
@@ -96,13 +96,20 @@ def test_usage_error_exit_1():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # oversized alpha on purpose
-def test_divergent_run_exit_2(tmp_path):
+def test_divergent_run_exit_2(tmp_path, capsys):
     p = tmp_path / "div.cfg"
     p.write_text(CFG.replace("alpha = 0.1", "alpha = 5.0")
                  .replace("gamma = 0.1", "gamma = 5.0")
                  .replace("T = 50", "T = 600"))
     rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "d")])
     assert rc == 2
+    meta = json.loads((tmp_path / "d_meta.json").read_text())
+    info = meta["seeds"][0]
+    assert info["status"] == "FAILED"
+    assert info["reason"] == ("FloatingPointError: non-finite iterate at "
+                              f"iteration {info['aborted_at']}")
+    # the reason is printed after the status
+    assert f"seed 1: FAILED: {info['reason']} (" in capsys.readouterr().out
 
 
 OVERFLOW_CFG = """\
@@ -143,9 +150,10 @@ def test_overflow_run_exit_2(tmp_path):
         rows = (tmp_path / f"o_seed{info['seed']}.csv").read_text().splitlines()
         assert len(rows) == info["aborted_at"] + 1
         assert info["calls"]["calls_gxF"] == info["aborted_at"]
+        assert info["reason"].startswith("OverflowError: |x| up to ")
 
 
-def test_crashed_run_exit_2(cfg_path, tmp_path, capsys, monkeypatch):
+def test_crashed_run_exit_2(cfg_path, tmp_path, capsys, monkeypatch, caplog):
     # a solver failure at row 2 of seed 1: that seed is ERROR, seed 2 runs
     from bilevelbench import harness
     from bilevelbench.verify import SolverError
@@ -174,6 +182,13 @@ def test_crashed_run_exit_2(cfg_path, tmp_path, capsys, monkeypatch):
     assert meta["seeds"][0]["aborted_at"] == 2
     assert meta["seeds"][0]["reason"] == (
         "SolverError: no convergence (residual 1.000e+00)")
+    assert ("seed 1: ERROR: SolverError: no convergence "
+            "(residual 1.000e+00) (") in out
+    # the wrapped exception is logged once, with its traceback
+    [record] = [r for r in caplog.records if r.name == "bilevelbench.harness"]
+    assert record.levelname == "ERROR"
+    assert isinstance(record.exc_info[1], SolverError)
+    assert "raise SolverError" in caplog.text
 
 
 def test_grad_every_key_exit_1(tmp_path):
@@ -194,10 +209,10 @@ def test_verify_unknown_suite_exit_1():
 
 
 def test_verify_fail_exit_3(monkeypatch, capsys):
-    import bilevelbench.verify as verify
+    import bilevelbench.harness as harness
 
     monkeypatch.setitem(
-        verify.SUITES, "counts",
+        harness.SUITES, "counts",
         lambda: [CheckResult("forced-failure", False, "synthetic")])
     assert cli.main(["verify", "--suite", "counts"]) == 3
     assert "FAIL forced-failure" in capsys.readouterr().out

@@ -8,13 +8,13 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import bilevelbench as bb
 from bilevelbench import harness
-from bilevelbench.harness import (ConfigError, RunConfig, bound_check_tracking,
-                                  build_problem, hyperclean_weight_report,
-                                  parse_config, resolve_schedule,
-                                  run_experiment, sweep_eps,
-                                  tracking_bound, weighted_tracking_average)
+from bilevelbench.harness import (RunConfig, build_problem, parse_config,
+                                  resolve_schedule, run_experiment, sweep_eps)
+from bilevelbench.problem import ConfigurationError
+from bilevelbench.synthetic import hyperclean_weight_report
 from bilevelbench.trace import (Trace, TraceRecord, trace_from_csv,
                                 trace_to_csv, write_trace)
+from bilevelbench.verify import bound_check_tracking, tracking_bound
 
 CFG_TEXT = """\
 [problem]
@@ -48,34 +48,6 @@ def cfg_file(tmp_path):
     path = tmp_path / "q2.cfg"
     path.write_text(CFG_TEXT)
     return path
-
-
-class TestWeightedTrackingAverage:
-    def test_all_zero(self):
-        assert weighted_tracking_average([0.0] * 7, beta=0.5) == 0.0
-
-    def test_beta_zero_is_plain_mean(self):
-        vals = [1.0, 2.0, 4.0]
-        assert weighted_tracking_average(vals, beta=0.0) == pytest.approx(
-            np.mean(vals), rel=1e-15)
-
-    def test_hand_expanded(self):
-        # (0.5/3) * (1 + 1.5 + 1.75)
-        got = weighted_tracking_average([1.0, 1.0, 1.0], beta=0.5)
-        assert got == pytest.approx(17.0 / 24.0, rel=1e-14)
-        assert got == pytest.approx(0.7083333, abs=1e-6)
-
-    @hyp_settings(max_examples=60, deadline=None)
-    @given(vals=st.lists(st.floats(min_value=0.0, max_value=10.0),
-                         min_size=1, max_size=40),
-           beta=st.floats(min_value=0.0, max_value=0.99))
-    def test_matches_naive_double_sum(self, vals, beta):
-        naive = sum(
-            (1 - beta) * sum(beta ** (t - i) * vals[i] for i in range(t + 1))
-            for t in range(len(vals))
-        ) / len(vals)
-        fast = weighted_tracking_average(vals, beta)
-        assert fast == pytest.approx(naive, rel=1e-9, abs=1e-12)
 
 
 class TestTrackingBoundCheck:
@@ -116,7 +88,7 @@ class TestTrackingBoundCheck:
 
     def test_requires_50_seeds(self):
         prob, sched, traces = self.make_traces(0.0, 3, T=10)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             bound_check_tracking(traces, sched, prob.constants, 0.05)
 
     def test_missing_y_err_raises(self):
@@ -127,7 +99,7 @@ class TestTrackingBoundCheck:
         no_metrics.append(
             TraceRecord(0, None, None, None, None, None, 1, 1, 1, 1, 1))
         for tr in (Trace(), no_metrics):
-            with pytest.raises(ConfigError, match="y_err"):
+            with pytest.raises(ConfigurationError, match="y_err"):
                 bound_check_tracking([tr] * 50, sched, c, 0.05)
 
 
@@ -199,6 +171,19 @@ class TestTraceCsv:
         # read, then write: the same bytes
         assert trace_to_csv(trace_from_csv(text)) == text
 
+    @pytest.mark.parametrize("int_type", [np.int64, np.uint64, np.int32])
+    def test_numpy_integers_round_trip(self, int_type):
+        # t and the call counts of any integer type are written as plain
+        # digits, the bytes of the same row with Python ints
+        plain = TraceRecord(3, 0.5, None, 0.25, 0.0, 1.5, 3, 3, 7, 3, 3)
+        numpy_ints = plain._replace(
+            t=int_type(3), **{c: int_type(getattr(plain, c))
+                              for c in TraceRecord._fields[6:]})
+        text = trace_to_csv(Trace(records=[numpy_ints]))
+        assert text == trace_to_csv(Trace(records=[plain]))
+        assert text.splitlines()[1] == "3,0.5,,0.25,0.0,1.5,3,3,7,3,3"
+        assert trace_from_csv(text).records == [plain]
+
     def test_empty_trace_is_header_only(self):
         assert trace_to_csv(Trace()) == bb.CSV_HEADER + "\n"
 
@@ -252,26 +237,26 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CFG_TEXT.replace("[run]", "[run]\nbogus_key = 1"))
-        with pytest.raises(ConfigError, match="bogus_key"):
+        with pytest.raises(ConfigurationError, match="bogus_key"):
             parse_config(path)
 
     def test_unknown_problem_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CFG_TEXT.replace("preset = q2",
                                          "preset = q2\nwhatever = 3"))
-        with pytest.raises(ConfigError, match="whatever"):
+        with pytest.raises(ConfigurationError, match="whatever"):
             parse_config(path)
 
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CFG_TEXT.replace("[algorithm]\nname = slip\n", ""))
-        with pytest.raises(ConfigError, match="sections"):
+        with pytest.raises(ConfigurationError, match="sections"):
             parse_config(path)
 
     def test_bad_type_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(CFG_TEXT.replace("T = 120", "T = twelve"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             parse_config(path)
 
     def test_build_problem_kinds(self):
@@ -315,7 +300,7 @@ class TestConfig:
         try:
             cfg = parse_config(path)
             resolve_schedule(cfg, build_problem(cfg))
-        except (ConfigError, bb.ConfigurationError):
+        except ConfigurationError:
             pass
 
 
@@ -356,6 +341,8 @@ class TestRunExperiment:
         info = res.metadata["seeds"][0]
         assert info["status"] == "FAILED"
         assert info["aborted_at"] is not None
+        assert info["reason"] == ("FloatingPointError: non-finite iterate at "
+                                  f"iteration {info['aborted_at']}")
         assert res.failed
         # partial trace flushed up to the diagnostic row
         text = res.trace_paths[0].read_text()
@@ -456,6 +443,8 @@ class TestRunExperiment:
         for info, path in zip(res.metadata["seeds"], res.trace_paths):
             assert info["status"] == "TIMEOUT"
             assert info["aborted_at"] is not None
+            assert info["reason"] == ("TimeoutError: deadline passed at "
+                                      f"iteration {info['aborted_at']}")
             rows = path.read_text().splitlines()[1:]
             assert len(rows) == info["aborted_at"] + 1
             assert info["final"]["t"] == info["aborted_at"]
@@ -513,5 +502,5 @@ class TestWeightReport:
         assert not rep.separated
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             hyperclean_weight_report(np.ones(5), [7])

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench.plotting import (PlotError, count_polyline_vertices, plot,
-                                   render_chart, series_from_traces)
+from bilevelbench.plotting import (PlotError, plot, render_chart,
+                                   series_from_traces)
+
+
+def count_polyline_vertices(svg_text: str) -> int:
+    total = 0
+    for chunk in svg_text.split('points="')[1:]:
+        total += len(chunk.split('"')[0].split())
+    return total
 
 
 @pytest.fixture

@@ -151,7 +151,7 @@ class TestHyperclean:
         x = np.ones(30)
         ys = prob.analytic.y_star(x)
         assert np.linalg.norm(prob.det.grad_y_g(x, ys)) <= 1e-10
-        zs = prob.analytic.z_star(x)
+        zs = prob.analytic.solve(x)[1]
         res = prob.det.hvp_yy_g(x, ys, zs) - prob.det.grad_y_f(x, ys)
         assert np.linalg.norm(res) <= 1e-10
         fd = finite_diff_hypergrad(prob, x, h=1e-4,
