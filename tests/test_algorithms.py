@@ -2,11 +2,13 @@ import hashlib
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bilevelbench as bb
+from bilevelbench import harness
 from bilevelbench.algorithms import update_z
 from bilevelbench.problem import (AnalyticOracle, DeterministicOracle,
                                   StochasticOracle)
@@ -249,14 +251,27 @@ class TestSlip:
             bb.slip_run(q2, sched, np.zeros(3), np.ones(2), np.zeros(2), seed=0)
 
     # sha256 of noiseless trace CSVs: the solver-backed ground truth of
-    # hypercleaning and the closed-form one of the cosh upper level
+    # hypercleaning (a 30x3 instance, and the first 100 rows of the shipped
+    # 200x5 config) and the closed-form one of the cosh upper level
     PINNED_SHA256 = {
         "hyperclean": "9cec28beecdada0e71faf93351089e3f7ff99dc055f6bfb6bd6c39051d63cab9",
+        "hyperclean-cfg": "fcfb6ef118c3ae0314d23e662254462f38266aebb6c73e03555a626f6ae4e11d",
         "unbounded": "46ee749cfb734310a534725e9b2a778f0b983ca2701e1ab79b45fdd4a6287979",
     }
 
     @pytest.mark.parametrize("kind", sorted(PINNED_SHA256))
     def test_trace_bytes_pinned(self, kind):
+        if kind == "hyperclean-cfg":
+            cfg = harness.parse_config(
+                Path(__file__).resolve().parents[1] / "configs" / "hyperclean_slip.cfg")
+            prob = harness.build_problem(cfg)
+            # a shorter horizon leaves the first rows of the full run as they are
+            _, trace = bb.slip_run(prob, replace(cfg.schedule, T=100),
+                                   np.ones(200), np.zeros(5), np.zeros(5),
+                                   seed=cfg.seeds[0])
+            digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
+            assert digest == self.PINNED_SHA256[kind]
+            return
         if kind == "hyperclean":
             prob = bb.make_hyperclean(bb.HypercleanSpec(
                 n_train=30, n_val=30, feature_dim=3, corruption_rate=0.2,
