@@ -10,7 +10,7 @@ from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
                         schedule_practical, schedule_theorem41,
                         schedule_theorem42, warm_start_T0)
 from .problem import (AnalyticOracle, BilevelProblem, ConfigurationError,
-                      DeterministicOracle, NoiseKind, NoiseModel,
+                      DeterministicOracle, LowerPoint, NoiseKind, NoiseModel,
                       StochasticOracle, hypergrad_estimate)
 from .samples import OracleTag, Sample, Stream
 from .synthetic import (HypercleanSpec, QuadraticSpec, UnboundedSmoothSpec,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticOracle", "BilevelProblem", "ConfigurationError", "CSV_HEADER",
-    "DeterministicOracle", "HypercleanSpec", "NoiseKind",
+    "DeterministicOracle", "HypercleanSpec", "LowerPoint", "NoiseKind",
     "NoiseModel", "NumericalDivergenceError", "OracleCounter", "OracleTag",
     "ParamSchedule", "QuadraticSpec", "RunAborted", "RunError", "Sample",
     "ScheduleMode", "SchedulingError", "SlipState", "SmoothnessConstants",

@@ -1,12 +1,13 @@
 """Bilevel problem abstraction: objectives, stochastic oracles, ground truth.
 
 A :class:`BilevelProblem` bundles the two deterministic objectives, their
-deterministic first/second-order maps (including the materialized
-lower-level Hessian), the five stochastic oracles built from them by an
-additive noise model, the ground truth (exact lower-level minimizer,
-linear-system solution and hypergradient) used only for verification and
-metrics, and the declared smoothness constants.  Every problem carries all
-three: there is no path for a problem without them.  The checkers that
+deterministic first/second-order maps (including an x-bound view of the
+lower level that materializes its Hessian), the five stochastic oracles
+built from them by an additive noise model, the ground truth (exact
+lower-level minimizer, linear-system solution and hypergradient) used only
+for verification and metrics, and the declared smoothness constants.
+Every problem carries all three: there is no path for a problem without
+them.  The checkers that
 test a problem's oracles against these maps live in
 :mod:`bilevelbench.verify`.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,14 +87,28 @@ class NoiseModel:
             raise ConfigurationError("noiseless model must have all sigmas zero")
 
 
+class LowerPoint(NamedTuple):
+    """The lower level ``g(x, .)`` at one ``y``, for one bound ``x``.
+
+    ``grad()`` is ``grad_y g(x, y)`` and ``hess()`` the materialized yy
+    block of its Hessian.  Each is computed only when called, from the
+    pieces the two share at ``y``, which are computed once.
+    """
+
+    grad: Callable[[], Vec]
+    hess: Callable[[], Array]
+
+
 @dataclass(frozen=True)
 class DeterministicOracle:
     """Exact first/second-order maps of one problem instance.
 
     ``hvp_xy_g(x, y, z)`` is the mixed second-derivative block applied to
     ``z`` (a length-``dim_x`` vector); ``hvp_yy_g`` the yy block applied to
-    ``z`` (length ``dim_y``).  ``hess_yy_g`` materializes the yy block for
-    the Newton solves of :mod:`bilevelbench.verify`.
+    ``z`` (length ``dim_y``).  ``lower_at(x)`` evaluates what depends on
+    ``x`` alone once and returns the map ``y -> LowerPoint`` through which
+    the Newton solves of :mod:`bilevelbench.verify` iterate; its gradient
+    is bit for bit ``grad_y_g(x, y)``.
     """
 
     grad_x_f: Callable[[Vec, Vec], Vec]
@@ -101,7 +116,7 @@ class DeterministicOracle:
     grad_y_g: Callable[[Vec, Vec], Vec]
     hvp_xy_g: Callable[[Vec, Vec, Vec], Vec]
     hvp_yy_g: Callable[[Vec, Vec, Vec], Vec]
-    hess_yy_g: Callable[[Vec, Vec], Array]
+    lower_at: Callable[[Vec], Callable[[Vec], LowerPoint]]
 
 
 def _norm(v: Vec) -> float:

@@ -26,7 +26,8 @@ import numpy as np
 from . import verify
 from .constants import SmoothnessConstants, derive_constants
 from .problem import (AnalyticOracle, BilevelProblem, ConfigurationError,
-                      DeterministicOracle, NoiseModel, StochasticOracle)
+                      DeterministicOracle, LowerPoint, NoiseModel,
+                      StochasticOracle)
 
 Vec = np.ndarray
 
@@ -113,14 +114,15 @@ def _quadratic_lower_parts(spec: QuadraticSpec):
     def hvp_xy_g(x: Vec, y: Vec, z: Vec) -> Vec:
         return -(b.T @ z)
 
-    def hess_yy_g(x: Vec, y: Vec) -> np.ndarray:
-        return a.copy()
+    def lower_at(x: Vec):
+        shift = b @ x + c
+        return lambda y: LowerPoint(grad=lambda: a @ y - shift, hess=a.copy)
 
     def lower_solve(x: Vec) -> tuple[Vec, Vec]:
         ys = a_inv @ (b @ x + c)
         return ys, a_inv @ (ys - spec.e)
 
-    return lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, lower_solve
+    return lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve
 
 
 def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless(),
@@ -135,7 +137,7 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
     gradient-growth coefficient (any such value is a valid upper bound); the
     warm-start thresholds are finite only then.
     """
-    lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, lower_solve = (
+    lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve = (
         _quadratic_lower_parts(spec))
     consts = _quadratic_constants(spec, noise, L_x0=spec.r, L_x1=declared_L_x1)
     e, r, b = spec.e, spec.r, spec.B
@@ -154,7 +156,7 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
         return ys, zs, r * x + b.T @ zs
 
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, hess_yy_g)
+                              hvp_yy_g, lower_at)
     return BilevelProblem(
         dim_x=spec.dim_x, dim_y=spec.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
@@ -230,7 +232,7 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     overflows double precision.
     """
     core = spec.core
-    lower, grad_y_g, hvp_yy_g, hvp_xy_g, hess_yy_g, lower_solve = (
+    lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve = (
         _quadratic_lower_parts(core))
     a_rate = spec.a
     x_max = 700.0 / a_rate
@@ -261,7 +263,7 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
 
     base = _quadratic_constants(core, noise, L_x0=a_rate ** 2, L_x1=a_rate)
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, hess_yy_g)
+                              hvp_yy_g, lower_at)
     return BilevelProblem(
         dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
@@ -327,7 +329,10 @@ def make_hyperclean(spec: HypercleanSpec,
 
     There is no closed-form lower-level minimizer; the analytic oracle is
     backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
-    1e-10), one inner and one linear solve per call, uncached.
+    1e-10), one inner and one linear solve per call, uncached.  The solvers
+    iterate through ``lower_at(x)``, which evaluates ``sigmoid(x)`` and
+    ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins and
+    ``sigmoid(-margins)`` once for both the gradient and the Hessian.
     The per-sample weights live in dimension ``n_train`` and are meant to be
     initialized at 1.0.
     """
@@ -338,6 +343,15 @@ def make_hyperclean(spec: HypercleanSpec,
     def _margins(y: Vec) -> Vec:
         return lab_tr * (feats_tr @ y)
 
+    # The lower-level gradient and Hessian from their shared pieces:
+    # ``sx = sigmoid(x)``, ``sx_lab = sx * lab_tr``, the margins ``m`` at y
+    # and ``s = sigmoid(-m)``.
+    def _grad(sx_lab: Vec, s: Vec, y: Vec) -> Vec:
+        return -(feats_tr.T @ (sx_lab * s)) / n_tr + 2.0 * lam * y
+
+    def _hess(sx: Vec, m: Vec, s: Vec) -> np.ndarray:
+        return (feats_tr.T * (sx * sigmoid(m) * s)) @ feats_tr / n_tr + reg_hess
+
     def lower(x: Vec, y: Vec) -> float:
         losses = np.logaddexp(0.0, -_margins(y))
         return float(sigmoid(x) @ losses / n_tr + lam * np.sum(y ** 2))
@@ -346,18 +360,23 @@ def make_hyperclean(spec: HypercleanSpec,
         return float(np.logaddexp(0.0, -lab_val * (feats_val @ y)).mean())
 
     def grad_y_g(x: Vec, y: Vec) -> Vec:
-        s = sigmoid(-_margins(y))
-        return -(feats_tr.T @ (sigmoid(x) * lab_tr * s)) / n_tr + 2.0 * lam * y
+        return _grad(sigmoid(x) * lab_tr, sigmoid(-_margins(y)), y)
+
+    def lower_at(x: Vec):
+        sx = sigmoid(x)
+        sx_lab = sx * lab_tr
+
+        def at(y: Vec) -> LowerPoint:
+            m = _margins(y)
+            s = sigmoid(-m)
+            return LowerPoint(grad=lambda: _grad(sx_lab, s, y),
+                              hess=lambda: _hess(sx, m, s))
+        return at
 
     def hvp_yy_g(x: Vec, y: Vec, z: Vec) -> Vec:
         m = _margins(y)
         w = sigmoid(m) * sigmoid(-m)
         return (feats_tr.T @ (sigmoid(x) * w * (feats_tr @ z))) / n_tr + 2.0 * lam * z
-
-    def hess_yy_g(x: Vec, y: Vec) -> np.ndarray:
-        m = _margins(y)
-        w = sigmoid(x) * sigmoid(m) * sigmoid(-m)
-        return (feats_tr.T * w) @ feats_tr / n_tr + reg_hess
 
     def hvp_xy_g(x: Vec, y: Vec, z: Vec) -> Vec:
         s = sigmoid(-_margins(y))
@@ -397,7 +416,7 @@ def make_hyperclean(spec: HypercleanSpec,
         return ys, zs, grad_x_f(x, ys) - hvp_xy_g(x, ys, zs)
 
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, hess_yy_g)
+                              hvp_yy_g, lower_at)
     problem = BilevelProblem(
         dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),

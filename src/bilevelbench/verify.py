@@ -8,12 +8,12 @@ with its report per guarantee: the warm-start tail bound
 (:func:`check_bias_decomposition`), lower-level strong convexity
 (:func:`probe_strong_convexity`) and oracle unbiasedness
 (:func:`empirical_unbiasedness_check`).  Both solvers are Newton on the
-materialized lower-level Hessian ``det.hess_yy_g``, which every problem
-carries.  They are deliberately independent of the optimizers: they only
-consume the deterministic maps of a problem.  The named suites that run
-these checkers on fixed instances live in :mod:`bilevelbench.harness`,
-which, like the instances of :mod:`bilevelbench.synthetic`, builds on this
-module and never the reverse.
+materialized lower-level Hessian, read through the x-bound view
+``det.lower_at(x)`` that every problem carries.  They are deliberately
+independent of the optimizers: they only consume the deterministic maps of
+a problem.  The named suites that run these checkers on fixed instances
+live in :mod:`bilevelbench.harness`, which, like the instances of
+:mod:`bilevelbench.synthetic`, builds on this module and never the reverse.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class SolverError(RuntimeError):
 class SolverSettings:
     """Stopping threshold on the gradient/residual norm, and the step budget.
 
-    Both solvers are Newton on the problem's materialized Hessian
-    ``det.hess_yy_g``.
+    Both solvers are Newton on the problem's materialized Hessian, read
+    through ``det.lower_at``.
     """
 
     tol: float = 1e-10
@@ -67,16 +67,20 @@ def inner_solve_exact(problem: BilevelProblem, x: Vec,
 
     Requires a strongly convex lower level.  Runs at most
     ``settings.max_iters`` Newton steps, each a direct solve with the
-    materialized Hessian.
+    materialized Hessian.  ``x`` is bound once through
+    ``det.lower_at(x)``; each iterate's gradient and Hessian share one
+    evaluation at that iterate.
     """
-    det = problem.det
+    lower = problem.det.lower_at(x)
     y = np.zeros(problem.dim_y) if y0 is None else np.asarray(y0, dtype=float).copy()
-    g = det.grad_y_g(x, y)
+    point = lower(y)
+    g = point.grad()
     for _ in range(settings.max_iters):
         if _norm(g) <= settings.tol:
             return y
-        y = y - np.linalg.solve(det.hess_yy_g(x, y), g)
-        g = det.grad_y_g(x, y)
+        y = y - np.linalg.solve(point.hess(), g)
+        point = lower(y)
+        g = point.grad()
     gnorm = _norm(g)
     if gnorm <= settings.tol:
         return y
@@ -87,14 +91,16 @@ def solve_linear_system_exact(problem: BilevelProblem, x: Vec, y: Vec,
                               settings: SolverSettings = SolverSettings()) -> Vec:
     """Solve ``hess_yy g(x, y) z = grad_y f(x, y)`` to residual ``tol``.
 
-    A direct solve with the materialized Hessian plus up to three steps of
-    iterative refinement.  The returned iterate always satisfies the
-    residual tolerance, re-checked on the Hessian-vector product before
+    A direct solve with the Hessian materialized through
+    ``det.lower_at(x)`` (its gradient is never computed) plus up to three
+    steps of iterative refinement.  The returned iterate always satisfies
+    the residual tolerance, re-checked on the Hessian-vector product
+    ``det.hvp_yy_g``, independently of the materialized Hessian, before
     returning.
     """
     det = problem.det
     b = det.grad_y_f(x, y)
-    h = det.hess_yy_g(x, y)
+    h = det.lower_at(x)(y).hess()
     z = np.linalg.solve(h, b)
     for _ in range(3):  # iterative refinement against the tolerance
         r = b - h @ z
@@ -279,7 +285,7 @@ class TrackingReport:
         return self.violation_rate <= self.pass_rate_bound
 
 
-def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
+def bound_check_tracking(traces: Sequence[Trace],
                          schedule: ParamSchedule, c: SmoothnessConstants,
                          delta: float, *,
                          bound_scale: float = 1.0) -> TrackingReport:
@@ -296,7 +302,7 @@ def bound_check_tracking(traces: Sequence[Trace | Sequence[float]],
         raise ConfigurationError(f"need at least 50 seeds, got {len(traces)}")
     n_viol = 0
     for tr in traces:
-        vals = tr.column("y_err") if isinstance(tr, Trace) else list(tr)
+        vals = tr.column("y_err")
         if not vals or any(v is None for v in vals):
             raise ConfigurationError("trace lacks the y_err column")
         d0_sq = vals[0] ** 2

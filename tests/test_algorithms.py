@@ -11,7 +11,7 @@ import bilevelbench as bb
 from bilevelbench import harness
 from bilevelbench.algorithms import update_z
 from bilevelbench.problem import (AnalyticOracle, DeterministicOracle,
-                                  StochasticOracle)
+                                  LowerPoint, StochasticOracle)
 from bilevelbench.samples import Sample, Stream
 from bilevelbench.synthetic import random_quadratic_spec
 from bilevelbench.trace import trace_to_csv
@@ -26,7 +26,8 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
         grad_y_g=lambda x, y: np.zeros(dim_y),
         hvp_xy_g=lambda x, y, z: np.zeros(dim_x),
         hvp_yy_g=lambda x, y, z: np.zeros(dim_y),
-        hess_yy_g=lambda x, y: np.zeros((dim_y, dim_y)),
+        lower_at=lambda x: lambda y: LowerPoint(
+            grad=lambda: np.zeros(dim_y), hess=lambda: np.zeros((dim_y, dim_y))),
     )
     # the lower level is flat: every y is a minimizer, and z* = 0
     analytic = AnalyticOracle(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench.synthetic import sigmoid
+from bilevelbench import synthetic
+from bilevelbench.synthetic import random_quadratic_spec, sigmoid
 from bilevelbench.verify import SolverSettings, finite_diff_hypergrad
 
 
@@ -175,3 +176,49 @@ def test_strong_convexity_probe_all_instances():
     for prob in instances:
         worst = probe_strong_convexity(prob, prob.constants.mu, 1000, seed=17)
         assert worst <= 1e-9, (prob.name, worst)
+
+
+# the hyperclean instance of configs/hyperclean_slip.cfg
+SHIPPED_HYPERCLEAN = bb.HypercleanSpec(
+    n_train=200, n_val=200, feature_dim=5, corruption_rate=0.2, reg=0.1, seed=7)
+
+
+@pytest.mark.parametrize("prob", [
+    bb.make_q2(),
+    bb.random_quadratic(3, 4, seed=2),
+    bb.make_unbounded_smooth(bb.UnboundedSmoothSpec(
+        a=1.0, core=random_quadratic_spec(3, 4, seed=5, r=0.0))),
+    bb.make_hyperclean(SHIPPED_HYPERCLEAN),
+], ids=lambda prob: prob.name)
+def test_lower_at_agrees_with_the_pointwise_maps(prob):
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        x = rng.uniform(-2, 2, prob.dim_x)
+        lower = prob.det.lower_at(x)
+        for _ in range(3):
+            y = rng.standard_normal(prob.dim_y)
+            z = rng.standard_normal(prob.dim_y)
+            point = lower(y)
+            np.testing.assert_array_equal(point.grad(), prob.det.grad_y_g(x, y))
+            h = point.hess()
+            hz = prob.det.hvp_yy_g(x, y, z)
+            assert np.linalg.norm(h @ z - hz) <= 1e-12 * np.linalg.norm(hz)
+            assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
+
+
+def test_hyperclean_solve_evaluates_sigmoid_x_once_per_solver(monkeypatch):
+    """One ``analytic.solve`` binds ``x`` once in each Newton solver; the
+    residual check (``hvp_yy_g``) and the hypergradient (``hvp_xy_g``) take
+    one evaluation each.  The inner solve takes three Newton steps here, so
+    one evaluation per gradient and per Hessian would make 10."""
+    prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
+    x = np.ones(prob.dim_x)
+    on_x = []
+
+    def counting(v):
+        on_x.append(v is x)
+        return sigmoid(v)
+
+    monkeypatch.setattr(synthetic, "sigmoid", counting)
+    prob.analytic.solve(x)
+    assert sum(on_x) == 4
