@@ -436,6 +436,27 @@ class TestRunExperiment:
                                       "non-negative, got -1.0")
             assert len(path.read_text().splitlines()) == 1 + 2
 
+    # the arguments each runner takes between the schedule and (x0, y0, z0)
+    _RUNNERS = {"slip": (bb.slip_run, ()), "masoba": (bb.masoba_run, ()),
+                "doubleloop": (bb.double_loop_run, (2, 3)),
+                "ttsa": (bb.ttsa_run, ())}
+
+    @pytest.mark.parametrize("name", harness.ALGORITHMS)
+    def test_config_path_matches_direct_runner(self, name, tmp_path):
+        keys = ("\nrefine_interval = 2\nrefine_steps = 3"
+                if name == "doubleloop" else "")
+        path = tmp_path / "algo.cfg"
+        path.write_text(CFG_TEXT.replace("name = slip", f"name = {name}{keys}")
+                        .replace("seeds = 1, 2, 3", "seeds = 2"))
+        cfg = parse_config(path)
+        res = run_experiment(cfg, tmp_path / "exp")
+        problem = build_problem(cfg)
+        runner, extra = self._RUNNERS[name]
+        _, trace = runner(problem, resolve_schedule(cfg, problem), *extra,
+                          np.zeros(2), np.ones(2), np.zeros(2), 2)
+        assert res.trace_paths[0].read_bytes() == trace_to_csv(trace).encode()
+        assert res.metadata["algorithm"] == {"name": name, **cfg.algo_params}
+
     def test_timeout_keeps_partial_trace(self, cfg_file, tmp_path):
         cfg = dataclasses.replace(parse_config(cfg_file), max_wall_seconds=0.0)
         res = run_experiment(cfg, tmp_path / "exp")
