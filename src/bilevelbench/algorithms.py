@@ -66,8 +66,12 @@ class RunAborted(RuntimeError):
     is the exception that stopped it.  Row ``t`` is in the trace when it was
     recorded before the abort (a non-finite update, the deadline) and missing
     when an oracle failed while computing it.  Raised as is when the run
-    passes its wall-clock ``deadline``.
+    passes its wall-clock ``deadline``.  ``status`` is the seed status the
+    harness records for the abort: ``TIMEOUT`` here, ``FAILED`` and
+    ``ERROR`` on the two subclasses.
     """
+
+    status = "TIMEOUT"
 
     def __init__(self, message: str, t: int, trace: Trace, state: "SlipState"):
         super().__init__(message)
@@ -80,10 +84,14 @@ class NumericalDivergenceError(RunAborted):
     """An iterate became NaN/Inf, or an oracle overflowed or raised a
     floating-point error."""
 
+    status = "FAILED"
+
 
 class RunError(RunAborted):
     """Any other exception stopped the run once it had started: a solver
     failure, a negative metric, a bug in an oracle."""
+
+    status = "ERROR"
 
 
 @dataclass
@@ -341,17 +349,17 @@ def double_loop_run(problem: BilevelProblem, schedule: ParamSchedule,
 
 
 def ttsa_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
-             y0_init: Vec, z0: Vec, seed: int, *,
-             eta_exponent: float = 0.6, alpha_exponent: float = 0.4,
+             y0_init: Vec, z0: Vec, seed: int,
              deadline: float = math.inf,
              metrics: MetricFn | None = None) -> tuple[SlipState, Trace]:
     """Baseline: two-timescale single-sample method.
 
     Momentum-free, unnormalized upper step with ``eta_t = eta * (t+1)^-0.6``;
     lower-level and linear-system steps decay as ``(t+1)^-0.4`` from
-    ``schedule.alpha`` and ``schedule.gamma``.  No warm-start phase.
+    ``schedule.alpha`` and ``schedule.gamma``.  The two rates are fixed.
+    No warm-start phase: ``schedule.beta`` and ``schedule.T0`` are replaced
+    by 0.
     """
     return _run_loop(problem, replace(schedule, beta=0.0, T0=0), x0, y0_init,
-                     z0, seed, normalize=False,
-                     decay=(eta_exponent, alpha_exponent),
+                     z0, seed, normalize=False, decay=(0.6, 0.4),
                      deadline=deadline, metrics=metrics)

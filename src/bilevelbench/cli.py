@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import parse_config, run_experiment, run_suite, sweep_eps
+from .harness import SUITES, parse_config, run_experiment, run_suite, sweep_eps
 from .plotting import PlotError, plot
 from .problem import ConfigurationError
 
@@ -54,8 +54,7 @@ def _build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True,
-                          help="oracles|warmstart|tracking|bias|counts|"
-                               "determinism|all")
+                          help="|".join([*SUITES, "all"]))
 
     p_plot = sub.add_parser("plot", help="plot a trace metric to SVG")
     p_plot.add_argument("traces", nargs="+")

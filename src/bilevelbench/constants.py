@@ -240,7 +240,9 @@ def _highprob_extra(c: SmoothnessConstants, Delta0: float,
     return extra, big_g
 
 
-def _alpha_init(c: SmoothnessConstants, delta: float) -> float:
+def warm_start_alpha(c: SmoothnessConstants, delta: float) -> float:
+    """Warm-start step of the theorem schedules at confidence ``delta``:
+    ``min(1/(2*l_g1), mu / (2048 * L1^2 * sigma_g1^2 * log(e/delta)))``."""
     cap = _safe_div(c.mu,
                     2048.0 * c.L1 ** 2 * c.sigma_g1 ** 2 * math.log(math.e / delta))
     return min(1.0 / (2.0 * c.l_g1), cap)
@@ -308,7 +310,7 @@ def _theorem_schedule(eps: float, delta: float, c: SmoothnessConstants,
         gamma = 16.0 * one_minus_beta / mu
     alpha = 8.0 * one_minus_beta / mu
     big_t = math.ceil(4.0 * Delta0 / (eta * eps))
-    alpha_init = _alpha_init(c, delta)
+    alpha_init = warm_start_alpha(c, delta)
     t0 = warm_start_T0(alpha_init, mu, c.L1, Delta_y0)
 
     def _exp_or_inf(v: float) -> float:

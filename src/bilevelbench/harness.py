@@ -2,7 +2,9 @@
 
 Config files are INI-style with sections ``[problem]``, ``[algorithm]``,
 ``[schedule]`` and ``[run]``; every key is typed and unknown keys are
-rejected with :class:`~bilevelbench.problem.ConfigurationError`.  The seeds
+rejected with :class:`~bilevelbench.problem.ConfigurationError`.  The
+algorithm and problem keys are checked by :class:`RunConfig` itself, so a
+config built in code is held to the same keys as a file.  The seeds
 run in order in the calling thread; one CSV trace is written per seed plus
 a single JSON metadata record, and identical configs reproduce the trace
 files byte for byte.  The ``[run] workers`` key is accepted and validated
@@ -28,18 +30,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import (NumericalDivergenceError, RunAborted, RunError,
-                         double_loop_run, default_metrics, masoba_run,
-                         slip_run, ttsa_run)
+from .algorithms import (RunAborted, double_loop_run, default_metrics,
+                         masoba_run, slip_run, ttsa_run)
 from .constants import (ParamSchedule, SchedulingError, schedule_practical,
-                        schedule_theorem41, schedule_theorem42, warm_start_T0)
+                        schedule_theorem41, schedule_theorem42,
+                        warm_start_alpha, warm_start_T0)
 from .problem import (BilevelProblem, ConfigurationError, NoiseModel,
                       hypergrad_estimate)
 from .samples import Sample, Stream, check_range
 from .synthetic import (HypercleanSpec, UnboundedSmoothSpec, make_hyperclean,
                         make_q2, make_quadratic, make_unbounded_smooth,
                         q2_spec, random_quadratic, random_quadratic_spec)
-from .trace import Trace, write_atomic, write_trace
+from .trace import COLUMNS, Trace, write_atomic, write_trace
 from .verify import (SolverSettings, bound_check_tracking,
                      check_bias_decomposition, check_warm_start,
                      finite_diff_hypergrad, inner_solve_exact,
@@ -49,12 +51,36 @@ logger = logging.getLogger(__name__)
 
 Vec = np.ndarray
 
+# Each algorithm's [algorithm] keys besides ``name``, with their defaults;
+# a config file's value is parsed to the type of the default.
+ALGORITHMS = {
+    "slip": {},
+    "masoba": {},
+    "doubleloop": {"refine_interval": 2, "refine_steps": 3},
+    "ttsa": {},
+}
+
+# Each problem kind's [problem] keys besides ``kind`` and the noise keys,
+# with their types; build_problem passes them on by name.
+_PROBLEM_KEYS = {
+    "quadratic": {"preset": str, "dim_x": int, "dim_y": int, "seed": int,
+                  "mu": float, "l_g1": float, "r": float},
+    "unbounded": {"a": float, "preset": str, "dim_x": int, "dim_y": int,
+                  "seed": int, "mu": float, "l_g1": float},
+    "hyperclean": {"n_train": int, "n_val": int, "feature_dim": int,
+                   "corruption_rate": float, "reg": float, "seed": int},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """One experiment: a problem, an algorithm, a schedule, and seeds.
 
-    ``workers`` is validated but has no effect: seeds always run in order.
+    Construction rejects an unknown problem kind or algorithm and any
+    ``problem_params`` or ``algo_params`` key the kind or algorithm does
+    not take, and fills ``algo_params`` with the algorithm's defaults from
+    :data:`ALGORITHMS`.  ``workers`` is validated but has no effect: seeds
+    always run in order.
     """
 
     problem_kind: str
@@ -81,9 +107,22 @@ class RunConfig:
         if len(set(self.seeds)) != len(self.seeds):
             # a repeat would run twice into one trace file
             raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
+        if self.problem_kind not in _PROBLEM_KEYS:
+            raise ConfigurationError(f"unknown problem kind {self.problem_kind!r}; "
+                                     f"choose from {sorted(_PROBLEM_KEYS)}")
+        unknown = set(self.problem_params) - set(_PROBLEM_KEYS[self.problem_kind])
+        if unknown:
+            raise ConfigurationError(f"unknown [problem] keys for "
+                                     f"kind={self.problem_kind}: {sorted(unknown)}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose from {sorted(ALGORITHMS)}")
+        defaults = ALGORITHMS[self.algorithm]
+        unknown = set(self.algo_params) - set(defaults)
+        if unknown:
+            raise ConfigurationError(f"unknown [algorithm] keys for "
+                                     f"{self.algorithm}: {sorted(unknown)}")
+        object.__setattr__(self, "algo_params", {**defaults, **self.algo_params})
         if self.schedule is None and self.schedule_spec is None:
             raise ConfigurationError("a schedule (or schedule spec) is required")
         if self.workers < 1:
@@ -93,27 +132,8 @@ class RunConfig:
 # ---------------------------------------------------------------- config IO
 
 _NOISE_KEYS = ("noise", "sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")
-_PROBLEM_KEYS = {
-    "quadratic": {"kind", "preset", "dim_x", "dim_y", "seed", "mu", "l_g1", "r",
-                  *_NOISE_KEYS},
-    "unbounded": {"kind", "a", "preset", "dim_x", "dim_y", "seed", "mu", "l_g1",
-                  *_NOISE_KEYS},
-    "hyperclean": {"kind", "n_train", "n_val", "feature_dim", "corruption_rate",
-                   "reg", "seed", *_NOISE_KEYS},
-}
-_ALGO_KEYS = {
-    "slip": {"name"},
-    "masoba": {"name"},
-    "doubleloop": {"name", "refine_interval", "refine_steps"},
-    "ttsa": {"name", "eta_exponent", "alpha_exponent"},
-}
-_SCHEDULE_KEYS = {
-    "practical": {"mode", "alpha", "beta", "gamma", "eta", "T", "T0", "alpha_init"},
-    "theorem41": {"mode", "eps", "delta", "delta0", "delta_y0", "delta_z0",
-                  "grad_phi_x0"},
-    "theorem42": {"mode", "eps", "delta", "delta0", "delta_y0", "delta_z0",
-                  "grad_phi_x0"},
-}
+# the keys of both theorem modes; schedule_practical checks its own
+_THEOREM_KEYS = {"eps", "delta", "delta0", "delta_y0", "delta_z0", "grad_phi_x0"}
 _RUN_KEYS = {"seeds", "out", "max_wall_seconds", "x0", "y0", "z0", "workers"}
 
 
@@ -173,49 +193,31 @@ def parse_config(path) -> RunConfig:
                           f"{sorted(required)}, got {sorted(present)}")
 
     prob = dict(parser["problem"])
-    kind = prob.get("kind")
-    if kind not in _PROBLEM_KEYS:
-        raise ConfigurationError(f"unknown problem kind {kind!r}; "
-                          f"choose from {sorted(_PROBLEM_KEYS)}")
-    unknown = set(prob) - _PROBLEM_KEYS[kind]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown [problem] keys for kind={kind}: {sorted(unknown)}")
     noise = _parse_noise(prob)
     params = {k: v for k, v in prob.items()
               if k not in ("kind", *_NOISE_KEYS)}
 
+    # RunConfig rejects an unknown name or key; a known key is typed here
     algo = dict(parser["algorithm"])
-    name = algo.get("name")
-    if name not in _ALGO_KEYS:
-        raise ConfigurationError(f"unknown algorithm {name!r}")
-    unknown = set(algo) - _ALGO_KEYS[name]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown [algorithm] keys for {name}: {sorted(unknown)}")
-    algo_params: dict = {}
-    if name == "doubleloop":
-        algo_params["refine_interval"] = _typed(algo, "refine_interval", int, 2)
-        algo_params["refine_steps"] = _typed(algo, "refine_steps", int, 3)
-    if name == "ttsa":
-        algo_params["eta_exponent"] = _typed(algo, "eta_exponent", float, 0.6)
-        algo_params["alpha_exponent"] = _typed(algo, "alpha_exponent", float, 0.4)
+    name = algo.pop("name", None)
+    defaults = ALGORITHMS.get(name, {})
+    algo_params = {k: _typed(algo, k, type(defaults[k])) if k in defaults else v
+                   for k, v in algo.items()}
 
     sched = dict(parser["schedule"])
-    mode = sched.get("mode")
-    if mode not in _SCHEDULE_KEYS:
-        raise ConfigurationError(f"unknown schedule mode {mode!r}")
-    unknown = set(sched) - _SCHEDULE_KEYS[mode]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown [schedule] keys for mode={mode}: {sorted(unknown)}")
+    mode = sched.pop("mode", None)
     schedule = None
     schedule_spec = None
     try:
         if mode == "practical":
+            # schedule_practical names any key it does not take
             schedule = schedule_practical(
-                {k: _typed(sched, k, float) for k in sched if k != "mode"})
-        else:
+                {k: _typed(sched, k, float) for k in sched})
+        elif mode in ("theorem41", "theorem42"):
+            unknown = set(sched) - _THEOREM_KEYS
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown [schedule] keys for mode={mode}: {sorted(unknown)}")
             schedule_spec = {
                 "mode": mode,
                 "eps": _typed(sched, "eps", float),
@@ -226,6 +228,8 @@ def parse_config(path) -> RunConfig:
                 "grad_phi_x0": (_typed(sched, "grad_phi_x0", float)
                                 if "grad_phi_x0" in sched else None),
             }
+        else:
+            raise ConfigurationError(f"unknown schedule mode {mode!r}")
     except SchedulingError as exc:
         raise ConfigurationError(f"invalid schedule: {exc}") from exc
 
@@ -242,7 +246,7 @@ def parse_config(path) -> RunConfig:
     inits = {k: _parse_init(k, run[k]) for k in ("x0", "y0", "z0") if k in run}
 
     return RunConfig(
-        problem_kind=kind, problem_params=params, noise=noise,
+        problem_kind=prob.get("kind"), problem_params=params, noise=noise,
         algorithm=name, schedule=schedule, schedule_spec=schedule_spec,
         algo_params=algo_params, seeds=seeds,
         max_wall_seconds=_typed(run, "max_wall_seconds", float, math.inf),
@@ -253,46 +257,31 @@ def parse_config(path) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig) -> BilevelProblem:
-    """Instantiate the problem named by a config."""
-    p = cfg.problem_params
+    """Instantiate the problem named by a config.
+
+    The parameters present are typed by ``_PROBLEM_KEYS`` and passed by name
+    to ``random_quadratic_spec`` or ``HypercleanSpec``, so one left out takes
+    its default there.  ``preset = q2`` ignores the size and seed keys;
+    ``unbounded`` fixes ``r = 0``.  Bad input raises ``ConfigurationError``.
+    """
+    kind = cfg.problem_kind
+    p = {k: _typed(cfg.problem_params, k, typ)
+         for k, typ in _PROBLEM_KEYS[kind].items() if k in cfg.problem_params}
+    preset = p.pop("preset", None)
+    if preset not in (None, "q2"):
+        raise ConfigurationError(f"unknown {kind} preset {preset!r}")
     try:
-        if cfg.problem_kind == "quadratic":
-            if p.get("preset") == "q2":
+        if kind == "hyperclean":
+            return make_hyperclean(HypercleanSpec(**p), cfg.noise)
+        if kind == "quadratic":
+            if preset == "q2":
                 return make_q2(cfg.noise)
-            if "preset" in p:
-                raise ConfigurationError(f"unknown quadratic preset {p['preset']!r}")
-            spec = random_quadratic_spec(
-                _typed(p, "dim_x", int), _typed(p, "dim_y", int),
-                _typed(p, "seed", int),
-                mu=_typed(p, "mu", float, 1.0), l_g1=_typed(p, "l_g1", float, 2.0),
-                r=_typed(p, "r", float, 1.0))
-            return make_quadratic(spec, cfg.noise)
-        if cfg.problem_kind == "unbounded":
-            if p.get("preset") == "q2":
-                core = q2_spec()
-            else:
-                if "preset" in p:
-                    raise ConfigurationError(f"unknown unbounded preset {p['preset']!r}")
-                core = random_quadratic_spec(
-                    _typed(p, "dim_x", int), _typed(p, "dim_y", int),
-                    _typed(p, "seed", int),
-                    mu=_typed(p, "mu", float, 1.0),
-                    l_g1=_typed(p, "l_g1", float, 2.0), r=0.0)
-            return make_unbounded_smooth(
-                UnboundedSmoothSpec(a=_typed(p, "a", float, 1.0), core=core),
-                cfg.noise)
-        if cfg.problem_kind == "hyperclean":
-            spec = HypercleanSpec(
-                n_train=_typed(p, "n_train", int),
-                n_val=_typed(p, "n_val", int),
-                feature_dim=_typed(p, "feature_dim", int),
-                corruption_rate=_typed(p, "corruption_rate", float),
-                reg=_typed(p, "reg", float, 0.1),
-                seed=_typed(p, "seed", int, 0))
-            return make_hyperclean(spec, cfg.noise)
+            return make_quadratic(random_quadratic_spec(**p), cfg.noise)
+        a = p.pop("a", 1.0)   # the one kind left: unbounded
+        core = q2_spec() if preset == "q2" else random_quadratic_spec(**p, r=0.0)
+        return make_unbounded_smooth(UnboundedSmoothSpec(a=a, core=core), cfg.noise)
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(str(exc)) from exc
-    raise ConfigurationError(f"unknown problem kind {cfg.problem_kind!r}")
 
 
 def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
@@ -320,9 +309,6 @@ def _broadcast(v, dim: int, default: float) -> Vec:
     return arr
 
 
-ALGORITHMS = ("slip", "masoba", "doubleloop", "ttsa")
-
-
 def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
                 cfg: RunConfig, seed: int) -> tuple[Trace, dict]:
     meta = problem.metadata
@@ -335,46 +321,28 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
     metrics = default_metrics(problem)
     t_start = time.monotonic()
     deadline = t_start + cfg.max_wall_seconds
-    runner = {
-        "slip": lambda: slip_run(problem, schedule, x0, y0, z0, seed,
-                                 deadline=deadline, metrics=metrics),
-        "masoba": lambda: masoba_run(problem, schedule, x0, y0, z0, seed,
-                                     deadline=deadline, metrics=metrics),
-        "doubleloop": lambda: double_loop_run(
-            problem, schedule, cfg.algo_params.get("refine_interval", 2),
-            cfg.algo_params.get("refine_steps", 3), x0, y0, z0, seed,
-            deadline=deadline, metrics=metrics),
-        "ttsa": lambda: ttsa_run(
-            problem, schedule, x0, y0, z0, seed,
-            eta_exponent=cfg.algo_params.get("eta_exponent", 0.6),
-            alpha_exponent=cfg.algo_params.get("alpha_exponent", 0.4),
-            deadline=deadline, metrics=metrics),
-    }[cfg.algorithm]
+    # looked up at each run, so a runner patched onto this module is used;
+    # an algorithm's keys go in as positional arguments after the schedule
+    runner = {"slip": slip_run, "masoba": masoba_run,
+              "doubleloop": double_loop_run, "ttsa": ttsa_run}[cfg.algorithm]
     info: dict = {"seed": seed, "status": "OK", "aborted_at": None}
     try:
-        state, trace = runner()
+        _, trace = runner(problem, schedule, *cfg.algo_params.values(),
+                          x0, y0, z0, seed, deadline=deadline, metrics=metrics)
     except RunAborted as exc:
         trace = exc.trace
+        info["status"] = exc.status
         info["aborted_at"] = exc.t
         cause = exc.__cause__   # the exception that stopped the run
         info["reason"] = f"{type(cause).__name__}: {cause}"
-        if isinstance(exc, NumericalDivergenceError):
-            info["status"] = "FAILED"
-        elif isinstance(exc, RunError):
-            info["status"] = "ERROR"
+        if exc.status == "ERROR":
             logger.error("seed %d ended ERROR at iteration %d: %s", seed,
                          exc.t, info["reason"], exc_info=cause)
-        else:
-            info["status"] = "TIMEOUT"
     info["wall_seconds"] = time.monotonic() - t_start
     if trace.records:
-        last = trace.records[-1]
-        info["final"] = {c: getattr(last, c)
-                         for c in ("t", "grad_norm", "y_err", "z_err",
-                                   "eps_err", "phi")}
-        info["calls"] = {c: getattr(last, c)
-                         for c in ("calls_gxF", "calls_gyF", "calls_gyG",
-                                   "calls_hxy", "calls_hyy")}
+        final = dict(zip(COLUMNS, trace.records[-1]))
+        calls = {c: final.pop(c) for c in COLUMNS if c.startswith("calls_")}
+        info["final"], info["calls"] = final, calls
     return trace, info
 
 
@@ -493,11 +461,18 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     Closed-form by default (no optimization runs): reports the scheduled
     iteration count and total oracle calls per eps, marks inadmissible
     entries SKIPPED with the binding ceiling term, and fits the slope of
-    ``log T`` against ``log(1/eps)``.  With ``execute=True`` each admissible
-    eps is actually run and the average final gradient norm recorded.
+    ``log T`` against ``log(1/eps)``.  The total is ``T0 + 5T``, the count
+    of ``slip`` and ``masoba``; any other algorithm is rejected.  With
+    ``execute=True`` each admissible eps is actually run and the final
+    gradient norm averaged over the seeds that ended ``OK`` (left empty when
+    none did).
     """
     if cfg.schedule_spec is None:
         raise ConfigurationError("sweep requires a theorem-mode schedule")
+    if cfg.algorithm not in ("slip", "masoba"):
+        raise ConfigurationError(
+            f"sweep counts oracle calls as T0 + 5T, which holds for slip and "
+            f"masoba only, not {cfg.algorithm}")
     problem = build_problem(cfg)
     rows: list[SweepRow] = []
     for eps in eps_list:
@@ -516,11 +491,9 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
         total = schedule.T0 + 5 * schedule.T
         avg_gn = None
         if execute:
-            norms = []
-            for seed in cfg.seeds:
-                _, info = _run_single(problem, schedule, sub, seed)
-                if info.get("final", {}).get("grad_norm") is not None:
-                    norms.append(info["final"]["grad_norm"])
+            infos = [_run_single(problem, schedule, sub, seed)[1]
+                     for seed in cfg.seeds]
+            norms = [i["final"]["grad_norm"] for i in infos if i["status"] == "OK"]
             avg_gn = float(np.mean(norms)) if norms else None
         rows.append(SweepRow(eps, "OK", schedule.T, schedule.T0, total,
                              avg_gn, schedule.binding_eps_term))
@@ -610,11 +583,9 @@ def _shipped_instances() -> list[BilevelProblem]:
 def _q2_warmstart_setup():
     """Noisy Q2 (``sigma_g1 = 0.1``), the warm-start step capped for
     ``delta = 0.05``, and the ``T0`` that step needs from ``y0_init = 1``."""
-    sigma_g1, delta = 0.1, 0.05
-    prob = make_q2(NoiseModel.gaussian(0.0, sigma_g1, 0.0))
+    prob = make_q2(NoiseModel.gaussian(0.0, 0.1, 0.0))
     c = prob.constants
-    cap = c.mu / (2048.0 * c.L1 ** 2 * sigma_g1 ** 2 * math.log(math.e / delta))
-    alpha_init = min(1.0 / (2.0 * c.l_g1), cap)
+    alpha_init = warm_start_alpha(c, 0.05)
     dist0 = math.sqrt(2.0)  # ||y0_init - y*(x0)|| for y0_init = 1, x0 = 0
     t0 = warm_start_T0(alpha_init, c.mu, c.L1, dist0)
     return prob, alpha_init, t0, c

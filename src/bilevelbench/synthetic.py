@@ -36,9 +36,9 @@ Vec = np.ndarray
 class QuadraticSpec:
     """g(x,y) = y'Ay/2 - y'(Bx + c),  f(x,y) = ||y - e||^2/2 + r*||x||^2/2.
 
-    ``A`` must be symmetric positive definite.  ``x_box_radius`` declares the
-    compact box ``[-R, R]^dim_x`` over which the bound on ``||grad_y f||`` at
-    the lower-level optimum is reported (the global supremum is infinite).
+    ``A`` must be symmetric positive definite.  The bound on
+    ``||grad_y f||`` at the lower-level optimum is reported over the box
+    ``[-1, 1]^dim_x`` (the global supremum is infinite).
     """
 
     A: np.ndarray
@@ -46,13 +46,10 @@ class QuadraticSpec:
     c: np.ndarray
     e: np.ndarray
     r: float = 0.0
-    x_box_radius: float = 1.0
 
     def __post_init__(self) -> None:
         if self.r < 0:
             raise ConfigurationError(f"r must be non-negative, got {self.r}")
-        if self.x_box_radius <= 0:
-            raise ConfigurationError("x_box_radius must be positive")
 
     @property
     def dim_y(self) -> int:
@@ -86,9 +83,8 @@ def _quadratic_constants(spec: QuadraticSpec, noise: NoiseModel,
             f"||B|| = {b_norm:g} exceeds the declared lower-level smoothness "
             f"l_g1 = {l_g1:g}; rescale the coupling")
     a_inv = np.linalg.inv(spec.A)
-    # sup over the declared box of ||y*(x) - e||, via the operator-norm bound
-    l_f0 = (float(np.linalg.norm(a_inv @ spec.B, 2)) * spec.x_box_radius
-            * math.sqrt(spec.dim_x)
+    # sup over [-1, 1]^dim_x of ||y*(x) - e||, via the operator-norm bound
+    l_f0 = (float(np.linalg.norm(a_inv @ spec.B, 2)) * math.sqrt(spec.dim_x)
             + float(np.linalg.norm(a_inv @ spec.c - spec.e)))
     return derive_constants(SmoothnessConstants(
         mu=mu, l_g1=l_g1, l_g2=0.0, l_f0=l_f0,
@@ -162,7 +158,7 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
         det=det, oracle=StochasticOracle(det, noise),
         analytic=AnalyticOracle(solve),
         constants=consts, name=name,
-        metadata={"kind": "quadratic", "x_box_radius": spec.x_box_radius},
+        metadata={"kind": "quadratic"},
     )
 
 
@@ -201,9 +197,10 @@ def random_quadratic_spec(dim_x: int, dim_y: int, seed: int, *,
 
 
 def random_quadratic(dim_x: int, dim_y: int, seed: int, *,
-                     mu: float = 1.0, l_g1: float = 2.0, r: float = 1.0,
                      noise: NoiseModel = NoiseModel.noiseless()) -> BilevelProblem:
-    spec = random_quadratic_spec(dim_x, dim_y, seed, mu=mu, l_g1=l_g1, r=r)
+    """The quadratic instance of :func:`random_quadratic_spec` at its default
+    ``mu``, ``l_g1`` and ``r``."""
+    spec = random_quadratic_spec(dim_x, dim_y, seed)
     return make_quadratic(spec, noise, name=f"quadratic-{seed}")
 
 

@@ -277,6 +277,46 @@ class TestConfig:
             # the harness computes every metric row from this oracle
             assert prob.analytic is not None
 
+    @pytest.mark.parametrize("change", [
+        {"algorithm": "ttsa", "algo_params": {"eta_exponent": 0.6}},
+        {"algo_params": {"refine_steps": 3}},
+        {"problem_params": {"preset": "q2", "whatever": 3}},
+        {"problem_kind": "hyperclean", "problem_params": {"a": 1.0}},
+        {"problem_kind": "cubic"},
+    ], ids=["ttsa-rate", "slip-refine", "q2-key", "hyperclean-a", "kind"])
+    def test_programmatic_unknown_key_rejected(self, change):
+        fields = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
+                  "noise": bb.NoiseModel.noiseless(), "algorithm": "slip",
+                  "schedule": bb.schedule_practical(
+                      {"alpha": 0.1, "beta": 0.5, "gamma": 0.1, "eta": 0.01,
+                       "T": 5})}
+        with pytest.raises(ConfigurationError, match="unknown"):
+            RunConfig(**(fields | change))
+
+    def test_algorithm_defaults_filled(self):
+        cfg = RunConfig(problem_kind="quadratic", problem_params={"preset": "q2"},
+                        noise=bb.NoiseModel.noiseless(), algorithm="doubleloop",
+                        algo_params={"refine_steps": 5},
+                        schedule=bb.schedule_practical(
+                            {"alpha": 0.1, "beta": 0.5, "gamma": 0.1,
+                             "eta": 0.01, "T": 5}))
+        assert cfg.algo_params == {"refine_interval": 2, "refine_steps": 5}
+
+    @pytest.mark.parametrize("kind,params,key", [
+        ("quadratic", {"dim_y": 2, "seed": 1}, "dim_x"),
+        ("unbounded", {"dim_x": 2, "seed": 1}, "dim_y"),
+        ("hyperclean", {"n_train": 20, "n_val": 20, "corruption_rate": 0.1},
+         "feature_dim"),
+    ])
+    def test_missing_problem_key_named(self, kind, params, key):
+        cfg = RunConfig(problem_kind=kind, problem_params=params,
+                        noise=bb.NoiseModel.noiseless(), algorithm="slip",
+                        schedule=bb.schedule_practical(
+                            {"alpha": 0.1, "beta": 0.5, "gamma": 0.1,
+                             "eta": 0.01, "T": 5}))
+        with pytest.raises(ConfigurationError, match=key):
+            build_problem(cfg)
+
     _LINES = CFG_TEXT.splitlines()
 
     @hyp_settings(max_examples=150, deadline=None)
@@ -500,6 +540,20 @@ class TestSweep:
         assert summary.rows[0].status == "SKIPPED"
         assert summary.rows[0].binding_term is not None
         assert summary.rows[1].status == "OK"
+
+    def test_execute_averages_only_ok_seeds(self):
+        # T is about 3.8e14 at eps 0.2: both seeds end TIMEOUT
+        cfg = dataclasses.replace(self.sweep_cfg(), seeds=[1, 2],
+                                  max_wall_seconds=0.05)
+        row, = sweep_eps(cfg, [0.2], execute=True).rows
+        assert row.status == "OK"
+        assert row.avg_grad_norm is None
+
+    @pytest.mark.parametrize("algorithm", ["doubleloop", "ttsa"])
+    def test_closed_form_only_for_slip_and_masoba(self, algorithm):
+        cfg = dataclasses.replace(self.sweep_cfg(), algorithm=algorithm)
+        with pytest.raises(ConfigurationError, match=algorithm):
+            sweep_eps(cfg, [0.2])
 
     def test_csv_shape(self):
         text = sweep_eps(self.sweep_cfg(), [0.2, 1e9]).to_csv()
