@@ -357,9 +357,15 @@ def ttsa_run(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     Momentum-free, unnormalized upper step with ``eta_t = eta * (t+1)^-0.6``;
     lower-level and linear-system steps decay as ``(t+1)^-0.4`` from
     ``schedule.alpha`` and ``schedule.gamma``.  The two rates are fixed.
-    No warm-start phase: ``schedule.beta`` and ``schedule.T0`` are replaced
-    by 0.
+    No warm-start phase and no momentum: the run follows
+    :func:`ttsa_schedule`.
     """
-    return _run_loop(problem, replace(schedule, beta=0.0, T0=0), x0, y0_init,
-                     z0, seed, normalize=False, decay=(0.6, 0.4),
-                     deadline=deadline, metrics=metrics)
+    return _run_loop(problem, ttsa_schedule(schedule), x0, y0_init, z0, seed,
+                     normalize=False, decay=(0.6, 0.4), deadline=deadline,
+                     metrics=metrics)
+
+
+def ttsa_schedule(schedule: ParamSchedule) -> ParamSchedule:
+    """The schedule :func:`ttsa_run` runs for ``schedule``: its
+    ``beta`` and ``T0`` replaced by 0."""
+    return replace(schedule, beta=0.0, T0=0)

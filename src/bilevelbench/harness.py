@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import (RunAborted, double_loop_run, default_metrics,
-                         masoba_run, slip_run, ttsa_run)
+                         masoba_run, slip_run, ttsa_run, ttsa_schedule)
 from .constants import (ParamSchedule, SchedulingError, schedule_practical,
                         schedule_theorem41, schedule_theorem42,
                         warm_start_alpha, warm_start_T0)
@@ -261,8 +261,9 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
 
     The parameters present are typed by ``_PROBLEM_KEYS`` and passed by name
     to ``random_quadratic_spec`` or ``HypercleanSpec``, so one left out takes
-    its default there.  ``preset = q2`` ignores the size and seed keys;
-    ``unbounded`` fixes ``r = 0``.  Bad input raises ``ConfigurationError``.
+    its default there.  ``preset = q2`` fixes the lower level, so beside
+    it only ``unbounded``'s ``a`` may be set; ``unbounded`` fixes ``r = 0``.
+    Bad input raises ``ConfigurationError``.
     """
     kind = cfg.problem_kind
     p = {k: _typed(cfg.problem_params, k, typ)
@@ -270,6 +271,10 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
     preset = p.pop("preset", None)
     if preset not in (None, "q2"):
         raise ConfigurationError(f"unknown {kind} preset {preset!r}")
+    fixed = sorted(set(p) - {"a"}) if preset == "q2" else []
+    if fixed:
+        raise ConfigurationError(f"preset = q2 fixes the instance; "
+                                 f"remove the [problem] keys {fixed}")
     try:
         if kind == "hyperclean":
             return make_hyperclean(HypercleanSpec(**p), cfg.noise)
@@ -377,6 +382,8 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     schedule = resolve_schedule(cfg, problem)
+    # the metadata records the schedule the runner follows
+    ran = ttsa_schedule(schedule) if cfg.algorithm == "ttsa" else schedule
 
     def job(seed: int):
         # the trace is dropped on return, so one seed's rows are alive at a time
@@ -390,10 +397,9 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
                     "params": cfg.problem_params,
                     "noise": cfg.noise.kind.value},
         "algorithm": {"name": cfg.algorithm, **cfg.algo_params},
-        "schedule": schedule.diagnostics() | {
-            "alpha_init": schedule.alpha_init, "T0": schedule.T0,
-            "alpha": schedule.alpha, "beta": schedule.beta,
-            "gamma": schedule.gamma, "eta": schedule.eta, "T": schedule.T},
+        "schedule": ran.diagnostics() | {
+            "alpha_init": ran.alpha_init, "T0": ran.T0, "alpha": ran.alpha,
+            "beta": ran.beta, "gamma": ran.gamma, "eta": ran.eta, "T": ran.T},
         "seeds": [],
     }
     meta_path = Path(f"{out_prefix}_meta.json")
@@ -538,7 +544,7 @@ def suite_oracles() -> list[CheckResult]:
                                                           float(np.linalg.norm(exact)))
             worst_fd = max(worst_fd, rel)
         x = rng.uniform(-1.0, 1.0, size=dx)
-        ys = inner_solve_exact(prob, x, SolverSettings(tol=1e-12))
+        ys = inner_solve_exact(prob, x, SolverSettings(tol=1e-12)).y
         worst_inner = max(worst_inner, float(np.linalg.norm(
             ys - prob.analytic.y_star(x))))
     results.append(_result(

@@ -90,13 +90,18 @@ class NoiseModel:
 class LowerPoint(NamedTuple):
     """The lower level ``g(x, .)`` at one ``y``, for one bound ``x``.
 
-    ``grad()`` is ``grad_y g(x, y)`` and ``hess()`` the materialized yy
-    block of its Hessian.  Each is computed only when called, from the
-    pieces the two share at ``y``, which are computed once.
+    ``grad()`` is ``grad_y g(x, y)``, ``hess()`` the materialized yy block
+    of its Hessian, and ``hvp_yy(z)`` and ``hvp_xy(z)`` are bit for bit
+    ``hvp_yy_g(x, y, z)`` and ``hvp_xy_g(x, y, z)``.  Each is computed only
+    when called, from the pieces they share at ``y``, which are computed
+    once.  The inner Newton solve returns its converged point.
     """
 
+    y: Vec
     grad: Callable[[], Vec]
     hess: Callable[[], Array]
+    hvp_yy: Callable[[Vec], Vec]
+    hvp_xy: Callable[[Vec], Vec]
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,8 @@ class DeterministicOracle:
     ``z`` (length ``dim_y``).  ``lower_at(x)`` evaluates what depends on
     ``x`` alone once and returns the map ``y -> LowerPoint`` through which
     the Newton solves of :mod:`bilevelbench.verify` iterate; its gradient
-    is bit for bit ``grad_y_g(x, y)``.
+    and its two products are bit for bit ``grad_y_g(x, y)``,
+    ``hvp_yy_g(x, y, .)`` and ``hvp_xy_g(x, y, .)``.
     """
 
     grad_x_f: Callable[[Vec, Vec], Vec]

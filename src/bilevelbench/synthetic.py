@@ -112,7 +112,10 @@ def _quadratic_lower_parts(spec: QuadraticSpec):
 
     def lower_at(x: Vec):
         shift = b @ x + c
-        return lambda y: LowerPoint(grad=lambda: a @ y - shift, hess=a.copy)
+        return lambda y: LowerPoint(
+            y, grad=lambda: a @ y - shift, hess=a.copy,
+            hvp_yy=lambda z: hvp_yy_g(x, y, z),
+            hvp_xy=lambda z: hvp_xy_g(x, y, z))
 
     def lower_solve(x: Vec) -> tuple[Vec, Vec]:
         ys = a_inv @ (b @ x + c)
@@ -328,10 +331,13 @@ def make_hyperclean(spec: HypercleanSpec,
     backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
     1e-10), one inner and one linear solve per call, uncached.  The solvers
     iterate through ``lower_at(x)``, which evaluates ``sigmoid(x)`` and
-    ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins and
-    ``sigmoid(-margins)`` once for both the gradient and the Hessian.
-    The per-sample weights live in dimension ``n_train`` and are meant to be
-    initialized at 1.0.
+    ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins,
+    ``sigmoid(-margins)`` and ``sigmoid(margins)`` once for the gradient,
+    the Hessian and the two Hessian-vector products.  The inner solve's
+    converged point serves the linear solve (its Hessian and residual
+    check) and the hypergradient's mixed product, so one call evaluates
+    ``sigmoid(x)`` once.  The per-sample weights live in dimension
+    ``n_train`` and are meant to be initialized at 1.0.
     """
     feats_tr, lab_tr, feats_val, lab_val, corrupted = _hyperclean_data(spec)
     n_tr, lam = spec.n_train, spec.reg
@@ -340,14 +346,20 @@ def make_hyperclean(spec: HypercleanSpec,
     def _margins(y: Vec) -> Vec:
         return lab_tr * (feats_tr @ y)
 
-    # The lower-level gradient and Hessian from their shared pieces:
-    # ``sx = sigmoid(x)``, ``sx_lab = sx * lab_tr``, the margins ``m`` at y
-    # and ``s = sigmoid(-m)``.
+    # The lower-level derivatives from their shared pieces: ``sx =
+    # sigmoid(x)``, ``sx_lab = sx * lab_tr``, and at y the margins ``m``,
+    # ``s = sigmoid(-m)`` and ``sp = sigmoid(m)``.
     def _grad(sx_lab: Vec, s: Vec, y: Vec) -> Vec:
         return -(feats_tr.T @ (sx_lab * s)) / n_tr + 2.0 * lam * y
 
-    def _hess(sx: Vec, m: Vec, s: Vec) -> np.ndarray:
-        return (feats_tr.T * (sx * sigmoid(m) * s)) @ feats_tr / n_tr + reg_hess
+    def _hess(sx: Vec, sp: Vec, s: Vec) -> np.ndarray:
+        return (feats_tr.T * (sx * sp * s)) @ feats_tr / n_tr + reg_hess
+
+    def _hvp_yy(sx: Vec, sp: Vec, s: Vec, z: Vec) -> Vec:
+        return (feats_tr.T @ (sx * (sp * s) * (feats_tr @ z))) / n_tr + 2.0 * lam * z
+
+    def _hvp_xy(sx: Vec, s: Vec, z: Vec) -> Vec:
+        return sx * (1.0 - sx) * (-(lab_tr * s) * (feats_tr @ z)) / n_tr
 
     def lower(x: Vec, y: Vec) -> float:
         losses = np.logaddexp(0.0, -_margins(y))
@@ -366,19 +378,19 @@ def make_hyperclean(spec: HypercleanSpec,
         def at(y: Vec) -> LowerPoint:
             m = _margins(y)
             s = sigmoid(-m)
-            return LowerPoint(grad=lambda: _grad(sx_lab, s, y),
-                              hess=lambda: _hess(sx, m, s))
+            sp = sigmoid(m)
+            return LowerPoint(y, grad=lambda: _grad(sx_lab, s, y),
+                              hess=lambda: _hess(sx, sp, s),
+                              hvp_yy=lambda z: _hvp_yy(sx, sp, s, z),
+                              hvp_xy=lambda z: _hvp_xy(sx, s, z))
         return at
 
     def hvp_yy_g(x: Vec, y: Vec, z: Vec) -> Vec:
         m = _margins(y)
-        w = sigmoid(m) * sigmoid(-m)
-        return (feats_tr.T @ (sigmoid(x) * w * (feats_tr @ z))) / n_tr + 2.0 * lam * z
+        return _hvp_yy(sigmoid(x), sigmoid(m), sigmoid(-m), z)
 
     def hvp_xy_g(x: Vec, y: Vec, z: Vec) -> Vec:
-        s = sigmoid(-_margins(y))
-        sx = sigmoid(x)
-        return sx * (1.0 - sx) * (-(lab_tr * s) * (feats_tr @ z)) / n_tr
+        return _hvp_xy(sigmoid(x), sigmoid(-_margins(y)), z)
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         return np.zeros(n_tr)
@@ -408,9 +420,9 @@ def make_hyperclean(spec: HypercleanSpec,
     settings = verify.SolverSettings(tol=1e-10, max_iters=200)
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
-        ys = verify.inner_solve_exact(problem, x, settings)
-        zs = verify.solve_linear_system_exact(problem, x, ys, settings)
-        return ys, zs, grad_x_f(x, ys) - hvp_xy_g(x, ys, zs)
+        point = verify.inner_solve_exact(problem, x, settings)
+        zs = verify.solve_linear_system_exact(problem, x, point, settings)
+        return point.y, zs, grad_x_f(x, point.y) - point.hvp_xy(zs)
 
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
                               hvp_yy_g, lower_at)

@@ -9,7 +9,9 @@ with its report per guarantee: the warm-start tail bound
 (:func:`probe_strong_convexity`) and oracle unbiasedness
 (:func:`empirical_unbiasedness_check`).  Both solvers are Newton on the
 materialized lower-level Hessian, read through the x-bound view
-``det.lower_at(x)`` that every problem carries.  They are deliberately
+``det.lower_at(x)`` that every problem carries: the inner solve returns
+its converged ``LowerPoint``, which the linear solve takes in place of
+``y``.  They are deliberately
 independent of the optimizers: they only consume the deterministic maps of
 a problem.  The named suites that run these checkers on fixed instances
 live in :mod:`bilevelbench.harness`, which, like the instances of
@@ -26,8 +28,8 @@ import numpy as np
 
 from .algorithms import sgd_dd
 from .constants import ParamSchedule, SmoothnessConstants
-from .problem import (BilevelProblem, ConfigurationError, NoiseKind,
-                      StochasticOracle, _norm)
+from .problem import (BilevelProblem, ConfigurationError, LowerPoint,
+                      NoiseKind, StochasticOracle, _norm)
 from .samples import Sample, Stream
 from .trace import Trace
 
@@ -62,52 +64,54 @@ class SolverSettings:
 
 def inner_solve_exact(problem: BilevelProblem, x: Vec,
                       settings: SolverSettings = SolverSettings(),
-                      y0: Vec | None = None) -> Vec:
+                      y0: Vec | None = None) -> LowerPoint:
     """Solve the lower-level problem to ``||grad_y g(x, y)|| <= tol``.
 
     Requires a strongly convex lower level.  Runs at most
     ``settings.max_iters`` Newton steps, each a direct solve with the
     materialized Hessian.  ``x`` is bound once through
     ``det.lower_at(x)``; each iterate's gradient and Hessian share one
-    evaluation at that iterate.
+    evaluation at that iterate.  Returns the converged ``LowerPoint``, whose
+    ``y`` is the minimizer, for :func:`solve_linear_system_exact` and the
+    hypergradient to read without evaluating the lower level again.
     """
     lower = problem.det.lower_at(x)
-    y = np.zeros(problem.dim_y) if y0 is None else np.asarray(y0, dtype=float).copy()
-    point = lower(y)
+    point = lower(np.zeros(problem.dim_y) if y0 is None
+                  else np.asarray(y0, dtype=float).copy())
     g = point.grad()
     for _ in range(settings.max_iters):
         if _norm(g) <= settings.tol:
-            return y
-        y = y - np.linalg.solve(point.hess(), g)
-        point = lower(y)
+            return point
+        point = lower(point.y - np.linalg.solve(point.hess(), g))
         g = point.grad()
     gnorm = _norm(g)
     if gnorm <= settings.tol:
-        return y
+        return point
     raise SolverError("inner solve exhausted max_iters", gnorm)
 
 
-def solve_linear_system_exact(problem: BilevelProblem, x: Vec, y: Vec,
+def solve_linear_system_exact(problem: BilevelProblem, x: Vec, point: LowerPoint,
                               settings: SolverSettings = SolverSettings()) -> Vec:
-    """Solve ``hess_yy g(x, y) z = grad_y f(x, y)`` to residual ``tol``.
+    """Solve ``hess_yy g(x, y) z = grad_y f(x, y)`` to residual ``tol`` at
+    ``y = point.y``.
 
-    A direct solve with the Hessian materialized through
-    ``det.lower_at(x)`` (its gradient is never computed) plus up to three
+    ``point`` is ``det.lower_at(x)(y)``, such as the return of
+    :func:`inner_solve_exact`.  A direct solve with the point's
+    materialized Hessian (its gradient is never computed) plus up to three
     steps of iterative refinement.  The returned iterate always satisfies
-    the residual tolerance, re-checked on the Hessian-vector product
-    ``det.hvp_yy_g``, independently of the materialized Hessian, before
-    returning.
+    the residual tolerance, re-checked on the point's Hessian-vector
+    product ``point.hvp_yy``, independently of the materialized Hessian,
+    before returning.
     """
-    det = problem.det
-    b = det.grad_y_f(x, y)
-    h = det.lower_at(x)(y).hess()
+    b = problem.det.grad_y_f(x, point.y)
+    h = point.hess()
     z = np.linalg.solve(h, b)
     for _ in range(3):  # iterative refinement against the tolerance
         r = b - h @ z
         if _norm(r) <= settings.tol:
             break
         z = z + np.linalg.solve(h, r)
-    residual = _norm(det.hvp_yy_g(x, y, z) - b)
+    residual = _norm(point.hvp_yy(z) - b)
     if residual > settings.tol:
         raise SolverError("linear solve missed its tolerance", residual)
     return z
@@ -117,8 +121,10 @@ def finite_diff_hypergrad(problem: BilevelProblem, x: Vec, h: float = 1e-5,
                           settings: SolverSettings | None = None) -> Vec:
     """Central finite differences of ``x -> f(x, y*(x))``, coordinate-wise.
 
-    The inner solves must be tighter than the truncation error:
-    ``settings.tol <= h**2`` is enforced.
+    ``y*`` is the ``y`` of each inner solve's converged point; the solves
+    at ``x +- h e_i`` start from the one at ``x``.  The inner solves must be
+    tighter than the truncation error: ``settings.tol <= h**2`` is
+    enforced.
     """
     if h <= 0:
         raise ConfigurationError(f"h must be positive, got {h}")
@@ -129,10 +135,10 @@ def finite_diff_hypergrad(problem: BilevelProblem, x: Vec, h: float = 1e-5,
             f"inner tolerance {settings.tol:g} too loose for step {h:g}; "
             f"need tol <= h^2 = {h * h:g}")
     x = np.asarray(x, dtype=float)
-    center = inner_solve_exact(problem, x, settings)
+    center = inner_solve_exact(problem, x, settings).y
 
     def phi(xq: Vec) -> float:
-        yq = inner_solve_exact(problem, xq, settings, y0=center)
+        yq = inner_solve_exact(problem, xq, settings, y0=center).y
         return float(problem.upper(xq, yq))
 
     out = np.zeros_like(x)

@@ -293,5 +293,5 @@ def test_hyperclean_inner_solver_budget():
         n_train=200, n_val=200, feature_dim=5, corruption_rate=0.2, reg=0.1,
         seed=7))
     y = inner_solve_exact(prob, np.ones(200),
-                          SolverSettings(tol=1e-10, max_iters=30))
+                          SolverSettings(tol=1e-10, max_iters=30)).y
     assert np.linalg.norm(prob.det.grad_y_g(np.ones(200), y)) <= 1e-10

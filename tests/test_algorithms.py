@@ -27,7 +27,8 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
         hvp_xy_g=lambda x, y, z: np.zeros(dim_x),
         hvp_yy_g=lambda x, y, z: np.zeros(dim_y),
         lower_at=lambda x: lambda y: LowerPoint(
-            grad=lambda: np.zeros(dim_y), hess=lambda: np.zeros((dim_y, dim_y))),
+            y, grad=lambda: np.zeros(dim_y), hess=lambda: np.zeros((dim_y, dim_y)),
+            hvp_yy=lambda z: np.zeros(dim_y), hvp_xy=lambda z: np.zeros(dim_x)),
     )
     # the lower level is flat: every y is a minimizer, and z* = 0
     analytic = AnalyticOracle(

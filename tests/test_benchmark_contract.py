@@ -6,9 +6,10 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bilevelbench as bb
-from bilevelbench import harness
+from bilevelbench import harness, verify
 from bilevelbench.harness import RunConfig
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -72,3 +73,18 @@ def test_tracer_records_hyperclean_solves():
     recorded = {tracer.names[i] for i in np.unique(tracer.columns()["name"])}
     assert {"verify.inner_solve", "verify.linear_solve",
             "problem.grad_y_G"} <= recorded
+
+
+@pytest.mark.parametrize("problem", [
+    bb.make_q2(),
+    bb.make_hyperclean(bb.HypercleanSpec(n_train=30, n_val=30, feature_dim=3,
+                                         corruption_rate=0.2)),
+], ids=lambda problem: problem.name)
+def test_inner_solve_feeds_the_linear_solve(problem):
+    # the per-layer probes hand the inner solve's return straight to the
+    # linear solve
+    x = np.ones(problem.dim_x)
+    z = verify.solve_linear_system_exact(problem, x,
+                                         verify.inner_solve_exact(problem, x))
+    assert z.shape == (problem.dim_y,)
+    assert np.isfinite(z).all()

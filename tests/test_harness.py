@@ -264,6 +264,7 @@ class TestConfig:
                 ("quadratic", {"preset": "q2"}),
                 ("quadratic", {"dim_x": 2, "dim_y": 3, "seed": 1}),
                 ("unbounded", {"preset": "q2"}),
+                ("unbounded", {"preset": "q2", "a": 2.0}),
                 ("unbounded", {"a": 1.0, "dim_x": 2, "dim_y": 2, "seed": 1}),
                 ("hyperclean", {"n_train": 20, "n_val": 20, "feature_dim": 2,
                                 "corruption_rate": 0.1, "seed": 1})):
@@ -310,6 +311,21 @@ class TestConfig:
     ])
     def test_missing_problem_key_named(self, kind, params, key):
         cfg = RunConfig(problem_kind=kind, problem_params=params,
+                        noise=bb.NoiseModel.noiseless(), algorithm="slip",
+                        schedule=bb.schedule_practical(
+                            {"alpha": 0.1, "beta": 0.5, "gamma": 0.1,
+                             "eta": 0.01, "T": 5}))
+        with pytest.raises(ConfigurationError, match=key):
+            build_problem(cfg)
+
+    @pytest.mark.parametrize("kind,params,key", [
+        ("quadratic", {"dim_x": 5}, "dim_x"),
+        ("quadratic", {"r": 2.0}, "r"),
+        ("unbounded", {"a": 2.0, "seed": 9}, "seed"),
+    ])
+    def test_preset_rejects_instance_keys(self, kind, params, key):
+        cfg = RunConfig(problem_kind=kind,
+                        problem_params={"preset": "q2", **params},
                         noise=bb.NoiseModel.noiseless(), algorithm="slip",
                         schedule=bb.schedule_practical(
                             {"alpha": 0.1, "beta": 0.5, "gamma": 0.1,
@@ -496,6 +512,15 @@ class TestRunExperiment:
                           np.zeros(2), np.ones(2), np.zeros(2), 2)
         assert res.trace_paths[0].read_bytes() == trace_to_csv(trace).encode()
         assert res.metadata["algorithm"] == {"name": name, **cfg.algo_params}
+
+    def test_ttsa_metadata_records_the_schedule_run(self, tmp_path):
+        # ttsa_run has no warm start and no momentum, whatever the config
+        path = tmp_path / "ttsa.cfg"
+        path.write_text(CFG_TEXT.replace("name = slip", "name = ttsa")
+                        .replace("seeds = 1, 2, 3", "seeds = 2"))
+        res = run_experiment(parse_config(path), tmp_path / "exp")
+        recorded = json.loads(res.metadata_path.read_text())["schedule"]
+        assert (recorded["beta"], recorded["T0"]) == (0.0, 0)
 
     def test_timeout_keeps_partial_trace(self, cfg_file, tmp_path):
         cfg = dataclasses.replace(parse_config(cfg_file), max_wall_seconds=0.0)

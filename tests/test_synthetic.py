@@ -199,18 +199,23 @@ def test_lower_at_agrees_with_the_pointwise_maps(prob):
             y = rng.standard_normal(prob.dim_y)
             z = rng.standard_normal(prob.dim_y)
             point = lower(y)
+            assert point.y is y
             np.testing.assert_array_equal(point.grad(), prob.det.grad_y_g(x, y))
             h = point.hess()
             hz = prob.det.hvp_yy_g(x, y, z)
             assert np.linalg.norm(h @ z - hz) <= 1e-12 * np.linalg.norm(hz)
             assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
+            np.testing.assert_array_equal(point.hvp_yy(z), hz)
+            np.testing.assert_array_equal(point.hvp_xy(z),
+                                          prob.det.hvp_xy_g(x, y, z))
 
 
-def test_hyperclean_solve_evaluates_sigmoid_x_once_per_solver(monkeypatch):
-    """One ``analytic.solve`` binds ``x`` once in each Newton solver; the
-    residual check (``hvp_yy_g``) and the hypergradient (``hvp_xy_g``) take
-    one evaluation each.  The inner solve takes three Newton steps here, so
-    one evaluation per gradient and per Hessian would make 10."""
+def test_hyperclean_solve_evaluates_sigmoid_x_once(monkeypatch):
+    """One ``analytic.solve`` binds ``x`` once, in the inner solve, whose
+    converged point serves the linear solve and the hypergradient.  The
+    inner solve takes three Newton steps here, so its four points make
+    eight calls on the margins; with the one on ``x`` and the one in the
+    validation gradient that is 10."""
     prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
     x = np.ones(prob.dim_x)
     on_x = []
@@ -221,4 +226,5 @@ def test_hyperclean_solve_evaluates_sigmoid_x_once_per_solver(monkeypatch):
 
     monkeypatch.setattr(synthetic, "sigmoid", counting)
     prob.analytic.solve(x)
-    assert sum(on_x) == 4
+    assert sum(on_x) == 1
+    assert len(on_x) == 10
