@@ -9,9 +9,9 @@ from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
                         SmoothnessConstants, derive_constants,
                         schedule_practical, schedule_theorem41,
                         schedule_theorem42, warm_start_T0)
-from .problem import (AnalyticOracle, BilevelProblem, ConfigurationError,
-                      DeterministicOracle, LowerPoint, NoiseKind, NoiseModel,
-                      StochasticOracle, hypergrad_estimate)
+from .problem import (BilevelProblem, ConfigurationError, DeterministicOracle,
+                      LowerPoint, NoiseKind, NoiseModel, StochasticOracle,
+                      hypergrad_estimate)
 from .samples import OracleTag, Sample, Stream
 from .synthetic import (HypercleanSpec, QuadraticSpec, UnboundedSmoothSpec,
                         make_hyperclean, make_q2, make_quadratic,
@@ -22,7 +22,7 @@ from .verify import empirical_unbiasedness_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticOracle", "BilevelProblem", "ConfigurationError", "CSV_HEADER",
+    "BilevelProblem", "ConfigurationError", "CSV_HEADER",
     "DeterministicOracle", "HypercleanSpec", "LowerPoint", "NoiseKind",
     "NoiseModel", "NumericalDivergenceError", "OracleCounter", "OracleTag",
     "ParamSchedule", "QuadraticSpec", "RunAborted", "RunError", "Sample",

@@ -22,7 +22,7 @@ the methods they are named after:
 The frozen-x SGD (``sgd_dd``, used for the warm start and the refinement)
 returns only the final lower-level iterate; the ground truth is read only by
 the metric evaluator (``default_metrics``), the loop's one per-iteration
-callback, with one ``analytic.solve`` call per row.
+callback, with one ``problem.solve`` call per row.
 
 A run is strictly sequential; runs with distinct seeds share no mutable
 state and may execute concurrently in separate threads: no problem keeps
@@ -61,8 +61,8 @@ Vec = np.ndarray
 class RunAborted(RuntimeError):
     """A run stopped before its last iteration.
 
-    Carries the iteration ``t`` that stopped it, the partial trace (its
-    ``aborted_at`` set to ``t``) and the state at that point; ``__cause__``
+    Carries the iteration ``t`` that stopped it, the partial trace and the
+    state at that point; ``__cause__``
     is the exception that stopped it.  Row ``t`` is in the trace when it was
     recorded before the abort (a non-finite update, the deadline) and missing
     when an oracle failed while computing it.  Raised as is when the run
@@ -129,11 +129,11 @@ MetricFn = Callable[[int, Vec, Vec, Vec, Vec],
 
 
 def default_metrics(problem: BilevelProblem) -> MetricFn:
-    """Metric evaluator against the problem's analytic ground truth."""
-    analytic = problem.analytic
+    """Metric evaluator against the problem's ground truth ``solve``."""
+    solve = problem.solve
 
     def metrics(t: int, x: Vec, y: Vec, z: Vec, m_next: Vec):
-        ys, zs, gphi = analytic.solve(x)
+        ys, zs, gphi = solve(x)
         return (
             _norm(gphi),
             _norm(y - ys),
@@ -293,7 +293,6 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                                counter_start=warm_counter, calls=calls)
                     warm_counter += extra
     except Exception as exc:
-        trace.aborted_at = t
         state = SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
         if isinstance(exc, (FloatingPointError, OverflowError)):
             raise NumericalDivergenceError(str(exc), t, trace, state) from exc

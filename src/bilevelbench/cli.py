@@ -3,14 +3,16 @@
 Subcommands: ``run`` (execute a config), ``sweep`` (closed-form schedule
 sweep over target accuracies), ``verify`` (the named suites of
 :mod:`bilevelbench.harness`) and ``plot`` (trace metrics to SVG).  Exit
-codes: 0 success, 1 usage or config error (a
+codes: 0 success, 1 usage, config or file error (a
 :class:`~bilevelbench.problem.ConfigurationError`, any unknown config key
-included), 2 run failure (a seed ended ``FAILED`` on a non-finite iterate
-or an oracle overflow, ``TIMEOUT``, or ``ERROR`` on any other exception
-once its run had started; the other seeds still run, and every seed's
-partial trace is written), 3 verification failure.  ``run`` prints each
-seed's status, and after a status other than ``OK`` the seed's reason.
-Seeds run in order; ``[run] workers`` is accepted and has no effect.
+included, or an ``OSError`` such as an output path that cannot be
+written; the seeds written before it keep their files and metadata), 2
+run failure (a seed ended ``FAILED`` on a non-finite iterate or an oracle
+overflow, ``TIMEOUT``, or ``ERROR`` on any other exception once its run
+had started; the other seeds still run, and every seed's partial trace is
+written), 3 verification failure.  ``run`` prints each seed's status, and
+after a status other than ``OK`` the seed's reason.  Seeds run in order;
+``[run] workers`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "plot": _cmd_plot}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, PlotError, FileNotFoundError) as exc:
+    except (ConfigurationError, PlotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -134,22 +134,6 @@ class ParamSchedule:
         if self.T0 < 0:
             raise SchedulingError(f"T0 must be non-negative, got {self.T0}")
 
-    def diagnostics(self) -> dict[str, float | str | None]:
-        return {
-            "mode": self.mode.value,
-            "eps": self.eps,
-            "delta": self.delta,
-            "A": self.A,
-            "B": self.B,
-            "log_A": self.log_A,
-            "log_B": self.log_B,
-            "Delta0": self.Delta0,
-            "Delta_y0": self.Delta_y0,
-            "Delta_z0": self.Delta_z0,
-            "eps_ceiling": self.eps_ceiling,
-            "binding_eps_term": self.binding_eps_term,
-        }
-
 
 def warm_start_T0(alpha_init: float, mu: float, L1: float, dist0: float) -> int:
     """Iteration count bringing the frozen-x lower-level error below 1/(8*sqrt(2)*L1).

@@ -3,12 +3,12 @@
 Config files are INI-style with sections ``[problem]``, ``[algorithm]``,
 ``[schedule]`` and ``[run]``; every key is typed and unknown keys are
 rejected with :class:`~bilevelbench.problem.ConfigurationError`.  The
-algorithm and problem keys are checked by :class:`RunConfig` itself, so a
-config built in code is held to the same keys as a file.  The seeds
-run in order in the calling thread; one CSV trace is written per seed plus
-a single JSON metadata record, and identical configs reproduce the trace
-files byte for byte.  The ``[run] workers`` key is accepted and validated
-but has no effect.
+algorithm and problem keys are checked and typed by :class:`RunConfig`
+itself, so a config built in code is held to the same keys and types as a
+file.  The seeds run in order in the calling thread; one CSV trace is
+written per seed plus a single JSON metadata record, and identical configs
+reproduce the trace files byte for byte.  The ``[run] workers`` key is
+accepted and validated but has no effect.
 
 The named verification suites behind ``bilevelbench verify --suite`` are
 fixed runs, so they live here beside :func:`run_experiment` and
@@ -24,7 +24,7 @@ import logging
 import math
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -35,8 +35,8 @@ from .algorithms import (RunAborted, double_loop_run, default_metrics,
 from .constants import (ParamSchedule, SchedulingError, schedule_practical,
                         schedule_theorem41, schedule_theorem42,
                         warm_start_alpha, warm_start_T0)
-from .problem import (BilevelProblem, ConfigurationError, NoiseModel,
-                      hypergrad_estimate)
+from .problem import (SIGMAS, BilevelProblem, ConfigurationError, NoiseKind,
+                      NoiseModel, hypergrad_estimate)
 from .samples import Sample, Stream, check_range
 from .synthetic import (HypercleanSpec, UnboundedSmoothSpec, make_hyperclean,
                         make_q2, make_quadratic, make_unbounded_smooth,
@@ -52,7 +52,7 @@ logger = logging.getLogger(__name__)
 Vec = np.ndarray
 
 # Each algorithm's [algorithm] keys besides ``name``, with their defaults;
-# a config file's value is parsed to the type of the default.
+# RunConfig types a given value as its default.
 ALGORITHMS = {
     "slip": {},
     "masoba": {},
@@ -61,7 +61,7 @@ ALGORITHMS = {
 }
 
 # Each problem kind's [problem] keys besides ``kind`` and the noise keys,
-# with their types; build_problem passes them on by name.
+# with the types RunConfig gives them; build_problem passes them on by name.
 _PROBLEM_KEYS = {
     "quadratic": {"preset": str, "dim_x": int, "dim_y": int, "seed": int,
                   "mu": float, "l_g1": float, "r": float},
@@ -78,9 +78,11 @@ class RunConfig:
 
     Construction rejects an unknown problem kind or algorithm and any
     ``problem_params`` or ``algo_params`` key the kind or algorithm does
-    not take, and fills ``algo_params`` with the algorithm's defaults from
-    :data:`ALGORITHMS`.  ``workers`` is validated but has no effect: seeds
-    always run in order.
+    not take, fills ``algo_params`` with the defaults of :data:`ALGORITHMS`
+    and types every value, a problem key's by ``_PROBLEM_KEYS`` and an
+    algorithm key's as its default; a fractional number for an integer key
+    is rejected.  ``workers`` is validated but has no effect: seeds always
+    run in order.
     """
 
     problem_kind: str
@@ -110,10 +112,14 @@ class RunConfig:
         if self.problem_kind not in _PROBLEM_KEYS:
             raise ConfigurationError(f"unknown problem kind {self.problem_kind!r}; "
                                      f"choose from {sorted(_PROBLEM_KEYS)}")
-        unknown = set(self.problem_params) - set(_PROBLEM_KEYS[self.problem_kind])
+        key_types = _PROBLEM_KEYS[self.problem_kind]
+        unknown = set(self.problem_params) - set(key_types)
         if unknown:
             raise ConfigurationError(f"unknown [problem] keys for "
                                      f"kind={self.problem_kind}: {sorted(unknown)}")
+        object.__setattr__(self, "problem_params", {
+            k: _typed(self.problem_params, k, key_types[k])
+            for k in self.problem_params})
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose from {sorted(ALGORITHMS)}")
@@ -122,7 +128,9 @@ class RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown [algorithm] keys for "
                                      f"{self.algorithm}: {sorted(unknown)}")
-        object.__setattr__(self, "algo_params", {**defaults, **self.algo_params})
+        params = {**defaults, **self.algo_params}
+        object.__setattr__(self, "algo_params", {
+            k: _typed(params, k, type(v)) for k, v in defaults.items()})
         if self.schedule is None and self.schedule_spec is None:
             raise ConfigurationError("a schedule (or schedule spec) is required")
         if self.workers < 1:
@@ -131,7 +139,6 @@ class RunConfig:
 
 # ---------------------------------------------------------------- config IO
 
-_NOISE_KEYS = ("noise", "sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")
 # the keys of both theorem modes; schedule_practical checks its own
 _THEOREM_KEYS = {"eps", "delta", "delta0", "delta_y0", "delta_z0", "grad_phi_x0"}
 _RUN_KEYS = {"seeds", "out", "max_wall_seconds", "x0", "y0", "z0", "workers"}
@@ -144,28 +151,23 @@ def _typed(section: dict, key: str, kind, default=None):
         return default
     raw = section[key]
     try:
-        return kind(raw)
-    except ValueError as exc:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"key {key!r} is not a valid {kind.__name__}: {raw!r}") \
             from exc
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        # int() would truncate it
+        raise ConfigurationError(f"key {key!r} is not a whole number: {raw!r}")
+    return value
 
 
 def _parse_noise(section: dict) -> NoiseModel:
-    kind = section.get("noise", "noiseless")
-    sig = {k: _typed(section, k, float, 0.0)
-           for k in ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")}
-    if kind == "noiseless":
-        if any(v != 0.0 for v in sig.values()):
-            raise ConfigurationError("noiseless model cannot declare sigmas")
-        return NoiseModel.noiseless()
-    if kind == "gaussian":
-        if sig["sigma_z"] != 0.0:
-            raise ConfigurationError("sigma_z applies to the bounded model only")
-        return NoiseModel.gaussian(sig["sigma_f1"], sig["sigma_g1"], sig["sigma_g2"])
-    if kind == "bounded":
-        return NoiseModel.bounded(sig["sigma_f1"], sig["sigma_g1"],
-                                  sig["sigma_g2"], sig["sigma_z"])
-    raise ConfigurationError(f"unknown noise model {kind!r}")
+    """The ``noise`` kind and its sigmas; :class:`NoiseModel` checks them."""
+    try:
+        kind = NoiseKind(section.get("noise", "noiseless"))
+    except ValueError as exc:
+        raise ConfigurationError(f"unknown noise model {section['noise']!r}") from exc
+    return NoiseModel(kind, **{k: _typed(section, k, float, 0.0) for k in SIGMAS})
 
 
 def _parse_init(key: str, raw: str) -> float | list[float]:
@@ -195,14 +197,11 @@ def parse_config(path) -> RunConfig:
     prob = dict(parser["problem"])
     noise = _parse_noise(prob)
     params = {k: v for k, v in prob.items()
-              if k not in ("kind", *_NOISE_KEYS)}
+              if k not in ("kind", "noise", *SIGMAS)}
 
-    # RunConfig rejects an unknown name or key; a known key is typed here
-    algo = dict(parser["algorithm"])
-    name = algo.pop("name", None)
-    defaults = ALGORITHMS.get(name, {})
-    algo_params = {k: _typed(algo, k, type(defaults[k])) if k in defaults else v
-                   for k, v in algo.items()}
+    # RunConfig rejects an unknown name or key and types the known ones
+    algo_params = dict(parser["algorithm"])
+    name = algo_params.pop("name", None)
 
     sched = dict(parser["schedule"])
     mode = sched.pop("mode", None)
@@ -259,15 +258,14 @@ def parse_config(path) -> RunConfig:
 def build_problem(cfg: RunConfig) -> BilevelProblem:
     """Instantiate the problem named by a config.
 
-    The parameters present are typed by ``_PROBLEM_KEYS`` and passed by name
+    The parameters present, typed by :class:`RunConfig`, are passed by name
     to ``random_quadratic_spec`` or ``HypercleanSpec``, so one left out takes
     its default there.  ``preset = q2`` fixes the lower level, so beside
     it only ``unbounded``'s ``a`` may be set; ``unbounded`` fixes ``r = 0``.
     Bad input raises ``ConfigurationError``.
     """
     kind = cfg.problem_kind
-    p = {k: _typed(cfg.problem_params, k, typ)
-         for k, typ in _PROBLEM_KEYS[kind].items() if k in cfg.problem_params}
+    p = dict(cfg.problem_params)
     preset = p.pop("preset", None)
     if preset not in (None, "q2"):
         raise ConfigurationError(f"unknown {kind} preset {preset!r}")
@@ -344,6 +342,7 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
             logger.error("seed %d ended ERROR at iteration %d: %s", seed,
                          exc.t, info["reason"], exc_info=cause)
     info["wall_seconds"] = time.monotonic() - t_start
+    info["skipped_steps"] = len(trace.skipped_steps)
     if trace.records:
         final = dict(zip(COLUMNS, trace.records[-1]))
         calls = {c: final.pop(c) for c in COLUMNS if c.startswith("calls_")}
@@ -395,11 +394,10 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     metadata = {
         "problem": {"kind": cfg.problem_kind, "name": problem.name,
                     "params": cfg.problem_params,
-                    "noise": cfg.noise.kind.value},
+                    "noise": cfg.noise.kind.value,
+                    **{s: getattr(cfg.noise, s) for s in SIGMAS}},
         "algorithm": {"name": cfg.algorithm, **cfg.algo_params},
-        "schedule": ran.diagnostics() | {
-            "alpha_init": ran.alpha_init, "T0": ran.T0, "alpha": ran.alpha,
-            "beta": ran.beta, "gamma": ran.gamma, "eta": ran.eta, "T": ran.T},
+        "schedule": asdict(ran) | {"mode": ran.mode.value},
         "seeds": [],
     }
     meta_path = Path(f"{out_prefix}_meta.json")
@@ -527,7 +525,7 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def suite_oracles() -> list[CheckResult]:
-    """Ground-truth consistency: analytic vs finite differences, fixed points."""
+    """Ground-truth consistency: ``solve`` vs finite differences, fixed points."""
     results = []
     rng = np.random.default_rng(20240501)
     worst_fd = 0.0
@@ -538,7 +536,7 @@ def suite_oracles() -> list[CheckResult]:
         prob = random_quadratic(dx, dy, seed=1000 + k)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, size=dx)
-            exact = prob.analytic.hypergrad(x)
+            exact = prob.solve(x)[2]
             fd = finite_diff_hypergrad(prob, x)
             rel = float(np.linalg.norm(fd - exact)) / max(1e-30,
                                                           float(np.linalg.norm(exact)))
@@ -546,7 +544,7 @@ def suite_oracles() -> list[CheckResult]:
         x = rng.uniform(-1.0, 1.0, size=dx)
         ys = inner_solve_exact(prob, x, SolverSettings(tol=1e-12)).y
         worst_inner = max(worst_inner, float(np.linalg.norm(
-            ys - prob.analytic.y_star(x))))
+            ys - prob.solve(x)[0])))
     results.append(_result(
         "hypergrad-finite-difference",
         worst_fd <= 1e-4,
@@ -559,7 +557,7 @@ def suite_oracles() -> list[CheckResult]:
     for prob in _shipped_instances():
         for j in range(5):
             x = np.random.default_rng(77 + j).uniform(-0.5, 0.5, size=prob.dim_x)
-            ys, zs, gphi = prob.analytic.solve(x)
+            ys, zs, gphi = prob.solve(x)
             est = hypergrad_estimate(
                 x, ys, zs, Sample(Stream.XI_PRIME, j, 3), Sample(Stream.ZETA_PRIME, j, 3),
                 prob.oracle)

@@ -3,13 +3,12 @@
 A :class:`BilevelProblem` bundles the two deterministic objectives, their
 deterministic first/second-order maps (including an x-bound view of the
 lower level that materializes its Hessian), the five stochastic oracles
-built from them by an additive noise model, the ground truth (exact
-lower-level minimizer, linear-system solution and hypergradient) used only
-for verification and metrics, and the declared smoothness constants.
-Every problem carries all three: there is no path for a problem without
-them.  The checkers that
-test a problem's oracles against these maps live in
-:mod:`bilevelbench.verify`.
+built from them by an additive noise model, the ground truth ``solve``
+(exact lower-level minimizer, linear-system solution and hypergradient
+from one call) used only for verification and metrics, and the declared
+smoothness constants.  Every problem carries all three: there is no path
+for a problem without them.  The checkers that test a problem's oracles
+against these maps live in :mod:`bilevelbench.verify`.
 
 All oracle and ground-truth evaluations are pure functions of (point,
 sample) or of the point: no problem keeps shared mutable state, and each
@@ -38,6 +37,10 @@ class ConfigurationError(ValueError):
     config key or value (CLI exit code 1)."""
 
 
+# the four noise levels of a NoiseModel, in field order
+SIGMAS = ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")
+
+
 class NoiseKind(enum.Enum):
     NOISELESS = "noiseless"
     GAUSSIAN = "gaussian"          # bounded variance, light-tailed
@@ -56,6 +59,8 @@ class NoiseModel:
     ``sigma_z`` (the noise enters after multiplication by ``z``).  The
     lower-level gradient keeps Gaussian noise in both models: its contract
     is a sub-Gaussian tail, which the Gaussian satisfies exactly.
+    Construction rejects a negative sigma, any nonzero sigma under
+    ``noiseless`` and a nonzero ``sigma_z`` under ``gaussian``.
     """
 
     kind: NoiseKind = NoiseKind.NOISELESS
@@ -78,13 +83,14 @@ class NoiseModel:
         return NoiseModel(NoiseKind.BOUNDED, sigma_f1, sigma_g1, sigma_g2, sigma_z)
 
     def __post_init__(self) -> None:
-        for name in ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z"):
+        for name in SIGMAS:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
         if self.kind is NoiseKind.NOISELESS and any(
-                getattr(self, n) != 0 for n in
-                ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")):
+                getattr(self, n) != 0 for n in SIGMAS):
             raise ConfigurationError("noiseless model must have all sigmas zero")
+        if self.kind is NoiseKind.GAUSSIAN and self.sigma_z != 0:
+            raise ConfigurationError("sigma_z applies to the bounded model only")
 
 
 class LowerPoint(NamedTuple):
@@ -208,30 +214,14 @@ class StochasticOracle:
 
 
 @dataclass(frozen=True)
-class AnalyticOracle:
-    """Exact ground truth for verification.
-
-    ``solve(x)`` returns ``(y*(x), z*(x), grad Phi(x))`` from one
-    computation; the two accessors below each return one of them.
-    """
-
-    solve: Callable[[Vec], tuple[Vec, Vec, Vec]]
-
-    def y_star(self, x: Vec) -> Vec:
-        return self.solve(x)[0]
-
-    def hypergrad(self, x: Vec) -> Vec:
-        return self.solve(x)[2]
-
-
-@dataclass(frozen=True)
 class BilevelProblem:
     """One problem instance.
 
     ``upper``/``lower`` are the deterministic objectives f and g; ``det``
     their exact derivative maps; ``oracle`` the stochastic view used by the
-    optimizers; ``analytic`` the ground truth; ``constants`` the declared
-    smoothness constants of the instance.
+    optimizers; ``solve(x)`` the ground truth ``(y*(x), z*(x), grad Phi(x))``
+    from one computation; ``constants`` the declared smoothness constants
+    of the instance.
     """
 
     dim_x: int
@@ -240,7 +230,7 @@ class BilevelProblem:
     lower: Callable[[Vec, Vec], float]
     det: DeterministicOracle
     oracle: StochasticOracle
-    analytic: AnalyticOracle
+    solve: Callable[[Vec], tuple[Vec, Vec, Vec]]
     constants: SmoothnessConstants
     name: str = "problem"
     metadata: dict = field(default_factory=dict)
@@ -249,10 +239,6 @@ class BilevelProblem:
         if self.dim_x < 1 or self.dim_y < 1:
             raise ConfigurationError(
                 f"dimensions must be positive, got ({self.dim_x}, {self.dim_y})")
-
-    def phi(self, x: Vec) -> float:
-        """Composed objective f(x, y*(x))."""
-        return float(self.upper(x, self.analytic.y_star(x)))
 
 
 def hypergrad_estimate(x: Vec, y: Vec, z: Vec, s1: Sample, s2: Sample,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import verify
 from .constants import SmoothnessConstants, derive_constants
-from .problem import (AnalyticOracle, BilevelProblem, ConfigurationError,
+from .problem import (SIGMAS, BilevelProblem, ConfigurationError,
                       DeterministicOracle, LowerPoint, NoiseModel,
                       StochasticOracle)
 
@@ -89,8 +89,7 @@ def _quadratic_constants(spec: QuadraticSpec, noise: NoiseModel,
     return derive_constants(SmoothnessConstants(
         mu=mu, l_g1=l_g1, l_g2=0.0, l_f0=l_f0,
         L_x0=L_x0, L_x1=L_x1, L_y0=1.0, L_y1=0.0,
-        sigma_f1=noise.sigma_f1, sigma_g1=noise.sigma_g1,
-        sigma_g2=noise.sigma_g2, sigma_z=noise.sigma_z,
+        **{s: getattr(noise, s) for s in SIGMAS},
     ))
 
 
@@ -159,7 +158,7 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
     return BilevelProblem(
         dim_x=spec.dim_x, dim_y=spec.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
-        analytic=AnalyticOracle(solve),
+        solve=solve,
         constants=consts, name=name,
         metadata={"kind": "quadratic"},
     )
@@ -267,7 +266,7 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     return BilevelProblem(
         dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
-        analytic=AnalyticOracle(solve),
+        solve=solve,
         constants=base, name="unbounded",
         metadata={"kind": "unbounded", "a": a_rate, "x_max": x_max},
     )
@@ -327,8 +326,8 @@ def make_hyperclean(spec: HypercleanSpec,
                     ) -> BilevelProblem:
     """Build the hypercleaning instance.
 
-    There is no closed-form lower-level minimizer; the analytic oracle is
-    backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
+    There is no closed-form lower-level minimizer; the problem's ``solve``
+    is backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
     1e-10), one inner and one linear solve per call, uncached.  The solvers
     iterate through ``lower_at(x)``, which evaluates ``sigmoid(x)`` and
     ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins,
@@ -410,11 +409,10 @@ def make_hyperclean(spec: HypercleanSpec,
         l_f0=float(np.mean(val_norms)),
         L_x0=0.0, L_x1=0.0,
         L_y0=0.25 * float(np.mean(val_norms ** 2)), L_y1=0.0,
-        sigma_f1=noise.sigma_f1, sigma_g1=noise.sigma_g1,
-        sigma_g2=noise.sigma_g2, sigma_z=noise.sigma_z,
+        **{s: getattr(noise, s) for s in SIGMAS},
     ))
 
-    # Analytic oracle backed by the deterministic solvers, read as module
+    # The ground truth from the deterministic solvers, read as module
     # attributes at each call so that a wrapper patched onto them sees every
     # solve.
     settings = verify.SolverSettings(tol=1e-10, max_iters=200)
@@ -429,7 +427,7 @@ def make_hyperclean(spec: HypercleanSpec,
     problem = BilevelProblem(
         dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
-        analytic=AnalyticOracle(solve),
+        solve=solve,
         constants=consts, name="hyperclean",
         # per-sample weights start at 1.0; model parameters at zero
         metadata={"kind": "hyperclean", "corrupted_indices": corrupted,

@@ -1,6 +1,7 @@
 """Per-iteration trace records and their CSV encoding.
 
-The CSV header is a stable external contract:
+The CSV header, the fields of :class:`TraceRecord` in order, is a stable
+external contract:
 ``t,grad_norm,y_err,z_err,eps_err,phi,calls_gxF,calls_gyF,calls_gyG,calls_hxy,calls_hyy``.
 Missing metrics are written as empty fields, never as omitted columns.
 Float fields use the shortest round-tripping decimal form, so parsing a
@@ -21,13 +22,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-CSV_HEADER = ("t,grad_norm,y_err,z_err,eps_err,phi,"
-              "calls_gxF,calls_gyF,calls_gyG,calls_hxy,calls_hyy")
-
-_METRIC_COLUMNS = ("grad_norm", "y_err", "z_err", "eps_err", "phi")
-_CALL_COLUMNS = ("calls_gxF", "calls_gyF", "calls_gyG", "calls_hxy", "calls_hyy")
-COLUMNS = ("t",) + _METRIC_COLUMNS + _CALL_COLUMNS
 
 
 class TraceRecord(NamedTuple):
@@ -50,8 +44,11 @@ class TraceRecord(NamedTuple):
     calls_hyy: int
 
 
+# the CSV columns are the record's fields, in order
+COLUMNS = TraceRecord._fields
+CSV_HEADER = ",".join(COLUMNS)
 # the metrics that are norms or errors, at positions 1-4 of a row
-_NONNEGATIVE = _METRIC_COLUMNS[:4]
+_NONNEGATIVE = COLUMNS[1:5]
 
 
 @dataclass
@@ -63,7 +60,6 @@ class Trace:
 
     records: list[TraceRecord] = field(default_factory=list)
     skipped_steps: list[int] = field(default_factory=list)
-    aborted_at: int | None = None
 
     def __post_init__(self) -> None:
         # rows given to the constructor pass the same checks as appended ones
@@ -149,17 +145,10 @@ def trace_from_csv(text: str) -> Trace:
         parts = line.split(",")
         if len(parts) != len(COLUMNS):
             raise ValueError(f"bad trace row: {line!r}")
-        trace.append(TraceRecord(
-            t=int(parts[0]),
-            grad_norm=_parse_opt_float(parts[1]),
-            y_err=_parse_opt_float(parts[2]),
-            z_err=_parse_opt_float(parts[3]),
-            eps_err=_parse_opt_float(parts[4]),
-            phi=_parse_opt_float(parts[5]),
-            calls_gxF=int(parts[6]), calls_gyF=int(parts[7]),
-            calls_gyG=int(parts[8]), calls_hxy=int(parts[9]),
-            calls_hyy=int(parts[10]),
-        ))
+        # by position: t, the five metrics, the five call counts
+        trace.append(TraceRecord(int(parts[0]),
+                                 *map(_parse_opt_float, parts[1:6]),
+                                 *map(int, parts[6:])))
     return trace
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algorithms import sgd_dd
 from .constants import ParamSchedule, SmoothnessConstants
-from .problem import (BilevelProblem, ConfigurationError, LowerPoint,
+from .problem import (SIGMAS, BilevelProblem, ConfigurationError, LowerPoint,
                       NoiseKind, StochasticOracle, _norm)
 from .samples import Sample, Stream
 from .trace import Trace
@@ -185,7 +185,7 @@ def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
     x0 = np.zeros(problem.dim_x)
     y0_init = (np.ones(problem.dim_y) if y0_init is None
                else np.asarray(y0_init, dtype=float))
-    ystar = problem.analytic.y_star(x0)
+    ystar = problem.solve(x0)[0]
     threshold = math.inf if L1 == 0 else 1.0 / (8.0 * math.sqrt(2.0) * L1)
     violations = 0
     for s in range(n_seeds):
@@ -228,7 +228,7 @@ def check_bias_decomposition(problem: BilevelProblem,
     det = problem.det
     max_ratio = 0.0
     for x, y, z in points:
-        ys, zs, gphi = problem.analytic.solve(x)
+        ys, zs, gphi = problem.solve(x)
         y_err = float(np.linalg.norm(y - ys))
         z_err = float(np.linalg.norm(z - zs))
         ghat = det.grad_x_f(x, y) - det.hvp_xy_g(x, y, z)
@@ -293,15 +293,13 @@ class TrackingReport:
 
 def bound_check_tracking(traces: Sequence[Trace],
                          schedule: ParamSchedule, c: SmoothnessConstants,
-                         delta: float, *,
-                         bound_scale: float = 1.0) -> TrackingReport:
+                         delta: float) -> TrackingReport:
     """Check the all-iterations tracking bound across a seed ensemble.
 
     A seed violates when any of its iterations exceeds the bound; PASS when
     the violating fraction stays within ``delta`` plus a two-sigma binomial
     margin.  The drift radius is the upper-level step length
-    ``schedule.eta``.  ``bound_scale`` inflates the bound (used by
-    monotonicity tests).  A trace with no rows or an empty ``y_err`` column
+    ``schedule.eta``.  A trace with no rows or an empty ``y_err`` column
     raises ``ConfigurationError``.
     """
     if len(traces) < 50:
@@ -314,7 +312,7 @@ def bound_check_tracking(traces: Sequence[Trace],
         d0_sq = vals[0] ** 2
         horizon = len(vals)
         violated = any(
-            vals[t] ** 2 > bound_scale * tracking_bound(
+            vals[t] ** 2 > tracking_bound(
                 t, d0_sq, schedule.alpha, schedule.eta, c, horizon, delta)
             for t in range(horizon))
         n_viol += violated
@@ -350,8 +348,7 @@ def empirical_unbiasedness_check(oracle: StochasticOracle, problem: BilevelProbl
     noise = oracle.noise
     names = ("grad_x_F", "grad_y_F", "grad_y_G", "hvp_xy_G", "hvp_yy_G")
     if noise.kind is NoiseKind.NOISELESS or all(
-            getattr(noise, s) == 0.0
-            for s in ("sigma_f1", "sigma_g1", "sigma_g2", "sigma_z")):
+            getattr(noise, s) == 0.0 for s in SIGMAS):
         return UnbiasednessReport(n=n, deviations={k: 0.0 for k in names})
     if n < 100:
         raise ConfigurationError(f"need at least 100 draws, got {n}")

@@ -45,7 +45,7 @@ def test_01_hypergradient_correctness():
         prob = bb.random_quadratic(dx, dy, seed=900 + k)
         for _ in range(10):
             x = rng.uniform(-1.0, 1.0, dx)
-            exact = prob.analytic.hypergrad(x)
+            exact = prob.solve(x)[2]
             fd = finite_diff_hypergrad(prob, x, h=1e-5)
             rel = (np.linalg.norm(fd - exact)
                    / max(1e-30, np.linalg.norm(exact)))
@@ -72,11 +72,11 @@ def test_02_fixed_point_consistency():
         for j in range(5):
             x = np.random.default_rng(50 + j).uniform(-0.5, 0.5, prob.dim_x)
             est = bb.hypergrad_estimate(
-                x, prob.analytic.y_star(x), prob.analytic.solve(x)[1],
+                x, prob.solve(x)[0], prob.solve(x)[1],
                 Sample(Stream.XI_PRIME, j, 1), Sample(Stream.ZETA_PRIME, j, 1),
                 prob.oracle)
             worst = max(worst, float(np.linalg.norm(
-                est - prob.analytic.hypergrad(x))))
+                est - prob.solve(x)[2])))
     assert worst <= 1e-10
     _report(2, f"max deviation {worst:.3e} across all shipped instances")
 
@@ -162,7 +162,7 @@ def test_07_benchmark_convergence_golden_trace():
     state, trace = bb.slip_run(prob, pinned_schedule(), np.zeros(2),
                                np.ones(2), np.zeros(2), seed=0)
     elapsed = time.perf_counter() - start
-    grad_norm = float(np.linalg.norm(prob.analytic.hypergrad(state.x)))
+    grad_norm = float(np.linalg.norm(prob.solve(state.x)[2]))
     assert grad_norm <= 0.02
     assert elapsed < 2.0
     golden = (GOLDEN / "q2_slip_practical_seed0.csv").read_text()

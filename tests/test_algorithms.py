@@ -10,8 +10,8 @@ import pytest
 import bilevelbench as bb
 from bilevelbench import harness
 from bilevelbench.algorithms import update_z
-from bilevelbench.problem import (AnalyticOracle, DeterministicOracle,
-                                  LowerPoint, StochasticOracle)
+from bilevelbench.problem import (DeterministicOracle, LowerPoint,
+                                  StochasticOracle)
 from bilevelbench.samples import Sample, Stream
 from bilevelbench.synthetic import random_quadratic_spec
 from bilevelbench.trace import trace_to_csv
@@ -31,13 +31,12 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
             hvp_yy=lambda z: np.zeros(dim_y), hvp_xy=lambda z: np.zeros(dim_x)),
     )
     # the lower level is flat: every y is a minimizer, and z* = 0
-    analytic = AnalyticOracle(
-        solve=lambda x: (np.zeros(dim_y), np.zeros(dim_y), gx.copy()))
     return bb.BilevelProblem(
         dim_x=dim_x, dim_y=dim_y,
         upper=lambda x, y: 0.0, lower=lambda x, y: 0.0,
         det=det, oracle=StochasticOracle(det, bb.NoiseModel.noiseless()),
-        analytic=analytic, constants=bb.SmoothnessConstants(mu=0.0, l_g1=0.0),
+        solve=lambda x: (np.zeros(dim_y), np.zeros(dim_y), gx.copy()),
+        constants=bb.SmoothnessConstants(mu=0.0, l_g1=0.0),
         name="stub")
 
 
@@ -67,7 +66,7 @@ class TestSgdDD:
         # distance trace obeys the squared contraction with rate 1 - mu*alpha/2
         alpha = 0.25
         x = np.zeros(2)
-        ystar = q2.analytic.y_star(x)
+        ystar = q2.solve(x)[0]
         y = np.ones(2)
         dist = [float(np.linalg.norm(y - ystar))]
         for t in range(20):
@@ -87,9 +86,9 @@ class TestSgdDD:
 
     def test_never_reads_ground_truth(self, q2_gauss):
         def unreachable(x):
-            raise AssertionError("sgd_dd read the analytic oracle")
+            raise AssertionError("sgd_dd read the ground truth")
 
-        blind = replace(q2_gauss, analytic=AnalyticOracle(unreachable))
+        blind = replace(q2_gauss, solve=unreachable)
         args = (np.array([0.3, -0.2]), np.ones(2), 0.25, 7, 3)
         np.testing.assert_array_equal(bb.sgd_dd(blind, *args),
                                       bb.sgd_dd(q2_gauss, *args))
@@ -98,8 +97,8 @@ class TestSgdDD:
 class TestUpdateZ:
     def test_fixed_point(self, q2):
         x = np.zeros(2)
-        y = q2.analytic.y_star(x)
-        zstar = q2.analytic.solve(x)[1]
+        y = q2.solve(x)[0]
+        zstar = q2.solve(x)[1]
         np.testing.assert_allclose(zstar, [-0.5, -0.5], atol=1e-15)
         z1 = update_z(zstar, x, y, 0.3, Sample(Stream.ZETA, 0, 0),
                       Sample(Stream.XI, 0, 0), q2)
@@ -148,7 +147,7 @@ class TestSlip:
     def test_pinned_convergence(self, q2, practical_pinned):
         state, trace = bb.slip_run(q2, practical_pinned, np.zeros(2),
                                    np.ones(2), np.zeros(2), seed=0)
-        assert np.linalg.norm(q2.analytic.hypergrad(state.x)) <= 0.02
+        assert np.linalg.norm(q2.solve(state.x)[2]) <= 0.02
         assert np.linalg.norm(state.x - 0.4) <= 0.05
         assert trace.records[-1].grad_norm <= 0.02
 
@@ -215,7 +214,6 @@ class TestSlip:
             bb.slip_run(q2_gauss, sched, np.zeros(2), np.ones(2), np.zeros(2),
                         seed=0)
         err = exc_info.value
-        assert err.trace.aborted_at == err.t
         assert len(err.trace.records) == err.t + 1
 
     def test_past_deadline_stops_after_first_row(self, q2):
@@ -227,7 +225,6 @@ class TestSlip:
         err = exc_info.value
         assert not isinstance(err, bb.NumericalDivergenceError)
         assert err.t == 0
-        assert err.trace.aborted_at == 0
         assert len(err.trace.records) == 1
 
     def test_default_metrics_solve_once_per_row(self):
@@ -236,9 +233,9 @@ class TestSlip:
 
         def counting_solve(x):
             solved.append(x)
-            return prob.analytic.solve(x)
+            return prob.solve(x)
 
-        counted = replace(prob, analytic=AnalyticOracle(counting_solve))
+        counted = replace(prob, solve=counting_solve)
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
                                        "eta": 0.1, "T": 7, "T0": 0})
         _, trace = bb.slip_run(counted, sched, np.zeros(2), np.zeros(2),
@@ -348,7 +345,6 @@ class TestFiniteCheck:
             self.run(oracle, x0=x0)
         err = exc_info.value
         assert err.t == row
-        assert err.trace.aborted_at == row
         assert len(err.trace.records) == row + 1
         assert "non-finite iterate" in str(err)
 
@@ -357,7 +353,6 @@ class TestFiniteCheck:
         oracle = InjectingOracle("m", 1e300, at=0)
         _, trace = self.run(oracle, x0=(1e300, -1e300), y0=(1e300, 1e300),
                             z0=(-1e300, 1e300))
-        assert trace.aborted_at is None
         assert len(trace) == self.SCHED["T"]
         assert trace.column("eps_err")[0] == math.inf
 
@@ -386,7 +381,7 @@ class TestBaselines:
                                        "eta": 0.1, "T": 2000, "T0": 50})
         state, _ = bb.masoba_run(q2, sched, np.zeros(2), np.ones(2),
                                  np.zeros(2), seed=0)
-        assert np.linalg.norm(q2.analytic.hypergrad(state.x)) <= 1e-6
+        assert np.linalg.norm(q2.solve(state.x)[2]) <= 1e-6
 
     def test_doubleloop_reduces_to_slip(self, q2_gauss):
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
@@ -435,7 +430,7 @@ class TestBaselines:
                                        "eta": 0.1, "T": 3000, "T0": 0})
         state, trace = bb.ttsa_run(q2, sched, np.zeros(2), np.ones(2),
                                    np.zeros(2), seed=0)
-        assert np.linalg.norm(q2.analytic.hypergrad(state.x)) <= 0.05
+        assert np.linalg.norm(q2.solve(state.x)[2]) <= 0.05
         assert state.calls.as_tuple() == (3000, 3000, 3000, 3000, 3000)
 
     # sha256 of the noiseless Q2 trace CSVs; noiseless, so they do not
@@ -503,6 +498,5 @@ def noisy_pinned_trace(name):
 @pytest.mark.parametrize("name", sorted(NOISY_SHA256))
 def test_noisy_trace_bytes_pinned(name):
     trace = noisy_pinned_trace(name)
-    assert trace.aborted_at is None
     digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
     assert digest == NOISY_SHA256[name]

@@ -191,6 +191,45 @@ def test_crashed_run_exit_2(cfg_path, tmp_path, capsys, monkeypatch, caplog):
     assert "raise SolverError" in caplog.text
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("sigma_g1 = 0.05", "sigma_g1 = 0.05\nsigma_z = 0.1",
+     "sigma_z applies to the bounded model only"),
+    ("noise = gaussian", "noise = cauchy", "unknown noise model 'cauchy'"),
+])
+def test_noise_rule_exit_1(tmp_path, capsys, old, new, message):
+    p = tmp_path / "noise.cfg"
+    p.write_text(CFG.replace(old, new, 1))
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_out_under_a_regular_file_exit_1(cfg_path, tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    rc = cli.main(["run", "--config", str(cfg_path), "--out",
+                   str(blocker / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert "Traceback" not in err
+
+
+def test_later_trace_path_a_directory_exit_1(cfg_path, tmp_path, capsys):
+    # seed 2's trace path is taken by a directory: seed 1's output survives
+    (tmp_path / "exp_seed2.csv").mkdir()
+    rc = cli.main(["run", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "exp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exp_seed2.csv" in err
+    assert len(bb.read_trace(tmp_path / "exp_seed1.csv")) == 50
+    meta = json.loads((tmp_path / "exp_meta.json").read_text())
+    assert [(s["seed"], s["status"]) for s in meta["seeds"]] == [(1, "OK")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "exp_meta.json", "exp_seed1.csv", "exp_seed2.csv", "run.cfg"]
+
+
 def test_grad_every_key_exit_1(tmp_path):
     p = tmp_path / "old.cfg"
     p.write_text(CFG + "grad_every = 50\n")

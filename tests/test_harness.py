@@ -69,13 +69,6 @@ class TestTrackingBoundCheck:
         report = bound_check_tracking(traces, sched, prob.constants, 0.05)
         assert report.n_violations == 0
 
-    def test_inflating_bound_is_monotone(self):
-        prob, sched, traces = self.make_traces(0.1, 60, T=80)
-        base = bound_check_tracking(traces, sched, prob.constants, 0.05)
-        fat = bound_check_tracking(traces, sched, prob.constants, 0.05,
-                                   bound_scale=10.0)
-        assert fat.n_violations <= base.n_violations
-
     def test_r_zero_reduces_to_static_bound(self):
         # with no drift the bound is the frozen-x tracking bound
         c = bb.derive_constants(bb.SmoothnessConstants(
@@ -276,7 +269,7 @@ class TestConfig:
             prob = build_problem(cfg)
             assert prob.dim_x >= 1
             # the harness computes every metric row from this oracle
-            assert prob.analytic is not None
+            assert prob.solve is not None
 
     @pytest.mark.parametrize("change", [
         {"algorithm": "ttsa", "algo_params": {"eta_exponent": 0.6}},
@@ -332,6 +325,37 @@ class TestConfig:
                              "eta": 0.01, "T": 5}))
         with pytest.raises(ConfigurationError, match=key):
             build_problem(cfg)
+
+    def test_values_typed_alike_from_file_and_code(self, tmp_path):
+        path = tmp_path / "dl.cfg"
+        path.write_text(CFG_TEXT.replace("preset = q2", "dim_x = 3\ndim_y = 2\nseed = 4")
+                        .replace("name = slip", "name = doubleloop\nrefine_steps = 4"))
+        from_file = parse_config(path)
+        from_code = RunConfig(problem_kind="quadratic",
+                              problem_params={"dim_x": 3.0, "dim_y": "2", "seed": 4},
+                              noise=from_file.noise, algorithm="doubleloop",
+                              algo_params={"refine_steps": 4.0},
+                              schedule=from_file.schedule)
+        for cfg in (from_file, from_code):
+            assert cfg.problem_params == {"dim_x": 3, "dim_y": 2, "seed": 4}
+            assert cfg.algo_params == {"refine_interval": 2, "refine_steps": 4}
+            assert all(type(v) is int for v in
+                       [*cfg.problem_params.values(), *cfg.algo_params.values()])
+
+    @pytest.mark.parametrize("change,key", [
+        ({"problem_params": {"dim_x": 2.7, "dim_y": 2, "seed": 1}}, "dim_x"),
+        ({"algorithm": "doubleloop", "algo_params": {"refine_interval": 2.5}},
+         "refine_interval"),
+    ], ids=["problem", "algorithm"])
+    def test_fractional_integer_rejected(self, change, key):
+        # int() would truncate it: dim_x = 2.7 used to build a 2-dim problem
+        fields = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
+                  "noise": bb.NoiseModel.noiseless(), "algorithm": "slip",
+                  "schedule": bb.schedule_practical(
+                      {"alpha": 0.1, "beta": 0.5, "gamma": 0.1, "eta": 0.01,
+                       "T": 5})}
+        with pytest.raises(ConfigurationError, match=f"{key}.*whole number"):
+            RunConfig(**(fields | change))
 
     _LINES = CFG_TEXT.splitlines()
 
@@ -521,6 +545,23 @@ class TestRunExperiment:
         res = run_experiment(parse_config(path), tmp_path / "exp")
         recorded = json.loads(res.metadata_path.read_text())["schedule"]
         assert (recorded["beta"], recorded["T0"]) == (0.0, 0)
+
+    def test_metadata_records_sigmas_and_skipped_steps(self, cfg_file, tmp_path):
+        res = run_experiment(parse_config(cfg_file), tmp_path / "noisy")
+        meta = json.loads(res.metadata_path.read_text())
+        assert meta["problem"] | {"params": None} == {
+            "kind": "quadratic", "name": "q2", "params": None,
+            "noise": "gaussian", "sigma_f1": 0.05, "sigma_g1": 0.05,
+            "sigma_g2": 0.05, "sigma_z": 0.0}
+        assert [s["skipped_steps"] for s in meta["seeds"]] == [0, 0, 0]
+        # noiseless from x0 = z0 = 0: the first estimate, x + z, is exactly
+        # zero, so row 0 skips its x-step and no later row does
+        path = tmp_path / "quiet.cfg"
+        path.write_text(CFG_TEXT.replace("noise = gaussian", "noise = noiseless")
+                        .replace("sigma_f1 = 0.05\nsigma_g1 = 0.05\nsigma_g2 = 0.05\n", ""))
+        res = run_experiment(parse_config(path), tmp_path / "quiet")
+        assert [s["skipped_steps"] for s in res.metadata["seeds"]] == [1, 1, 1]
+        assert res.metadata["problem"]["sigma_g1"] == 0.0
 
     def test_timeout_keeps_partial_trace(self, cfg_file, tmp_path):
         cfg = dataclasses.replace(parse_config(cfg_file), max_wall_seconds=0.0)

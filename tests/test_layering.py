@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import bilevelbench as bb
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "bilevelbench"
 MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p))
            for p in sorted(SRC.glob("*.py"))}
@@ -76,3 +78,15 @@ def test_internal_import_graph_is_acyclic():
 
 def test_verify_depends_on_neither_runs_nor_instances():
     assert not _graph()["verify"] & {"harness", "synthetic"}
+
+
+def test_all_names_the_package_imports_once():
+    # a name deleted from a module but left in __all__ fails here
+    imported = [alias.asname or alias.name
+                for node in MODULES["__init__"].body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert len(set(bb.__all__)) == len(bb.__all__)
+    assert sorted(bb.__all__) == sorted(imported)
+    for name in bb.__all__:
+        assert getattr(bb, name) is not None

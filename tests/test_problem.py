@@ -123,6 +123,12 @@ class TestNoiseModels:
         with pytest.raises(bb.ConfigurationError):
             bb.NoiseModel(bb.NoiseKind.NOISELESS, sigma_g1=0.1)
 
+    def test_gaussian_with_sigma_z_rejected(self):
+        # sigma_z bounds the bounded model's yy product; gaussian has no use for it
+        with pytest.raises(bb.ConfigurationError,
+                           match="sigma_z applies to the bounded model only"):
+            bb.NoiseModel(bb.NoiseKind.GAUSSIAN, 0.1, 0.1, 0.1, sigma_z=5.0)
+
 
 class TestUnbiasedness:
     def test_noiseless_trivial(self, q2):
@@ -164,16 +170,17 @@ def test_consistency_at_optimum_all_instances():
     for prob in instances:
         for j in range(3):
             x = np.random.default_rng(j).uniform(-0.5, 0.5, prob.dim_x)
-            ys = prob.analytic.y_star(x)
-            zs = prob.analytic.solve(x)[1]
+            ys = prob.solve(x)[0]
+            zs = prob.solve(x)[1]
             est = bb.hypergrad_estimate(x, ys, zs, s_xi_prime(j),
                                         s_zeta_prime(j), prob.oracle)
-            dev = np.linalg.norm(est - prob.analytic.hypergrad(x))
+            dev = np.linalg.norm(est - prob.solve(x)[2])
             assert dev <= 1e-10, (prob.name, dev)
 
 
 def test_phi_requires_analytic():
     prob = bb.make_hyperclean(bb.HypercleanSpec(
         n_train=20, n_val=20, feature_dim=2, corruption_rate=0.0, seed=0))
-    # solver-backed analytic is present; phi evaluates
-    assert math.isfinite(prob.phi(np.ones(20)))
+    # the solver-backed ground truth is present; phi = f(x, y*(x)) evaluates
+    x = np.ones(20)
+    assert math.isfinite(prob.upper(x, prob.solve(x)[0]))

@@ -11,7 +11,7 @@ from bilevelbench.verify import SolverSettings, finite_diff_hypergrad
 
 class TestQuadratic:
     def test_q2_y_star_at_origin(self, q2):
-        np.testing.assert_allclose(q2.analytic.y_star(np.zeros(2)),
+        np.testing.assert_allclose(q2.solve(np.zeros(2))[0],
                                    np.zeros(2), atol=1e-15)
 
     def test_q2_hypergrad_formula(self, q2):
@@ -19,14 +19,14 @@ class TestQuadratic:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
-            np.testing.assert_allclose(q2.analytic.hypergrad(x),
+            np.testing.assert_allclose(q2.solve(x)[2],
                                        1.25 * x - 0.5, atol=1e-14)
-        np.testing.assert_allclose(q2.analytic.hypergrad(np.zeros(2)),
+        np.testing.assert_allclose(q2.solve(np.zeros(2))[2],
                                    [-0.5, -0.5], atol=1e-15)
 
     def test_q2_minimizer(self, q2):
         xstar = np.array([0.4, 0.4])
-        np.testing.assert_allclose(q2.analytic.hypergrad(xstar), np.zeros(2),
+        np.testing.assert_allclose(q2.solve(xstar)[2], np.zeros(2),
                                    atol=1e-14)
 
     def test_declared_constants(self, q2):
@@ -52,7 +52,7 @@ class TestQuadratic:
             rng = np.random.default_rng(seed + 100)
             for _ in range(20):
                 x = rng.uniform(-2, 2, 3)
-                g = prob.det.grad_y_g(x, prob.analytic.y_star(x))
+                g = prob.det.grad_y_g(x, prob.solve(x)[0])
                 assert np.linalg.norm(g) <= 1e-9
 
     def test_finite_diff_matches_analytic(self):
@@ -62,7 +62,7 @@ class TestQuadratic:
             for _ in range(5):
                 x = rng.uniform(-1, 1, 2)
                 fd = finite_diff_hypergrad(prob, x, h=1e-5)
-                exact = prob.analytic.hypergrad(x)
+                exact = prob.solve(x)[2]
                 denom = max(1e-12, np.linalg.norm(exact))
                 assert np.linalg.norm(fd - exact) / denom <= 1e-4
 
@@ -112,7 +112,7 @@ class TestUnboundedSmooth:
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, 2)
             fd = finite_diff_hypergrad(prob, x, h=1e-5)
-            exact = prob.analytic.hypergrad(x)
+            exact = prob.solve(x)[2]
             assert (np.linalg.norm(fd - exact)
                     / max(1e-12, np.linalg.norm(exact))) <= 1e-4
 
@@ -150,14 +150,14 @@ class TestHyperclean:
         prob = bb.make_hyperclean(bb.HypercleanSpec(
             n_train=30, n_val=30, feature_dim=3, corruption_rate=0.1, seed=4))
         x = np.ones(30)
-        ys = prob.analytic.y_star(x)
+        ys = prob.solve(x)[0]
         assert np.linalg.norm(prob.det.grad_y_g(x, ys)) <= 1e-10
-        zs = prob.analytic.solve(x)[1]
+        zs = prob.solve(x)[1]
         res = prob.det.hvp_yy_g(x, ys, zs) - prob.det.grad_y_f(x, ys)
         assert np.linalg.norm(res) <= 1e-10
         fd = finite_diff_hypergrad(prob, x, h=1e-4,
                                    settings=SolverSettings(tol=1e-11))
-        exact = prob.analytic.hypergrad(x)
+        exact = prob.solve(x)[2]
         assert (np.linalg.norm(fd - exact)
                 / max(1e-12, np.linalg.norm(exact))) <= 1e-3
 
@@ -211,7 +211,7 @@ def test_lower_at_agrees_with_the_pointwise_maps(prob):
 
 
 def test_hyperclean_solve_evaluates_sigmoid_x_once(monkeypatch):
-    """One ``analytic.solve`` binds ``x`` once, in the inner solve, whose
+    """One ``problem.solve`` binds ``x`` once, in the inner solve, whose
     converged point serves the linear solve and the hypergradient.  The
     inner solve takes three Newton steps here, so its four points make
     eight calls on the margins; with the one on ``x`` and the one in the
@@ -225,6 +225,6 @@ def test_hyperclean_solve_evaluates_sigmoid_x_once(monkeypatch):
         return sigmoid(v)
 
     monkeypatch.setattr(synthetic, "sigmoid", counting)
-    prob.analytic.solve(x)
+    prob.solve(x)
     assert sum(on_x) == 1
     assert len(on_x) == 10
