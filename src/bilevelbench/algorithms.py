@@ -21,8 +21,15 @@ the methods they are named after:
 
 The frozen-x SGD (``sgd_dd``, used for the warm start and the refinement)
 returns only the final lower-level iterate; the ground truth is read only by
-the metric evaluator (``default_metrics``), the loop's one per-iteration
-callback, with one ``problem.solve`` call per row.
+the metric evaluator (``default_metrics``), the loop's one metric callback.
+The loop stacks each row's iterates and evaluates the metrics of
+:data:`METRIC_BLOCK` rows at a time: one ``problem.solve`` call per block,
+each of its rows bit for bit what a call for that row alone gives.  The
+block is also evaluated before the run ends, however it ends, so a trace
+holds the same rows as one evaluated row by row.  When a block's evaluation
+raises, or one of its rows is rejected, the block is evaluated again one
+row at a time, and the run ends at the first row that fails, as it would
+have row by row.
 
 A run is strictly sequential; runs with distinct seeds share no mutable
 state and may execute concurrently in separate threads: no problem keeps
@@ -49,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import ParamSchedule
-from .problem import BilevelProblem, ConfigurationError, _norm
+from .problem import BilevelProblem, ConfigurationError, _norm, _norms
 from .samples import Sample, Stream, check_range, unchecked_sample
 from .trace import Trace, TraceRecord
 
@@ -62,13 +69,13 @@ class RunAborted(RuntimeError):
     """A run stopped before its last iteration.
 
     Carries the iteration ``t`` that stopped it, the partial trace and the
-    state at that point; ``__cause__``
-    is the exception that stopped it.  Row ``t`` is in the trace when it was
-    recorded before the abort (a non-finite update, the deadline) and missing
-    when an oracle failed while computing it.  Raised as is when the run
-    passes its wall-clock ``deadline``.  ``status`` is the seed status the
-    harness records for the abort: ``TIMEOUT`` here, ``FAILED`` and
-    ``ERROR`` on the two subclasses.
+    state at that point; ``__cause__`` is the exception that stopped it.
+    Row ``t`` is in the trace when it was recorded before the abort (a
+    non-finite update, the deadline) and missing when an oracle or its
+    metrics failed.  Raised as is when the run passes its wall-clock
+    ``deadline``.  ``status`` is the seed status the harness records for
+    the abort: ``TIMEOUT`` here, ``FAILED`` and ``ERROR`` on the two
+    subclasses.
     """
 
     status = "TIMEOUT"
@@ -121,28 +128,119 @@ class SlipState:
     calls: OracleCounter
 
 
-# metrics(t, x, y, z, m) sees the iterates row t read (pre-update) and the
-# updated momentum; it returns the row's five metrics and mutates nothing
-MetricFn = Callable[[int, Vec, Vec, Vec, Vec],
-                    tuple[float | None, float | None, float | None,
-                          float | None, float | None]]
+# rows whose metrics are evaluated in one call
+METRIC_BLOCK = 128
+
+# metrics(ts, X, Y, Z, M) evaluates a block of rows: ts holds their
+# iteration indices, and row i of X, Y, Z and M the iterates row ts[i] read
+# (pre-update) and its updated momentum.  It returns five columns in
+# TraceRecord order, each with one value per row, or None for a metric it
+# does not compute.  It mutates nothing; the arrays are not reused, so it
+# may keep them.
+MetricFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                     np.ndarray], tuple]
 
 
 def default_metrics(problem: BilevelProblem) -> MetricFn:
-    """Metric evaluator against the problem's ground truth ``solve``."""
+    """Metric evaluator against the problem's ground truth ``solve``, one
+    call for the block."""
     solve = problem.solve
 
-    def metrics(t: int, x: Vec, y: Vec, z: Vec, m_next: Vec):
+    def metrics(ts: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                m_next: np.ndarray):
         ys, zs, gphi = solve(x)
         return (
-            _norm(gphi),
-            _norm(y - ys),
-            _norm(z - zs),
-            _norm(m_next - gphi),
-            float(problem.upper(x, ys)),
+            _norms(gphi),
+            _norms(y - ys),
+            _norms(z - zs),
+            _norms(m_next - gphi),
+            problem.upper(x, ys),
         )
 
     return metrics
+
+
+class _RowFailed(Exception):
+    """Row ``state.t`` could not be recorded; ``cause`` is why."""
+
+    def __init__(self, state: SlipState, cause: Exception):
+        super().__init__(str(cause))
+        self.state = state
+        self.cause = cause
+
+
+class _PendingRows:
+    """The rows of the current block, waiting for their metrics: their
+    iterates stacked, one array each of ``x``, ``y``, ``z`` and ``m``, and
+    their call counts."""
+
+    def __init__(self, problem: BilevelProblem, metrics: MetricFn,
+                 trace: Trace):
+        self.dims = (problem.dim_x, problem.dim_y, problem.dim_y, problem.dim_x)
+        self.metrics = metrics
+        self.trace = trace
+        self.calls: list[tuple[int, ...]] = []
+
+    def __enter__(self) -> "_PendingRows":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.flush()
+
+    def add(self, t: int, x: Vec, y: Vec, z: Vec, m: Vec,
+            calls: OracleCounter) -> None:
+        """Row ``t``; the block is evaluated once it is full."""
+        i = len(self.calls)
+        if i == 0:
+            # fresh arrays, allocated once the last block's are evaluated:
+            # the metric callable may keep those
+            self.t0 = t
+            self.iterates = tuple(np.empty((METRIC_BLOCK, d)) for d in self.dims)
+        bx, by, bz, bm = self.iterates
+        bx[i], by[i], bz[i], bm[i] = x, y, z, m
+        self.calls.append(calls.as_tuple())
+        if i + 1 == METRIC_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Evaluate the block and append its rows to the trace.
+
+        If that fails, evaluates the rows one at a time, appends those
+        before the first that fails and raises :class:`_RowFailed` for it.
+        """
+        n = len(self.calls)
+        if n == 0:
+            return
+        ts = np.arange(self.t0, self.t0 + n)
+        iterates = [b[:n] for b in self.iterates]
+        calls, self.calls, self.iterates = self.calls, [], ()
+        start = len(self.trace.records)
+        try:
+            self._record(ts, iterates, calls)
+            return
+        except Exception:
+            del self.trace.records[start:]
+        for k in range(n):
+            row = slice(k, k + 1)
+            try:
+                self._record(ts[row], [b[row] for b in iterates], calls[row])
+            except Exception as exc:
+                t = int(ts[k])
+                # a row-by-row run stops at t: drop the later rows' skips
+                self.trace.skipped_steps[:] = [
+                    s for s in self.trace.skipped_steps if s <= t]
+                state = SlipState(*(b[k] for b in iterates), t=t,
+                                  calls=OracleCounter(*calls[k]))
+                raise _RowFailed(state, exc) from exc
+
+    def _record(self, ts: np.ndarray, iterates: list[np.ndarray],
+                calls: list[tuple[int, ...]]) -> None:
+        n = len(ts)
+        cols = [[None] * n if c is None else np.asarray(c).reshape(n).tolist()
+                for c in self.metrics(ts, *iterates)]
+        append = self.trace.append
+        for t, g, ye, ze, ee, phi, c in zip(ts.tolist(), *cols, calls):
+            append(TraceRecord(t, g, ye, ze, ee, phi, *c))
 
 
 def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
@@ -208,6 +306,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     exception once the warm start has begun ends the run with a
     :class:`RunAborted`: :class:`NumericalDivergenceError` for overflow and
     non-finite iterates, :class:`RunError` for anything but the deadline.
+    A row whose metrics fail ends the run at that row, with its iterates
+    and call counts as the state, before any later failure.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0_init, dtype=float).copy()
@@ -238,8 +338,10 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                        calls=calls)
 
         # updates and metrics of a diverging run overflow: the finiteness
-        # check below decides
-        with np.errstate(over="ignore", invalid="ignore"):
+        # check below decides.  Leaving the block, at the end or by a
+        # raise, evaluates the rows still pending.
+        with (np.errstate(over="ignore", invalid="ignore"),
+              _PendingRows(problem, metrics, trace) as pending):
             for t in range(schedule.T):
                 alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
                 if decay is not None:
@@ -277,8 +379,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                 else:
                     x_next = x - eta * m
 
-                trace.append(TraceRecord(t, *metrics(t, x, y, z, m),
-                                         *calls.as_tuple()))
+                pending.add(t, x, y, z, m, calls)
                 if time.monotonic() > deadline:
                     raise TimeoutError(f"deadline passed at iteration {t}")
 
@@ -293,7 +394,11 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                                counter_start=warm_counter, calls=calls)
                     warm_counter += extra
     except Exception as exc:
-        state = SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
+        if isinstance(exc, _RowFailed):
+            state, exc = exc.state, exc.cause
+        else:
+            state = SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
+        t = state.t
         if isinstance(exc, (FloatingPointError, OverflowError)):
             raise NumericalDivergenceError(str(exc), t, trace, state) from exc
         if isinstance(exc, TimeoutError):

@@ -79,10 +79,10 @@ class RunConfig:
     Construction rejects an unknown problem kind or algorithm and any
     ``problem_params`` or ``algo_params`` key the kind or algorithm does
     not take, fills ``algo_params`` with the defaults of :data:`ALGORITHMS`
-    and types every value, a problem key's by ``_PROBLEM_KEYS`` and an
-    algorithm key's as its default; a fractional number for an integer key
-    is rejected.  ``workers`` is validated but has no effect: seeds always
-    run in order.
+    and types every value, a problem key's by ``_PROBLEM_KEYS``, an
+    algorithm key's as its default and each seed as an int; a fractional
+    number or a bool for an integer key or a seed is rejected.  ``workers``
+    is validated but has no effect: seeds always run in order.
     """
 
     problem_kind: str
@@ -101,6 +101,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigurationError("seeds must be nonempty")
+        object.__setattr__(self, "seeds",
+                           [_converted(s, "seeds", int) for s in self.seeds])
         for s in self.seeds:
             try:
                 check_range(s, 0, -1)   # the seed alone: no counters
@@ -149,7 +151,14 @@ def _typed(section: dict, key: str, kind, default=None):
         if default is None:
             raise ConfigurationError(f"missing required key {key!r}")
         return default
-    raw = section[key]
+    return _converted(section[key], key, kind)
+
+
+def _converted(raw, key: str, kind):
+    """``raw`` as ``kind``; an int key takes no bool and no fractional
+    number, both of which ``int()`` would accept."""
+    if kind is int and isinstance(raw, bool):
+        raise ConfigurationError(f"key {key!r} is not a valid int: {raw!r}")
     try:
         value = kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -634,8 +643,8 @@ def suite_bias() -> list[CheckResult]:
          "T0": 50})
     points: list[tuple[Vec, Vec, Vec]] = []
 
-    def record(t, x, y, z, m):
-        points.append((x, y, z))
+    def record(ts, x, y, z, m):
+        points.extend(zip(x, y, z))
         return (None,) * 5
 
     slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2), seed=0,

@@ -10,6 +10,11 @@ smoothness constants.  Every problem carries all three: there is no path
 for a problem without them.  The checkers that test a problem's oracles
 against these maps live in :mod:`bilevelbench.verify`.
 
+``solve`` and ``upper`` also take a stack of points (a leading axis) and
+return one result per row, so that the metric evaluator reads the ground
+truth of a block of rows in one call; for one point they return what they
+always did.
+
 All oracle and ground-truth evaluations are pure functions of (point,
 sample) or of the point: no problem keeps shared mutable state, and each
 noise draw uses its thread's own generator, so every one is safe to call
@@ -137,6 +142,12 @@ def _norm(v: Vec) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _norms(v: Array) -> Array:
+    """Euclidean norm of each row of a 2-D float array, bit for bit
+    :func:`_norm` of the row: ``matmul`` takes one ``dot`` per row."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
 def _noise_vec(sample: Sample, tag: OracleTag, dim: int, scale: float,
                clip: float | None = None) -> Vec:
     """Mean-zero noise with total standard deviation ``scale``.
@@ -221,16 +232,19 @@ class BilevelProblem:
     their exact derivative maps; ``oracle`` the stochastic view used by the
     optimizers; ``solve(x)`` the ground truth ``(y*(x), z*(x), grad Phi(x))``
     from one computation; ``constants`` the declared smoothness constants
-    of the instance.
+    of the instance.  ``solve`` and ``upper`` also take a stack: given
+    ``(n, dim_x)`` points (and ``(n, dim_y)`` lower-level points for
+    ``upper``) they return three ``(n, .)`` arrays and ``n`` values, each
+    row bit for bit the result for that row alone.
     """
 
     dim_x: int
     dim_y: int
-    upper: Callable[[Vec, Vec], float]
+    upper: Callable[[Array, Array], float | Array]
     lower: Callable[[Vec, Vec], float]
     det: DeterministicOracle
     oracle: StochasticOracle
-    solve: Callable[[Vec], tuple[Vec, Vec, Vec]]
+    solve: Callable[[Array], tuple[Array, Array, Array]]
     constants: SmoothnessConstants
     name: str = "problem"
     metadata: dict = field(default_factory=dict)

@@ -13,6 +13,11 @@ Three families:
 
 Hypercleaning has no closed-form ground truth: it calls the Newton solvers
 of :mod:`bilevelbench.verify`, which imports nothing from this module.
+
+Each family's ``solve`` and ``upper`` take one point or a stack of points
+(see :class:`~bilevelbench.problem.BilevelProblem`).  The closed forms
+evaluate a stack at once, through :func:`_mv` and ``.sum(axis=-1)``;
+hypercleaning solves its rows one at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +63,20 @@ class QuadraticSpec:
     @property
     def dim_x(self) -> int:
         return self.B.shape[1]
+
+
+def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for one vector ``v`` or for each row of a stack of them.
+
+    ``matmul`` takes one matrix-vector product per row, so each row is bit
+    for bit ``a @ row`` (a single matrix product ``v @ a.T`` is not).
+    """
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def _value(v):
+    """A Python float for one point's value; the array of a stack's."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def _check_spd(a: np.ndarray) -> np.ndarray:
@@ -117,8 +136,8 @@ def _quadratic_lower_parts(spec: QuadraticSpec):
             hvp_xy=lambda z: hvp_xy_g(x, y, z))
 
     def lower_solve(x: Vec) -> tuple[Vec, Vec]:
-        ys = a_inv @ (b @ x + c)
-        return ys, a_inv @ (ys - spec.e)
+        ys = _mv(a_inv, _mv(b, x) + c)
+        return ys, _mv(a_inv, ys - spec.e)
 
     return lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve
 
@@ -141,7 +160,8 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
     e, r, b = spec.e, spec.r, spec.B
 
     def upper(x: Vec, y: Vec) -> float:
-        return float(0.5 * ((y - e) ** 2).sum() + 0.5 * r * (x ** 2).sum())
+        return _value(0.5 * ((y - e) ** 2).sum(axis=-1)
+                      + 0.5 * r * (x ** 2).sum(axis=-1))
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         return r * x
@@ -151,7 +171,7 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
         ys, zs = lower_solve(x)
-        return ys, zs, r * x + b.T @ zs
+        return ys, zs, r * x + _mv(b.T, zs)
 
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
                               hvp_yy_g, lower_at)
@@ -228,7 +248,8 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     """Build the cosh-upper-level instance with analytic ground truth.
 
     Evaluations with ``max|x_i| > 700/a`` raise OverflowError before cosh
-    overflows double precision.
+    overflows double precision; for a stack, ``solve`` and ``upper`` check
+    the whole stack once.
     """
     core = spec.core
     lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve = (
@@ -245,8 +266,8 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
 
     def upper(x: Vec, y: Vec) -> float:
         _guard(x)
-        return float(np.cosh(a_rate * x).sum() - x.shape[0]
-                     + 0.5 * ((y - e) ** 2).sum())
+        return _value(np.cosh(a_rate * x).sum(axis=-1) - x.shape[-1]
+                      + 0.5 * ((y - e) ** 2).sum(axis=-1))
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         _guard(x)
@@ -258,7 +279,7 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
         _guard(x)
         ys, zs = lower_solve(x)
-        return ys, zs, a_rate * np.sinh(a_rate * x) + b.T @ zs
+        return ys, zs, a_rate * np.sinh(a_rate * x) + _mv(b.T, zs)
 
     base = _quadratic_constants(core, noise, L_x0=a_rate ** 2, L_x1=a_rate)
     det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
@@ -328,14 +349,15 @@ def make_hyperclean(spec: HypercleanSpec,
 
     There is no closed-form lower-level minimizer; the problem's ``solve``
     is backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
-    1e-10), one inner and one linear solve per call, uncached.  The solvers
+    1e-10), one inner and one linear solve per point, uncached.  The solvers
     iterate through ``lower_at(x)``, which evaluates ``sigmoid(x)`` and
     ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins,
     ``sigmoid(-margins)`` and ``sigmoid(margins)`` once for the gradient,
     the Hessian and the two Hessian-vector products.  The inner solve's
     converged point serves the linear solve (its Hessian and residual
-    check) and the hypergradient's mixed product, so one call evaluates
-    ``sigmoid(x)`` once.  The per-sample weights live in dimension
+    check) and the hypergradient's mixed product, so one point's solve
+    evaluates ``sigmoid(x)`` once.  ``solve`` and ``upper`` take a stack
+    of points one row at a time.  The per-sample weights live in dimension
     ``n_train`` and are meant to be initialized at 1.0.
     """
     feats_tr, lab_tr, feats_val, lab_val, corrupted = _hyperclean_data(spec)
@@ -365,6 +387,8 @@ def make_hyperclean(spec: HypercleanSpec,
         return float(sigmoid(x) @ losses / n_tr + lam * np.sum(y ** 2))
 
     def upper(x: Vec, y: Vec) -> float:
+        if x.ndim > 1:
+            return np.array([upper(xi, yi) for xi, yi in zip(x, y)])
         return float(np.logaddexp(0.0, -lab_val * (feats_val @ y)).mean())
 
     def grad_y_g(x: Vec, y: Vec) -> Vec:
@@ -418,6 +442,9 @@ def make_hyperclean(spec: HypercleanSpec,
     settings = verify.SolverSettings(tol=1e-10, max_iters=200)
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
+        if x.ndim > 1:
+            # a stack: one Newton solve per row
+            return tuple(map(np.array, zip(*map(solve, x))))
         point = verify.inner_solve_exact(problem, x, settings)
         zs = verify.solve_linear_system_exact(problem, x, point, settings)
         return point.y, zs, grad_x_f(x, point.y) - point.hvp_xy(zs)

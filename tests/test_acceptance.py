@@ -88,8 +88,8 @@ def test_03_step_normalization():
                                    "eta": eta, "T": 10000, "T0": 10})
     xs = []
 
-    def record_x(t, x, y, z, m):
-        xs.append(x)
+    def record_x(ts, x, y, z, m):
+        xs.extend(x)
         return (None,) * 5
 
     _, trace = bb.slip_run(prob, sched, np.zeros(2), np.ones(2), np.zeros(2),
@@ -275,8 +275,8 @@ def test_12_bias_inequality():
     prob = bb.make_q2()
     points = []
 
-    def record_point(t, x, y, z, m):
-        points.append((x, y, z))
+    def record_point(ts, x, y, z, m):
+        points.extend(zip(x, y, z))
         return (None,) * 5
 
     bb.slip_run(prob, pinned_schedule(T=1000, T0=50), np.zeros(2), np.ones(2),

@@ -9,12 +9,12 @@ import pytest
 
 import bilevelbench as bb
 from bilevelbench import harness
-from bilevelbench.algorithms import update_z
+from bilevelbench.algorithms import METRIC_BLOCK, default_metrics, update_z
 from bilevelbench.problem import (DeterministicOracle, LowerPoint,
-                                  StochasticOracle)
+                                  StochasticOracle, _norm)
 from bilevelbench.samples import Sample, Stream
 from bilevelbench.synthetic import random_quadratic_spec
-from bilevelbench.trace import trace_to_csv
+from bilevelbench.trace import Trace, trace_to_csv
 
 
 def constant_ghat_problem(gx, dim_x=2, dim_y=2):
@@ -30,12 +30,18 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
             y, grad=lambda: np.zeros(dim_y), hess=lambda: np.zeros((dim_y, dim_y)),
             hvp_yy=lambda z: np.zeros(dim_y), hvp_xy=lambda z: np.zeros(dim_x)),
     )
-    # the lower level is flat: every y is a minimizer, and z* = 0
+
+    def solve(x):
+        # one point, or a stack of them along a leading axis; the lower
+        # level is flat: every y is a minimizer, and z* = 0
+        zeros = np.zeros((*x.shape[:-1], dim_y))
+        return zeros, zeros.copy(), np.broadcast_to(gx, x.shape).copy()
+
     return bb.BilevelProblem(
         dim_x=dim_x, dim_y=dim_y,
-        upper=lambda x, y: 0.0, lower=lambda x, y: 0.0,
+        upper=lambda x, y: np.zeros(x.shape[:-1]), lower=lambda x, y: 0.0,
         det=det, oracle=StochasticOracle(det, bb.NoiseModel.noiseless()),
-        solve=lambda x: (np.zeros(dim_y), np.zeros(dim_y), gx.copy()),
+        solve=solve,
         constants=bb.SmoothnessConstants(mu=0.0, l_g1=0.0),
         name="stub")
 
@@ -43,8 +49,8 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
 def recorder(rows):
     """A metric callable that saves each row's ``(x, y, z, m)`` and
     computes no metric."""
-    def metrics(t, x, y, z, m):
-        rows.append((x, y, z, m))
+    def metrics(ts, x, y, z, m):
+        rows.extend(zip(x, y, z, m))
         return (None,) * 5
     return metrics
 
@@ -236,12 +242,18 @@ class TestSlip:
             return prob.solve(x)
 
         counted = replace(prob, solve=counting_solve)
+        T = METRIC_BLOCK + 7
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
-                                       "eta": 0.1, "T": 7, "T0": 0})
+                                       "eta": 0.1, "T": T, "T0": 0})
         _, trace = bb.slip_run(counted, sched, np.zeros(2), np.zeros(2),
                                np.zeros(2), seed=0)
-        assert len(trace) == 7
-        assert len(solved) == 7
+        assert len(trace) == T
+        # one call per block, and every row's x once, in order: each step
+        # moves x by eta along the constant hypergradient's direction
+        assert [len(x) for x in solved] == [METRIC_BLOCK, 7]
+        np.testing.assert_allclose(np.concatenate(solved),
+                                   np.outer(-0.1 * np.arange(T), [1.0, 0.0]),
+                                   atol=1e-12)
 
     def test_init_shape_validation(self, q2):
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
@@ -355,6 +367,146 @@ class TestFiniteCheck:
                             z0=(-1e300, 1e300))
         assert len(trace) == self.SCHED["T"]
         assert trace.column("eps_err")[0] == math.inf
+
+
+class TestMetricBlocks:
+    """The loop evaluates the metrics of METRIC_BLOCK rows in one call.  A
+    run whose metrics fail at row k ends as a row-by-row evaluation would:
+    at row k, with the same cause, the rows before k and row k's state."""
+
+    SCHED = {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01,
+             "T": 200, "T0": 10}
+
+    def run(self, prob, metrics):
+        return bb.slip_run(prob, bb.schedule_practical(self.SCHED), np.zeros(2),
+                           np.ones(2), np.zeros(2), seed=2, metrics=metrics)
+
+    def full_run(self, prob):
+        """Each row's ``(x, y, z, m)`` and the trace of a run that does
+        not fail."""
+        rows = []
+        base = default_metrics(prob)
+
+        def recording(ts, *iterates):
+            rows.extend(zip(*iterates))
+            return base(ts, *iterates)
+
+        return rows, self.run(prob, recording)[1]
+
+    def failing_at(self, prob, k, failure):
+        base = default_metrics(prob)
+
+        def metrics(ts, *iterates):
+            cols = base(ts, *iterates)
+            if k not in ts:
+                return cols
+            if failure == "negative":
+                # Trace.append rejects the row
+                return (cols[0], np.where(ts == k, -1.0, cols[1]), *cols[2:])
+            raise failure(f"metrics of row {k}")
+        return metrics
+
+    # row 0 starts the first block, 128 the second, 130 is inside it and
+    # 199 ends the partial last block
+    @pytest.mark.parametrize("k", [0, 128, 130, 199])
+    @pytest.mark.parametrize("failure, status", [
+        (KeyError, "ERROR"), (OverflowError, "FAILED"), ("negative", "ERROR")],
+        ids=["raise", "overflow", "rejected"])
+    def test_metric_failure_ends_run_at_its_row(self, q2_gauss, k, failure,
+                                                status):
+        rows, full = self.full_run(q2_gauss)
+        with pytest.raises(bb.RunAborted) as exc_info:
+            self.run(q2_gauss, self.failing_at(q2_gauss, k, failure))
+        err = exc_info.value
+        assert err.status == status
+        assert err.t == k
+        cause = err.__cause__
+        if failure == "negative":
+            assert type(cause) is ValueError
+            assert str(cause) == "y_err must be non-negative, got -1.0"
+        else:
+            assert type(cause) is failure
+        assert trace_to_csv(err.trace) == trace_to_csv(Trace(full.records[:k]))
+        state = err.state
+        assert state.t == k
+        for got, want in zip((state.x, state.y, state.z, state.m), rows[k]):
+            np.testing.assert_array_equal(got, want)
+        assert state.calls.as_tuple() == full.records[k][6:]
+
+    def test_skips_after_the_failing_row_are_dropped(self):
+        # every x-step is skipped: the failure at row 130 keeps skips 0-130
+        prob = constant_ghat_problem([0.0, 0.0])
+        with pytest.raises(bb.RunError) as exc_info:
+            self.run(prob, self.failing_at(prob, 130, KeyError))
+        assert exc_info.value.trace.skipped_steps == list(range(131))
+
+    @pytest.mark.parametrize("metric_row", [None, 5])
+    def test_oracle_failure_keeps_the_rows_before_it(self, q2_gauss,
+                                                     metric_row):
+        # an oracle raises while computing row 130; a metric failure at an
+        # earlier row ends the run there instead
+        class FailingAt130(StochasticOracle):
+            def grad_x_F(self, x, y, sample):
+                if sample.counter == 130:
+                    raise KeyError("oracle at row 130")
+                return super().grad_x_F(x, y, sample)
+
+        rows, full = self.full_run(q2_gauss)
+        prob = replace(q2_gauss, oracle=FailingAt130(q2_gauss.det,
+                                                     q2_gauss.oracle.noise))
+        metrics = (default_metrics(prob) if metric_row is None
+                   else self.failing_at(prob, metric_row, OverflowError))
+        with pytest.raises(bb.RunAborted) as exc_info:
+            self.run(prob, metrics)
+        err = exc_info.value
+        k = 130 if metric_row is None else metric_row
+        assert err.t == k
+        assert type(err.__cause__) is (KeyError if metric_row is None
+                                       else OverflowError)
+        assert trace_to_csv(err.trace) == trace_to_csv(Trace(full.records[:k]))
+        np.testing.assert_array_equal(err.state.x, rows[k][0])
+
+    def test_block_arrays_are_not_reused(self, q2):
+        blocks = []
+
+        def keeping(ts, *iterates):
+            blocks.append((ts, iterates))
+            return (None,) * 5
+
+        self.run(q2, keeping)
+        assert [b[0].tolist() for b in blocks] == [list(range(128)),
+                                                   list(range(128, 200))]
+        assert not np.shares_memory(blocks[0][1][0], blocks[1][1][0])
+        np.testing.assert_array_equal(blocks[0][1][0][0], np.zeros(2))
+
+
+def row_metrics(prob, x, y, z, m):
+    """One row's metrics by the row-at-a-time formula."""
+    ys, zs, gphi = prob.solve(x)
+    return (_norm(gphi), _norm(y - ys), _norm(z - zs), _norm(m - gphi),
+            float(prob.upper(x, ys)))
+
+
+BLOCK_PROBLEMS = {
+    "q2": bb.make_q2,
+    "random": lambda: bb.random_quadratic(3, 5, seed=4),
+    "cosh": lambda: bb.make_unbounded_smooth(bb.UnboundedSmoothSpec(
+        a=1.0, core=random_quadratic_spec(16, 16, 7, r=0.0))),
+    "hyperclean": lambda: bb.make_hyperclean(bb.HypercleanSpec(
+        n_train=30, n_val=30, feature_dim=3, corruption_rate=0.2, seed=5)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 128])
+@pytest.mark.parametrize("kind", sorted(BLOCK_PROBLEMS))
+def test_block_metrics_equal_row_metrics(kind, n):
+    prob = BLOCK_PROBLEMS[kind]()
+    rng = np.random.default_rng(n)
+    x, m = rng.standard_normal((2, n, prob.dim_x))
+    y, z = rng.standard_normal((2, n, prob.dim_y))
+    cols = default_metrics(prob)(np.arange(n), x, y, z, m)
+    block = list(zip(*(np.asarray(c).tolist() for c in cols)))
+    assert block == [row_metrics(prob, *row) for row in zip(x, y, z, m)]
 
 
 class TestBaselines:
@@ -500,3 +652,31 @@ def test_noisy_trace_bytes_pinned(name):
     trace = noisy_pinned_trace(name)
     digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
     assert digest == NOISY_SHA256[name]
+
+
+# sha256 of short noisy traces of the three baselines on a 16-dimensional
+# cosh instance, the benchmark's cosh16 shape
+COSH16_SHA256 = {
+    "masoba": "9d88c9731fbbae592d036821301475f0b6fd0f15f444a889209b00f4ea4b0090",
+    "doubleloop": "d5e6aeb1c2f09458204faabfbdbab7fd5868d64f779d1f0ad0a62dbced8251c0",
+    "ttsa": "bc9037f19f3f426039166c51eca6828c36d2378e74d2bf7e814f3cac6d9846f1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COSH16_SHA256))
+def test_cosh16_trace_bytes_pinned(name):
+    prob = bb.make_unbounded_smooth(
+        bb.UnboundedSmoothSpec(a=1.0, core=random_quadratic_spec(16, 16, 7, r=0.0)),
+        bb.NoiseModel.gaussian(0.05, 0.05, 0.05))
+    sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                   "eta": 0.01, "T": 60, "T0": 50})
+    inits = (np.zeros(16), np.ones(16), np.zeros(16))
+    if name == "masoba":
+        trace = bb.masoba_run(prob, sched, *inits, seed=3)[1]
+    elif name == "doubleloop":
+        trace = bb.double_loop_run(prob, sched, 2, 3, *inits, seed=3)[1]
+    else:
+        trace = bb.ttsa_run(prob, sched, *inits, seed=3)[1]
+    assert len(trace) == 60
+    digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
+    assert digest == COSH16_SHA256[name]

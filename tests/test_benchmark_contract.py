@@ -11,6 +11,7 @@ import pytest
 import bilevelbench as bb
 from bilevelbench import harness, verify
 from bilevelbench.harness import RunConfig
+from bilevelbench.trace import trace_to_csv
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -88,3 +89,24 @@ def test_inner_solve_feeds_the_linear_solve(problem):
                                          verify.inner_solve_exact(problem, x))
     assert z.shape == (problem.dim_y,)
     assert np.isfinite(z).all()
+
+
+def test_no_op_metrics_write_empty_metric_fields(tmp_path, monkeypatch):
+    # the loop timing without metrics installs this callable, directly and
+    # as harness.default_metrics; the rows keep their call counts
+    no_op = lambda *a: (None,) * 5  # noqa: E731
+    sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                   "eta": 0.01, "T": 130, "T0": 5})
+    _, trace = bb.slip_run(bb.make_q2(), sched, np.zeros(2), np.ones(2),
+                           np.zeros(2), seed=1, metrics=no_op)
+    monkeypatch.setattr(harness, "default_metrics", lambda problem: no_op)
+    cfg = RunConfig(problem_kind="quadratic", problem_params={"preset": "q2"},
+                    noise=bb.NoiseModel.noiseless(), algorithm="slip",
+                    schedule=sched, seeds=[1])
+    res = harness.run_experiment(cfg, tmp_path / "exp")
+    assert not res.failed
+    for text in (trace_to_csv(trace), res.trace_paths[0].read_text()):
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(130))
+        assert all(r[1:6] == [""] * 5 for r in rows)
+        assert rows[-1][6:] == ["130", "130", "135", "130", "130"]

@@ -342,20 +342,37 @@ class TestConfig:
             assert all(type(v) is int for v in
                        [*cfg.problem_params.values(), *cfg.algo_params.values()])
 
+    _FIELDS = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
+               "noise": bb.NoiseModel.noiseless(), "algorithm": "slip",
+               "schedule": bb.schedule_practical(
+                   {"alpha": 0.1, "beta": 0.5, "gamma": 0.1, "eta": 0.01,
+                    "T": 5})}
+
     @pytest.mark.parametrize("change,key", [
         ({"problem_params": {"dim_x": 2.7, "dim_y": 2, "seed": 1}}, "dim_x"),
         ({"algorithm": "doubleloop", "algo_params": {"refine_interval": 2.5}},
          "refine_interval"),
-    ], ids=["problem", "algorithm"])
+        ({"seeds": [1.5]}, "seeds"),
+        ({"seeds": [2, np.float64(1.9)]}, "seeds"),
+    ], ids=["problem", "algorithm", "seed", "numpy-seed"])
     def test_fractional_integer_rejected(self, change, key):
-        # int() would truncate it: dim_x = 2.7 used to build a 2-dim problem
-        fields = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
-                  "noise": bb.NoiseModel.noiseless(), "algorithm": "slip",
-                  "schedule": bb.schedule_practical(
-                      {"alpha": 0.1, "beta": 0.5, "gamma": 0.1, "eta": 0.01,
-                       "T": 5})}
+        # int() would truncate it: dim_x = 2.7 used to build a 2-dim problem,
+        # and seed 1.5 ran as seed 1
         with pytest.raises(ConfigurationError, match=f"{key}.*whole number"):
-            RunConfig(**(fields | change))
+            RunConfig(**(self._FIELDS | change))
+
+    @pytest.mark.parametrize("change,key", [
+        ({"seeds": [True]}, "seeds"),
+        ({"problem_params": {"dim_x": True, "dim_y": 2, "seed": 1}}, "dim_x"),
+    ], ids=["seed", "problem"])
+    def test_bool_integer_rejected(self, change, key):
+        with pytest.raises(ConfigurationError, match=f"{key}.*not a valid int"):
+            RunConfig(**(self._FIELDS | change))
+
+    def test_whole_seeds_typed_as_int(self):
+        cfg = RunConfig(**(self._FIELDS | {"seeds": (np.int64(3), 4.0, "5")}))
+        assert cfg.seeds == [3, 4, 5]
+        assert all(type(s) is int for s in cfg.seeds)
 
     _LINES = CFG_TEXT.splitlines()
 

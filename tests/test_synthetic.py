@@ -228,3 +228,48 @@ def test_hyperclean_solve_evaluates_sigmoid_x_once(monkeypatch):
     prob.solve(x)
     assert sum(on_x) == 1
     assert len(on_x) == 10
+
+
+@pytest.mark.parametrize("kind", ["q2", "random", "cosh"])
+def test_closed_forms_of_one_point_are_the_matrix_products(kind):
+    """For one point, ``solve`` and ``upper`` give bit for bit the closed
+    forms written with ``@`` and whole-vector sums; the stacked path goes
+    through ``matmul`` over a leading axis and ``.sum(axis=-1)``."""
+    a_rate = 1.0 if kind == "cosh" else None
+    spec = {"q2": bb.q2_spec, "random": lambda: random_quadratic_spec(3, 5, 4),
+            "cosh": lambda: random_quadratic_spec(16, 16, 7, r=0.0)}[kind]()
+    prob = (bb.make_unbounded_smooth(bb.UnboundedSmoothSpec(a=a_rate, core=spec))
+            if a_rate else bb.make_quadratic(spec))
+    a_inv = np.linalg.inv(spec.A)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        x = rng.standard_normal(spec.dim_x)
+        y = rng.standard_normal(spec.dim_y)
+        ys = a_inv @ (spec.B @ x + spec.c)
+        zs = a_inv @ (ys - spec.e)
+        if a_rate:
+            gphi = a_rate * np.sinh(a_rate * x) + spec.B.T @ zs
+            phi = float(np.cosh(a_rate * x).sum() - x.shape[0]
+                        + 0.5 * ((y - spec.e) ** 2).sum())
+        else:
+            gphi = spec.r * x + spec.B.T @ zs
+            phi = float(0.5 * ((y - spec.e) ** 2).sum()
+                        + 0.5 * spec.r * (x ** 2).sum())
+        for got, want in zip(prob.solve(x), (ys, zs, gphi)):
+            np.testing.assert_array_equal(got, want)
+        value = prob.upper(x, y)
+        assert type(value) is float and value == phi
+
+
+def test_hyperclean_stack_is_solved_row_by_row():
+    prob = bb.make_hyperclean(bb.HypercleanSpec(
+        n_train=30, n_val=30, feature_dim=3, corruption_rate=0.2, seed=5))
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((3, prob.dim_x))
+    y = rng.standard_normal((3, prob.dim_y))
+    stacked = prob.solve(x)
+    assert [a.shape for a in stacked] == [(3, 3), (3, 3), (3, 30)]
+    for i in range(3):
+        for got, want in zip(stacked, prob.solve(x[i])):
+            np.testing.assert_array_equal(got[i], want)
+    assert prob.upper(x, y).tolist() == [prob.upper(*row) for row in zip(x, y)]

@@ -151,8 +151,8 @@ class TestBiasCheck:
                                        "eta": 0.01, "T": T, "T0": 20})
         points = []
 
-        def record_point(t, x, y, z, m):
-            points.append((x, y, z))
+        def record_point(ts, x, y, z, m):
+            points.extend(zip(x, y, z))
             return (None,) * 5
 
         bb.slip_run(prob, sched, np.zeros(2), np.ones(2), np.zeros(2), seed=0,
