@@ -22,14 +22,14 @@ the methods they are named after:
 The frozen-x SGD (``sgd_dd``, used for the warm start and the refinement)
 returns only the final lower-level iterate; the ground truth is read only by
 the metric evaluator (``default_metrics``), the loop's one metric callback.
-The loop stacks each row's iterates and evaluates the metrics of
-:data:`METRIC_BLOCK` rows at a time: one ``problem.solve`` call per block,
-each of its rows bit for bit what a call for that row alone gives.  The
-block is also evaluated before the run ends, however it ends, so a trace
-holds the same rows as one evaluated row by row.  When a block's evaluation
-raises, or one of its rows is rejected, the block is evaluated again one
-row at a time, and the run ends at the first row that fails, as it would
-have row by row.
+The loop writes each row's iterates into a block of :data:`METRIC_BLOCK`
+rows, fresh arrays per block, and evaluates a full block's metrics in one
+call: one ``problem.solve`` call per block, each of its rows bit for bit
+what a call for that row alone gives.  The pending rows are also evaluated
+when the loop ends, however it ends, so a trace holds the same rows as one
+evaluated row by row.  When a block's evaluation raises, or one of its rows
+is rejected, the block is evaluated again one row at a time, and the run
+ends at the first row that fails, as it would have row by row.
 
 A run is strictly sequential; runs with distinct seeds share no mutable
 state and may execute concurrently in separate threads: no problem keeps
@@ -160,89 +160,6 @@ def default_metrics(problem: BilevelProblem) -> MetricFn:
     return metrics
 
 
-class _RowFailed(Exception):
-    """Row ``state.t`` could not be recorded; ``cause`` is why."""
-
-    def __init__(self, state: SlipState, cause: Exception):
-        super().__init__(str(cause))
-        self.state = state
-        self.cause = cause
-
-
-class _PendingRows:
-    """The rows of the current block, waiting for their metrics: their
-    iterates stacked, one array each of ``x``, ``y``, ``z`` and ``m``, and
-    their call counts."""
-
-    def __init__(self, problem: BilevelProblem, metrics: MetricFn,
-                 trace: Trace):
-        self.dims = (problem.dim_x, problem.dim_y, problem.dim_y, problem.dim_x)
-        self.metrics = metrics
-        self.trace = trace
-        self.calls: list[tuple[int, ...]] = []
-
-    def __enter__(self) -> "_PendingRows":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.flush()
-
-    def add(self, t: int, x: Vec, y: Vec, z: Vec, m: Vec,
-            calls: OracleCounter) -> None:
-        """Row ``t``; the block is evaluated once it is full."""
-        i = len(self.calls)
-        if i == 0:
-            # fresh arrays, allocated once the last block's are evaluated:
-            # the metric callable may keep those
-            self.t0 = t
-            self.iterates = tuple(np.empty((METRIC_BLOCK, d)) for d in self.dims)
-        bx, by, bz, bm = self.iterates
-        bx[i], by[i], bz[i], bm[i] = x, y, z, m
-        self.calls.append(calls.as_tuple())
-        if i + 1 == METRIC_BLOCK:
-            self.flush()
-
-    def flush(self) -> None:
-        """Evaluate the block and append its rows to the trace.
-
-        If that fails, evaluates the rows one at a time, appends those
-        before the first that fails and raises :class:`_RowFailed` for it.
-        """
-        n = len(self.calls)
-        if n == 0:
-            return
-        ts = np.arange(self.t0, self.t0 + n)
-        iterates = [b[:n] for b in self.iterates]
-        calls, self.calls, self.iterates = self.calls, [], ()
-        start = len(self.trace.records)
-        try:
-            self._record(ts, iterates, calls)
-            return
-        except Exception:
-            del self.trace.records[start:]
-        for k in range(n):
-            row = slice(k, k + 1)
-            try:
-                self._record(ts[row], [b[row] for b in iterates], calls[row])
-            except Exception as exc:
-                t = int(ts[k])
-                # a row-by-row run stops at t: drop the later rows' skips
-                self.trace.skipped_steps[:] = [
-                    s for s in self.trace.skipped_steps if s <= t]
-                state = SlipState(*(b[k] for b in iterates), t=t,
-                                  calls=OracleCounter(*calls[k]))
-                raise _RowFailed(state, exc) from exc
-
-    def _record(self, ts: np.ndarray, iterates: list[np.ndarray],
-                calls: list[tuple[int, ...]]) -> None:
-        n = len(ts)
-        cols = [[None] * n if c is None else np.asarray(c).reshape(n).tolist()
-                for c in self.metrics(ts, *iterates)]
-        append = self.trace.append
-        for t, g, ye, ze, ee, phi, c in zip(ts.tolist(), *cols, calls):
-            append(TraceRecord(t, g, ye, ze, ee, phi, *c))
-
-
 def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
            n_steps: int, seed: int, *, counter_start: int = 0,
            calls: OracleCounter | None = None) -> Vec:
@@ -306,8 +223,9 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     exception once the warm start has begun ends the run with a
     :class:`RunAborted`: :class:`NumericalDivergenceError` for overflow and
     non-finite iterates, :class:`RunError` for anything but the deadline.
-    A row whose metrics fail ends the run at that row, with its iterates
-    and call counts as the state, before any later failure.
+    The pending rows' metrics are also evaluated when the loop ends; a row
+    whose metrics fail ends the run there, with its iterates and call
+    counts as the state, before any later failure.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0_init, dtype=float).copy()
@@ -331,6 +249,49 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     # unlike v.dot(v) it cannot overflow on a finite v
     zero_x, zero_y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
     trace = Trace()
+    # the pending rows: the block's t, x, y, z and m, one array each with a
+    # row per iteration, and each row's call counts
+    block: list[np.ndarray] = []
+    block_calls: list[tuple[int, ...]] = []
+    failed: SlipState | None = None   # the row whose metrics failed
+
+    def flush() -> None:
+        # evaluates the pending rows and appends them to the trace; if that
+        # fails, evaluates them one at a time, appends those before the first
+        # that fails, keeps its state in ``failed`` and re-raises its exception
+        nonlocal block, block_calls, failed
+        n = len(block_calls)
+        if n == 0:
+            return
+        pending, row_calls = [b[:n] for b in block], block_calls
+        block, block_calls = [], []
+
+        def record(rows: slice) -> None:
+            ts = pending[0][rows]
+            cols = [[None] * len(ts) if c is None
+                    else np.asarray(c).reshape(len(ts)).tolist()
+                    for c in metrics(*(b[rows] for b in pending))]
+            for *row, c in zip(ts.tolist(), *cols, row_calls[rows]):
+                trace.append(TraceRecord(*row, *c))
+
+        start = len(trace.records)
+        try:
+            record(slice(0, n))
+            return
+        except Exception:
+            del trace.records[start:]
+        for k in range(n):
+            try:
+                record(slice(k, k + 1))
+            except Exception:
+                t = int(pending[0][k])
+                # a row-by-row run stops at t: drop the later rows' skips
+                trace.skipped_steps[:] = [
+                    s for s in trace.skipped_steps if s <= t]
+                failed = SlipState(*(b[k] for b in pending[1:]), t=t,
+                                   calls=OracleCounter(*row_calls[k]))
+                raise
+
     t = 0
     try:
         if schedule.T0 > 0:
@@ -338,66 +299,75 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                        calls=calls)
 
         # updates and metrics of a diverging run overflow: the finiteness
-        # check below decides.  Leaving the block, at the end or by a
-        # raise, evaluates the rows still pending.
-        with (np.errstate(over="ignore", invalid="ignore"),
-              _PendingRows(problem, metrics, trace) as pending):
-            for t in range(schedule.T):
-                alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
-                if decay is not None:
-                    eta = eta * (t + 1) ** (-decay[0])
-                    alpha = alpha * (t + 1) ** (-decay[1])
-                    gamma = gamma * (t + 1) ** (-decay[1])
+        # check below decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for t in range(schedule.T):
+                    alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
+                    if decay is not None:
+                        eta = eta * (t + 1) ** (-decay[0])
+                        alpha = alpha * (t + 1) ** (-decay[1])
+                        gamma = gamma * (t + 1) ** (-decay[1])
 
-                s_pi = unchecked_sample(Stream.PI, t, seed)
-                s_zeta = unchecked_sample(Stream.ZETA, t, seed)
-                s_xi = unchecked_sample(Stream.XI, t, seed)
-                s_xi_p = unchecked_sample(Stream.XI_PRIME, t, seed)
-                s_zeta_p = unchecked_sample(Stream.ZETA_PRIME, t, seed)
+                    s_pi = unchecked_sample(Stream.PI, t, seed)
+                    s_zeta = unchecked_sample(Stream.ZETA, t, seed)
+                    s_xi = unchecked_sample(Stream.XI, t, seed)
+                    s_xi_p = unchecked_sample(Stream.XI_PRIME, t, seed)
+                    s_zeta_p = unchecked_sample(Stream.ZETA_PRIME, t, seed)
 
-                # updates read the current (x_t, y_t, z_t); z feeds the
-                # momentum update before its own refresh
-                gy = problem.oracle.grad_y_G(x, y, s_pi)
-                calls.n_grad_y_G += 1
-                y_next = y - alpha * gy
-                z_next = update_z(z, x, y, gamma, s_zeta, s_xi, problem, calls)
-                gx = problem.oracle.grad_x_F(x, y, s_xi_p)
-                hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p)
-                calls.n_grad_x_F += 1
-                calls.n_hvp_xy += 1
-                ghat = gx - hxy
-                m = beta * m + (1.0 - beta) * ghat
+                    # updates read the current (x_t, y_t, z_t); z feeds the
+                    # momentum update before its own refresh
+                    gy = problem.oracle.grad_y_G(x, y, s_pi)
+                    calls.n_grad_y_G += 1
+                    y_next = y - alpha * gy
+                    z_next = update_z(z, x, y, gamma, s_zeta, s_xi, problem, calls)
+                    gx = problem.oracle.grad_x_F(x, y, s_xi_p)
+                    hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p)
+                    calls.n_grad_x_F += 1
+                    calls.n_hvp_xy += 1
+                    ghat = gx - hxy
+                    m = beta * m + (1.0 - beta) * ghat
 
-                norm_m = _norm(m)
-                if normalize:
-                    if norm_m == 0.0:
-                        logger.info("iteration %d: zero momentum, skipping x-step", t)
-                        trace.skipped_steps.append(t)
-                        x_next = x
+                    norm_m = _norm(m)
+                    if normalize:
+                        if norm_m == 0.0:
+                            logger.info("iteration %d: zero momentum, skipping x-step", t)
+                            trace.skipped_steps.append(t)
+                            x_next = x
+                        else:
+                            x_next = x - eta * (m / norm_m)
                     else:
-                        x_next = x - eta * (m / norm_m)
-                else:
-                    x_next = x - eta * m
+                        x_next = x - eta * m
 
-                pending.add(t, x, y, z, m, calls)
-                if time.monotonic() > deadline:
-                    raise TimeoutError(f"deadline passed at iteration {t}")
+                    i = t % METRIC_BLOCK
+                    if i == 0:
+                        # fresh arrays, allocated once the last block is
+                        # evaluated: the metric callable may keep those
+                        block = [np.arange(t, t + METRIC_BLOCK), *(
+                            np.empty((METRIC_BLOCK, v.size)) for v in (x, y, z, m))]
+                    _, bx, by, bz, bm = block
+                    bx[i], by[i], bz[i], bm[i] = x, y, z, m
+                    block_calls.append(calls.as_tuple())
+                    if i == METRIC_BLOCK - 1:
+                        flush()
+                    if time.monotonic() > deadline:
+                        raise TimeoutError(f"deadline passed at iteration {t}")
 
-                finite = (x_next.dot(zero_x) + y_next.dot(zero_y)
-                          + z_next.dot(zero_y) + m.dot(zero_x)) == 0.0
-                x, y, z = x_next, y_next, z_next
-                if not finite:
-                    raise FloatingPointError(f"non-finite iterate at iteration {t}")
+                    finite = (x_next.dot(zero_x) + y_next.dot(zero_y)
+                              + z_next.dot(zero_y) + m.dot(zero_x)) == 0.0
+                    x, y, z = x_next, y_next, z_next
+                    if not finite:
+                        raise FloatingPointError(f"non-finite iterate at iteration {t}")
 
-                if extra > 0 and (t + 1) % interval == 0:
-                    y = sgd_dd(problem, x, y, alpha, extra, seed,
-                               counter_start=warm_counter, calls=calls)
-                    warm_counter += extra
+                    if extra > 0 and (t + 1) % interval == 0:
+                        y = sgd_dd(problem, x, y, alpha, extra, seed,
+                                   counter_start=warm_counter, calls=calls)
+                        warm_counter += extra
+            finally:
+                # the pending rows are evaluated however the loop ends
+                flush()
     except Exception as exc:
-        if isinstance(exc, _RowFailed):
-            state, exc = exc.state, exc.cause
-        else:
-            state = SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
+        state = failed or SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
         t = state.t
         if isinstance(exc, (FloatingPointError, OverflowError)):
             raise NumericalDivergenceError(str(exc), t, trace, state) from exc

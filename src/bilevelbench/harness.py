@@ -81,8 +81,11 @@ class RunConfig:
     not take, fills ``algo_params`` with the defaults of :data:`ALGORITHMS`
     and types every value, a problem key's by ``_PROBLEM_KEYS``, an
     algorithm key's as its default and each seed as an int; a fractional
-    number or a bool for an integer key or a seed is rejected.  ``workers``
-    is validated but has no effect: seeds always run in order.
+    number or a bool for an integer key, a seed or ``workers`` is rejected.
+    ``max_wall_seconds`` is a float ``>= 0`` (``inf``, the default, sets no
+    deadline; ``nan`` is rejected), and ``inits`` takes only the keys
+    ``x0``, ``y0`` and ``z0``.  ``workers`` is typed and validated but has
+    no effect: seeds always run in order.
     """
 
     problem_kind: str
@@ -135,15 +138,25 @@ class RunConfig:
             k: _typed(params, k, type(v)) for k, v in defaults.items()})
         if self.schedule is None and self.schedule_spec is None:
             raise ConfigurationError("a schedule (or schedule spec) is required")
+        object.__setattr__(self, "workers",
+                           _converted(self.workers, "workers", int))
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        wall = _converted(self.max_wall_seconds, "max_wall_seconds", float)
+        if not wall >= 0.0:   # nan fails too
+            raise ConfigurationError(f"max_wall_seconds must be >= 0, got {wall!r}")
+        object.__setattr__(self, "max_wall_seconds", wall)
+        unknown = set(self.inits) - set(_INITS)
+        if unknown:
+            raise ConfigurationError(f"unknown inits keys: {sorted(unknown, key=str)}")
 
 
 # ---------------------------------------------------------------- config IO
 
 # the keys of both theorem modes; schedule_practical checks its own
 _THEOREM_KEYS = {"eps", "delta", "delta0", "delta_y0", "delta_z0", "grad_phi_x0"}
-_RUN_KEYS = {"seeds", "out", "max_wall_seconds", "x0", "y0", "z0", "workers"}
+_INITS = ("x0", "y0", "z0")
+_RUN_KEYS = {"seeds", "out", "max_wall_seconds", "workers", *_INITS}
 
 
 def _typed(section: dict, key: str, kind, default=None):
@@ -251,16 +264,16 @@ def parse_config(path) -> RunConfig:
         seeds = [int(s) for s in run["seeds"].replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigurationError(f"bad seeds list: {run['seeds']!r}") from exc
-    inits = {k: _parse_init(k, run[k]) for k in ("x0", "y0", "z0") if k in run}
+    inits = {k: _parse_init(k, run[k]) for k in _INITS if k in run}
 
     return RunConfig(
         problem_kind=prob.get("kind"), problem_params=params, noise=noise,
         algorithm=name, schedule=schedule, schedule_spec=schedule_spec,
         algo_params=algo_params, seeds=seeds,
-        max_wall_seconds=_typed(run, "max_wall_seconds", float, math.inf),
+        max_wall_seconds=run.get("max_wall_seconds", math.inf),
         out=run.get("out"),
         inits=inits,
-        workers=_typed(run, "workers", int, 1),
+        workers=run.get("workers", 1),
     )
 
 
@@ -313,9 +326,9 @@ def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
 def _broadcast(v, dim: int, default: float) -> Vec:
     if v is None:
         return np.full(dim, default)
-    if isinstance(v, (int, float)):
-        return np.full(dim, float(v))
     arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0:   # a Python or numpy scalar
+        return np.full(dim, float(arr))
     if arr.shape != (dim,):
         raise ConfigurationError(f"init vector has length {arr.shape[0]}, expected {dim}")
     return arr

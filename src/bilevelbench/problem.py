@@ -10,10 +10,11 @@ smoothness constants.  Every problem carries all three: there is no path
 for a problem without them.  The checkers that test a problem's oracles
 against these maps live in :mod:`bilevelbench.verify`.
 
-``solve`` and ``upper`` also take a stack of points (a leading axis) and
+For one point, ``solve`` returns three 1-D arrays (``y*`` and ``z*`` of
+length ``dim_y``, the hypergradient of length ``dim_x``) and ``upper`` a
+Python float.  Both also take a stack of points (a leading axis) and
 return one result per row, so that the metric evaluator reads the ground
-truth of a block of rows in one call; for one point they return what they
-always did.
+truth of a block of rows in one call.
 
 All oracle and ground-truth evaluations are pure functions of (point,
 sample) or of the point: no problem keeps shared mutable state, and each

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench import harness
+from bilevelbench import algorithms, harness
 from bilevelbench.algorithms import METRIC_BLOCK, default_metrics, update_z
 from bilevelbench.problem import (DeterministicOracle, LowerPoint,
                                   StochasticOracle, _norm)
@@ -377,9 +378,10 @@ class TestMetricBlocks:
     SCHED = {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01,
              "T": 200, "T0": 10}
 
-    def run(self, prob, metrics):
+    def run(self, prob, metrics, deadline=math.inf):
         return bb.slip_run(prob, bb.schedule_practical(self.SCHED), np.zeros(2),
-                           np.ones(2), np.zeros(2), seed=2, metrics=metrics)
+                           np.ones(2), np.zeros(2), seed=2, deadline=deadline,
+                           metrics=metrics)
 
     def full_run(self, prob):
         """Each row's ``(x, y, z, m)`` and the trace of a run that does
@@ -465,6 +467,51 @@ class TestMetricBlocks:
                                        else OverflowError)
         assert trace_to_csv(err.trace) == trace_to_csv(Trace(full.records[:k]))
         np.testing.assert_array_equal(err.state.x, rows[k][0])
+
+    # row 130 is recorded, with one block evaluated and one pending, before
+    # the abort
+    def test_non_finite_update_after_a_full_block(self, q2_gauss):
+        class NanAt130(StochasticOracle):
+            def grad_y_G(self, x, y, sample):
+                g = super().grad_y_G(x, y, sample)
+                if sample.stream is Stream.PI and sample.counter == 130:
+                    return np.full_like(g, np.nan)
+                return g
+
+        rows, full = self.full_run(q2_gauss)
+        prob = replace(q2_gauss, oracle=NanAt130(q2_gauss.det,
+                                                 q2_gauss.oracle.noise))
+        with pytest.raises(bb.NumericalDivergenceError) as exc_info:
+            self.run(prob, None)
+        err = exc_info.value
+        assert err.t == 130
+        assert trace_to_csv(err.trace) == trace_to_csv(Trace(full.records[:131]))
+        # the state holds row 130's updates: a nan y, and x and z as row 131
+        # of the full run read them
+        state = err.state
+        assert state.t == 130
+        assert np.isnan(state.y).all()
+        for got, want in zip((state.x, state.z, state.m),
+                             (rows[131][0], rows[131][2], rows[130][3])):
+            np.testing.assert_array_equal(got, want)
+        assert state.calls.as_tuple() == full.records[130][6:]
+
+    def test_deadline_after_a_full_block(self, q2_gauss, monkeypatch):
+        rows, full = self.full_run(q2_gauss)
+        # the loop reads the clock once per row: past the deadline at row 130
+        clock = itertools.chain([0.0] * 130, itertools.repeat(2.0))
+        monkeypatch.setattr(algorithms.time, "monotonic", lambda: next(clock))
+        with pytest.raises(bb.RunAborted) as exc_info:
+            self.run(q2_gauss, None, deadline=1.0)
+        err = exc_info.value
+        assert err.status == "TIMEOUT"
+        assert err.t == 130
+        assert trace_to_csv(err.trace) == trace_to_csv(Trace(full.records[:131]))
+        state = err.state
+        assert state.t == 130
+        for got, want in zip((state.x, state.y, state.z, state.m), rows[130]):
+            np.testing.assert_array_equal(got, want)
+        assert state.calls.as_tuple() == full.records[130][6:]
 
     def test_block_arrays_are_not_reused(self, q2):
         blocks = []

@@ -73,6 +73,8 @@ def test_bad_config_exit_1(tmp_path):
     ("seeds = 1,2", "seeds = 1, 18446744073709551616"),  # 2**64, would alias 0
     ("seeds = 1,2", "seeds = 1, 1"),                 # one trace file, two runs
     ("seeds = 1,2", "seeds = 1,2\nx0 = 1, 2, 3"),     # found before the loop
+    ("seeds = 1,2", "seeds = 1,2\nmax_wall_seconds = nan"),  # turned the deadline off
+    ("seeds = 1,2", "seeds = 1,2\nmax_wall_seconds = -1"),   # a TIMEOUT at row 0
 ])
 def test_malformed_value_exit_1(tmp_path, capsys, old, new):
     p = tmp_path / "bad.cfg"

@@ -354,7 +354,8 @@ class TestConfig:
          "refine_interval"),
         ({"seeds": [1.5]}, "seeds"),
         ({"seeds": [2, np.float64(1.9)]}, "seeds"),
-    ], ids=["problem", "algorithm", "seed", "numpy-seed"])
+        ({"workers": 2.5}, "workers"),
+    ], ids=["problem", "algorithm", "seed", "numpy-seed", "workers"])
     def test_fractional_integer_rejected(self, change, key):
         # int() would truncate it: dim_x = 2.7 used to build a 2-dim problem,
         # and seed 1.5 ran as seed 1
@@ -364,10 +365,29 @@ class TestConfig:
     @pytest.mark.parametrize("change,key", [
         ({"seeds": [True]}, "seeds"),
         ({"problem_params": {"dim_x": True, "dim_y": 2, "seed": 1}}, "dim_x"),
-    ], ids=["seed", "problem"])
+        ({"workers": True}, "workers"),
+    ], ids=["seed", "problem", "workers"])
     def test_bool_integer_rejected(self, change, key):
         with pytest.raises(ConfigurationError, match=f"{key}.*not a valid int"):
             RunConfig(**(self._FIELDS | change))
+
+    @pytest.mark.parametrize("change,match", [
+        ({"max_wall_seconds": math.nan}, "max_wall_seconds must be >= 0"),
+        ({"max_wall_seconds": -1.0}, "max_wall_seconds must be >= 0"),
+        ({"max_wall_seconds": "soon"}, "max_wall_seconds.*not a valid float"),
+        ({"inits": {"x0": 1.0, "w0": 3.0}}, r"unknown inits keys: \['w0'\]"),
+    ], ids=["wall-nan", "wall-negative", "wall-text", "init-key"])
+    def test_bad_run_value_rejected(self, change, match):
+        # nan turned the deadline off, -1 ended every seed TIMEOUT at row 0,
+        # and w0 was ignored
+        with pytest.raises(ConfigurationError, match=match):
+            RunConfig(**(self._FIELDS | change))
+
+    def test_run_values_typed(self):
+        cfg = RunConfig(**(self._FIELDS | {"workers": np.int64(2),
+                                           "max_wall_seconds": 0}))
+        assert (type(cfg.workers), cfg.workers) == (int, 2)
+        assert (type(cfg.max_wall_seconds), cfg.max_wall_seconds) == (float, 0.0)
 
     def test_whole_seeds_typed_as_int(self):
         cfg = RunConfig(**(self._FIELDS | {"seeds": (np.int64(3), 4.0, "5")}))
@@ -579,6 +599,18 @@ class TestRunExperiment:
         res = run_experiment(parse_config(path), tmp_path / "quiet")
         assert [s["skipped_steps"] for s in res.metadata["seeds"]] == [1, 1, 1]
         assert res.metadata["problem"]["sigma_g1"] == 0.0
+
+    @pytest.mark.parametrize("x0", [np.int64(1), np.array(1.0)],
+                             ids=["int64", "0-d-array"])
+    def test_zero_d_init_is_a_scalar(self, cfg_file, tmp_path, x0):
+        # np.int64(1) escaped as IndexError from the length check
+        cfg = parse_config(cfg_file)
+        want = run_experiment(dataclasses.replace(cfg, inits={"x0": 1.0}),
+                              tmp_path / "float" / "exp")
+        got = run_experiment(dataclasses.replace(cfg, inits={"x0": x0}),
+                             tmp_path / "scalar" / "exp")
+        for p_want, p_got in zip(want.trace_paths, got.trace_paths):
+            assert p_got.read_bytes() == p_want.read_bytes()
 
     def test_timeout_keeps_partial_trace(self, cfg_file, tmp_path):
         cfg = dataclasses.replace(parse_config(cfg_file), max_wall_seconds=0.0)

@@ -1,7 +1,9 @@
-"""The package's module layering: every import sits at module level, and the
-internal import graph has no cycle."""
+"""The package's module layering: every import sits at module level, the
+internal import graph has no cycle, and every module-level name is used."""
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,32 @@ def test_all_names_the_package_imports_once():
     assert sorted(bb.__all__) == sorted(imported)
     for name in bb.__all__:
         assert getattr(bb, name) is not None
+
+
+def _module_level_names(tree):
+    """(name, line) of every function, class and name assigned at module
+    level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, name.lineno
+
+
+def test_every_module_level_name_is_referenced():
+    # a name that no other line of src/ mentions is unreachable code
+    lines = defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        for number, text in enumerate(path.read_text().splitlines(), 1):
+            for word in re.findall(r"\w+", text):
+                lines[word].add((path.stem, number))
+    unreferenced = [f"{module}.{name}"
+                    for module, tree in MODULES.items()
+                    for name, line in _module_level_names(tree)
+                    if not (name.startswith("__") and name.endswith("__"))
+                    and lines[name] <= {(module, line)}]
+    assert unreferenced == []
