@@ -222,7 +222,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     ``deadline``, the run stops after recording the current row.  Any
     exception once the warm start has begun ends the run with a
     :class:`RunAborted`: :class:`NumericalDivergenceError` for overflow and
-    non-finite iterates, :class:`RunError` for anything but the deadline.
+    non-finite iterates, :class:`RunError` for anything but the deadline;
+    sample counters past ``2**64`` raise ``ConfigurationError`` before it.
     The pending rows' metrics are also evaluated when the loop ends; a row
     whose metrics fail ends the run there, with its iterates and call
     counts as the state, before any later failure.
@@ -238,8 +239,12 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
             f"y0/z0 must have shape ({problem.dim_y},), got {y.shape}/{z.shape}")
     if metrics is None:
         metrics = default_metrics(problem)
-    check_range(seed, 0, schedule.T - 1)   # every main-loop sample's counter
     interval, extra = refine
+    try:   # every counter: the main loop's, the warm start's, the refinement's
+        check_range(seed, 0, max(schedule.T, schedule.T0
+                                 + extra * (schedule.T // interval)) - 1)
+    except ValueError as exc:
+        raise ConfigurationError(f"the schedule cannot run: {exc}") from exc
     warm_counter = schedule.T0
 
     calls = OracleCounter()

@@ -23,6 +23,7 @@ import sys
 from .harness import SUITES, parse_config, run_experiment, run_suite, sweep_eps
 from .plotting import PlotError, plot
 from .problem import ConfigurationError
+from .trace import write_atomic
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,8 +93,7 @@ def _cmd_sweep(args) -> int:
     summary = sweep_eps(cfg, eps_list, execute=args.execute)
     text = summary.to_csv()
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        write_atomic(args.out, text)
     sys.stdout.write(text)
     return EXIT_OK
 

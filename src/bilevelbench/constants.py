@@ -239,11 +239,14 @@ def _theorem_schedule(eps: float, delta: float, c: SmoothnessConstants,
     c = _require_derived(c)
     if not 0.0 < delta < 1.0:
         raise SchedulingError(f"delta must lie in (0, 1), got {delta}")
-    if eps <= 0:
+    # written so that nan fails each check
+    if not eps > 0:
         raise SchedulingError(f"eps must be strictly positive, got {eps}")
     for name, v in (("Delta0", Delta0), ("Delta_y0", Delta_y0), ("Delta_z0", Delta_z0)):
-        if v <= 0:
-            raise SchedulingError(f"{name} must be strictly positive, got {v}")
+        if not 0 < v < math.inf:
+            raise SchedulingError(f"{name} must be strictly positive and finite, got {v}")
+    if grad_phi_x0 is not None and not grad_phi_x0 >= 0:
+        raise SchedulingError(f"grad_phi_x0 must be non-negative, got {grad_phi_x0}")
     if c.sigma_g1 == 0:
         raise SchedulingError(
             "sigma_g1 = 0 makes the analysis-driven step sizes degenerate "
@@ -293,7 +296,11 @@ def _theorem_schedule(eps: float, delta: float, c: SmoothnessConstants,
     else:
         gamma = 16.0 * one_minus_beta / mu
     alpha = 8.0 * one_minus_beta / mu
-    big_t = math.ceil(4.0 * Delta0 / (eta * eps))
+    t_real = 4.0 * Delta0 / (eta * eps)
+    if not t_real < math.inf:   # nan fails too
+        raise SchedulingError(f"eps={eps:g} gives a non-finite iteration count "
+                              f"T = 4*Delta0/(eta*eps) = {t_real}")
+    big_t = math.ceil(t_real)
     alpha_init = warm_start_alpha(c, delta)
     t0 = warm_start_T0(alpha_init, mu, c.L1, Delta_y0)
 

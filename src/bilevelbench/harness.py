@@ -2,9 +2,9 @@
 
 Config files are INI-style with sections ``[problem]``, ``[algorithm]``,
 ``[schedule]`` and ``[run]``; every key is typed and unknown keys are
-rejected with :class:`~bilevelbench.problem.ConfigurationError`.  The
-algorithm and problem keys are checked and typed by :class:`RunConfig`
-itself, so a config built in code is held to the same keys and types as a
+rejected with :class:`~bilevelbench.problem.ConfigurationError`.  Every
+key but the noise keys is checked and typed by :class:`RunConfig` itself,
+so a config built in code is held to the same keys and types as a
 file.  The seeds run in order in the calling thread; one CSV trace is
 written per seed plus a single JSON metadata record, and identical configs
 reproduce the trace files byte for byte.  The ``[run] workers`` key is
@@ -26,7 +26,7 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -76,36 +76,41 @@ _PROBLEM_KEYS = {
 class RunConfig:
     """One experiment: a problem, an algorithm, a schedule, and seeds.
 
-    Construction rejects an unknown problem kind or algorithm and any
-    ``problem_params`` or ``algo_params`` key the kind or algorithm does
-    not take, fills ``algo_params`` with the defaults of :data:`ALGORITHMS`
-    and types every value, a problem key's by ``_PROBLEM_KEYS``, an
-    algorithm key's as its default and each seed as an int; a fractional
-    number or a bool for an integer key, a seed or ``workers`` is rejected.
-    ``max_wall_seconds`` is a float ``>= 0`` (``inf``, the default, sets no
-    deadline; ``nan`` is rejected), and ``inits`` takes only the keys
-    ``x0``, ``y0`` and ``z0``.  ``workers`` is typed and validated but has
-    no effect: seeds always run in order.
+    Construction checks and types every field, so a config built in code
+    takes a file's keys and values, strings included.  It rejects an
+    unknown problem kind, algorithm or schedule mode and any key the kind,
+    algorithm or mode does not take, fills ``algo_params`` with the
+    defaults of :data:`ALGORITHMS`, and types a problem value by
+    ``_PROBLEM_KEYS``, an algorithm value as its default, a seed or
+    ``workers`` as an int (a fractional number or a bool is rejected) and a
+    schedule value or an init as a float.  ``seeds`` and an init (``x0``,
+    ``y0``, ``z0``) take a comma- or space-separated string, a sequence or
+    one value; an init of one number is a float, else a tuple of floats.
+    ``schedule`` is a :class:`ParamSchedule` or a mapping of ``mode`` and
+    the ``[schedule]`` keys: a practical one becomes its
+    :class:`ParamSchedule`, a theorem one stays a mapping for
+    :func:`resolve_schedule`.  ``max_wall_seconds`` is a float ``>= 0``
+    (``inf``, the default, sets no deadline).  ``workers`` has no effect:
+    seeds always run in order.
     """
 
     problem_kind: str
     problem_params: dict
     noise: NoiseModel
     algorithm: str
-    schedule: ParamSchedule | None = None
-    schedule_spec: dict | None = None
+    schedule: ParamSchedule | Mapping
     algo_params: dict = field(default_factory=dict)
-    seeds: Sequence[int] = (0,)
+    seeds: Sequence[int] | str = (0,)
     max_wall_seconds: float = math.inf
     out: str | None = None
     inits: dict = field(default_factory=dict)
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.seeds:
+        seeds = [_converted(s, "seeds", int) for s in _items(self.seeds)]
+        if not seeds:
             raise ConfigurationError("seeds must be nonempty")
-        object.__setattr__(self, "seeds",
-                           [_converted(s, "seeds", int) for s in self.seeds])
+        object.__setattr__(self, "seeds", seeds)
         for s in self.seeds:
             try:
                 check_range(s, 0, -1)   # the seed alone: no counters
@@ -123,8 +128,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown [problem] keys for "
                                      f"kind={self.problem_kind}: {sorted(unknown)}")
         object.__setattr__(self, "problem_params", {
-            k: _typed(self.problem_params, k, key_types[k])
-            for k in self.problem_params})
+            k: _converted(v, k, key_types[k]) for k, v in self.problem_params.items()})
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose from {sorted(ALGORITHMS)}")
@@ -135,9 +139,31 @@ class RunConfig:
                                      f"{self.algorithm}: {sorted(unknown)}")
         params = {**defaults, **self.algo_params}
         object.__setattr__(self, "algo_params", {
-            k: _typed(params, k, type(v)) for k, v in defaults.items()})
-        if self.schedule is None and self.schedule_spec is None:
-            raise ConfigurationError("a schedule (or schedule spec) is required")
+            k: _converted(params[k], k, type(v)) for k, v in defaults.items()})
+        if not isinstance(self.schedule, ParamSchedule):
+            if not isinstance(self.schedule, Mapping):
+                raise ConfigurationError(f"schedule must be a ParamSchedule or a "
+                                         f"mapping, got {self.schedule!r}")
+            values = dict(self.schedule)
+            mode = values.pop("mode", None)
+            if mode not in ("practical", "theorem41", "theorem42"):
+                raise ConfigurationError(f"unknown schedule mode {mode!r}")
+            if mode != "practical":   # schedule_practical checks its own keys
+                unknown = set(values) - _THEOREM_KEYS
+                if unknown:
+                    raise ConfigurationError(f"unknown [schedule] keys for mode="
+                                             f"{mode}: {sorted(unknown, key=str)}")
+                missing = _THEOREM_KEYS - {"grad_phi_x0"} - set(values)
+                if missing:
+                    raise ConfigurationError(f"missing [schedule] keys for mode="
+                                             f"{mode}: {sorted(missing)}")
+            values = {k: _converted(v, k, float) for k, v in values.items()}
+            try:
+                schedule = (schedule_practical(values) if mode == "practical"
+                            else {"mode": mode, **values})
+            except SchedulingError as exc:
+                raise ConfigurationError(f"invalid schedule: {exc}") from exc
+            object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "workers",
                            _converted(self.workers, "workers", int))
         if self.workers < 1:
@@ -149,6 +175,11 @@ class RunConfig:
         unknown = set(self.inits) - set(_INITS)
         if unknown:
             raise ConfigurationError(f"unknown inits keys: {sorted(unknown, key=str)}")
+        inits = {}
+        for k, raw in self.inits.items():
+            vals = tuple(_converted(v, k, float) for v in _items(raw))
+            inits[k] = vals[0] if len(vals) == 1 else vals
+        object.__setattr__(self, "inits", inits)
 
 
 # ---------------------------------------------------------------- config IO
@@ -159,12 +190,14 @@ _INITS = ("x0", "y0", "z0")
 _RUN_KEYS = {"seeds", "out", "max_wall_seconds", "workers", *_INITS}
 
 
-def _typed(section: dict, key: str, kind, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigurationError(f"missing required key {key!r}")
-        return default
-    return _converted(section[key], key, kind)
+def _items(raw) -> list:
+    """A file's comma- or space-separated list, a sequence's items, or one value."""
+    if isinstance(raw, str):
+        return raw.replace(",", " ").split()
+    try:
+        return list(raw)
+    except TypeError:   # not a sequence: one value
+        return [raw]
 
 
 def _converted(raw, key: str, kind):
@@ -189,15 +222,8 @@ def _parse_noise(section: dict) -> NoiseModel:
         kind = NoiseKind(section.get("noise", "noiseless"))
     except ValueError as exc:
         raise ConfigurationError(f"unknown noise model {section['noise']!r}") from exc
-    return NoiseModel(kind, **{k: _typed(section, k, float, 0.0) for k in SIGMAS})
-
-
-def _parse_init(key: str, raw: str) -> float | list[float]:
-    try:
-        vals = [float(p) for p in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigurationError(f"key {key!r} is not a list of floats: {raw!r}") from exc
-    return vals[0] if len(vals) == 1 else vals
+    return NoiseModel(kind, **{k: _converted(section[k], k, float)
+                               for k in SIGMAS if k in section})
 
 
 def parse_config(path) -> RunConfig:
@@ -221,38 +247,10 @@ def parse_config(path) -> RunConfig:
     params = {k: v for k, v in prob.items()
               if k not in ("kind", "noise", *SIGMAS)}
 
-    # RunConfig rejects an unknown name or key and types the known ones
+    # RunConfig rejects an unknown name, key or mode and types the values
+    # of every section but the noise keys
     algo_params = dict(parser["algorithm"])
     name = algo_params.pop("name", None)
-
-    sched = dict(parser["schedule"])
-    mode = sched.pop("mode", None)
-    schedule = None
-    schedule_spec = None
-    try:
-        if mode == "practical":
-            # schedule_practical names any key it does not take
-            schedule = schedule_practical(
-                {k: _typed(sched, k, float) for k in sched})
-        elif mode in ("theorem41", "theorem42"):
-            unknown = set(sched) - _THEOREM_KEYS
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown [schedule] keys for mode={mode}: {sorted(unknown)}")
-            schedule_spec = {
-                "mode": mode,
-                "eps": _typed(sched, "eps", float),
-                "delta": _typed(sched, "delta", float),
-                "Delta0": _typed(sched, "delta0", float),
-                "Delta_y0": _typed(sched, "delta_y0", float),
-                "Delta_z0": _typed(sched, "delta_z0", float),
-                "grad_phi_x0": (_typed(sched, "grad_phi_x0", float)
-                                if "grad_phi_x0" in sched else None),
-            }
-        else:
-            raise ConfigurationError(f"unknown schedule mode {mode!r}")
-    except SchedulingError as exc:
-        raise ConfigurationError(f"invalid schedule: {exc}") from exc
 
     run = dict(parser["run"])
     unknown = set(run) - _RUN_KEYS
@@ -260,19 +258,14 @@ def parse_config(path) -> RunConfig:
         raise ConfigurationError(f"unknown [run] keys: {sorted(unknown)}")
     if "seeds" not in run:
         raise ConfigurationError("[run] seeds is required")
-    try:
-        seeds = [int(s) for s in run["seeds"].replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigurationError(f"bad seeds list: {run['seeds']!r}") from exc
-    inits = {k: _parse_init(k, run[k]) for k in _INITS if k in run}
 
     return RunConfig(
         problem_kind=prob.get("kind"), problem_params=params, noise=noise,
-        algorithm=name, schedule=schedule, schedule_spec=schedule_spec,
-        algo_params=algo_params, seeds=seeds,
+        algorithm=name, schedule=dict(parser["schedule"]),
+        algo_params=algo_params, seeds=run["seeds"],
         max_wall_seconds=run.get("max_wall_seconds", math.inf),
         out=run.get("out"),
-        inits=inits,
+        inits={k: run[k] for k in _INITS if k in run},
         workers=run.get("workers", 1),
     )
 
@@ -307,42 +300,42 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
         return make_unbounded_smooth(UnboundedSmoothSpec(a=a, core=core), cfg.noise)
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(str(exc)) from exc
+    except ArithmeticError as exc:   # say, a squared a past 1e308
+        raise ConfigurationError(f"the [problem] values overflow "
+                                 f"({type(exc).__name__}: {exc})") from exc
 
 
 def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
-    if cfg.schedule is not None:
+    """The config's schedule; a theorem mode's is built from the problem's
+    constants.  A schedule that cannot be built raises ``ConfigurationError``."""
+    if isinstance(cfg.schedule, ParamSchedule):
         return cfg.schedule
-    spec = dict(cfg.schedule_spec)
-    mode = spec.pop("mode")
-    builder = schedule_theorem41 if mode == "theorem41" else schedule_theorem42
+    s = cfg.schedule
+    builder = schedule_theorem41 if s["mode"] == "theorem41" else schedule_theorem42
     try:
-        return builder(spec["eps"], spec["delta"], problem.constants,
-                       spec["Delta0"], spec["Delta_y0"], spec["Delta_z0"],
-                       grad_phi_x0=spec["grad_phi_x0"])
+        return builder(s["eps"], s["delta"], problem.constants, s["delta0"],
+                       s["delta_y0"], s["delta_z0"], s.get("grad_phi_x0"))
     except SchedulingError as exc:
         raise ConfigurationError(f"schedule rejected: {exc}") from exc
+    except ArithmeticError as exc:   # say, a squared Delta_y0 past 1e308
+        raise ConfigurationError(f"schedule rejected: its closed forms overflow "
+                                 f"({type(exc).__name__}: {exc})") from exc
 
 
-def _broadcast(v, dim: int, default: float) -> Vec:
-    if v is None:
-        return np.full(dim, default)
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:   # a Python or numpy scalar
-        return np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise ConfigurationError(f"init vector has length {arr.shape[0]}, expected {dim}")
-    return arr
+def _broadcast(v: float | tuple[float, ...], dim: int) -> Vec:
+    if not isinstance(v, tuple):   # one number for every coordinate
+        return np.full(dim, v)
+    if len(v) != dim:
+        raise ConfigurationError(f"init vector has length {len(v)}, expected {dim}")
+    return np.array(v)
 
 
 def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
                 cfg: RunConfig, seed: int) -> tuple[Trace, dict]:
     meta = problem.metadata
-    x0 = _broadcast(cfg.inits.get("x0"), problem.dim_x,
-                    meta.get("x0_default", 0.0))
-    y0 = _broadcast(cfg.inits.get("y0"), problem.dim_y,
-                    meta.get("y0_default", 1.0))
-    z0 = _broadcast(cfg.inits.get("z0"), problem.dim_y,
-                    meta.get("z0_default", 0.0))
+    x0 = _broadcast(cfg.inits.get("x0", meta.get("x0_default", 0.0)), problem.dim_x)
+    y0 = _broadcast(cfg.inits.get("y0", meta.get("y0_default", 1.0)), problem.dim_y)
+    z0 = _broadcast(cfg.inits.get("z0", 0.0), problem.dim_y)
     metrics = default_metrics(problem)
     t_start = time.monotonic()
     deadline = t_start + cfg.max_wall_seconds
@@ -493,7 +486,7 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     gradient norm averaged over the seeds that ended ``OK`` (left empty when
     none did).
     """
-    if cfg.schedule_spec is None:
+    if isinstance(cfg.schedule, ParamSchedule):
         raise ConfigurationError("sweep requires a theorem-mode schedule")
     if cfg.algorithm not in ("slip", "masoba"):
         raise ConfigurationError(
@@ -502,9 +495,7 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     problem = build_problem(cfg)
     rows: list[SweepRow] = []
     for eps in eps_list:
-        spec = dict(cfg.schedule_spec)
-        spec["eps"] = eps
-        sub = replace(cfg, schedule=None, schedule_spec=spec)
+        sub = replace(cfg, schedule={**cfg.schedule, "eps": eps})
         try:
             schedule = resolve_schedule(sub, problem)
         except ConfigurationError as exc:
@@ -527,7 +518,8 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     slope = None
     if len(ok) >= 2:
         xs = np.log([1.0 / e for e, _ in ok])
-        ys = np.log([t for _, t in ok])
+        # float: a T past 2**63 would make an object array that np.log rejects
+        ys = np.log([float(t) for _, t in ok])
         slope = float(np.polyfit(xs, ys, 1)[0])
     return SweepSummary(rows=rows, slope=slope)
 
@@ -606,21 +598,15 @@ def _shipped_instances() -> list[BilevelProblem]:
     ]
 
 
-def _q2_warmstart_setup():
-    """Noisy Q2 (``sigma_g1 = 0.1``), the warm-start step capped for
-    ``delta = 0.05``, and the ``T0`` that step needs from ``y0_init = 1``."""
+def suite_warmstart() -> list[CheckResult]:
+    """Warm-start tail bound on the noisy pinned quadratic instance
+    (``sigma_g1 = 0.1``), 200 seeds at ``delta = 0.05``, with the warm-start
+    step capped for that ``delta`` and the ``T0`` it needs from ``y0 = 1``."""
     prob = make_q2(NoiseModel.gaussian(0.0, 0.1, 0.0))
     c = prob.constants
     alpha_init = warm_start_alpha(c, 0.05)
     dist0 = math.sqrt(2.0)  # ||y0_init - y*(x0)|| for y0_init = 1, x0 = 0
     t0 = warm_start_T0(alpha_init, c.mu, c.L1, dist0)
-    return prob, alpha_init, t0, c
-
-
-def suite_warmstart() -> list[CheckResult]:
-    """Warm-start tail bound on the noisy pinned quadratic instance, 200
-    seeds at ``delta = 0.05``."""
-    prob, alpha_init, t0, c = _q2_warmstart_setup()
     report = check_warm_start(prob, alpha_init, t0, c.L1, 200, 0.05)
     return [_result(
         "warm-start-bound",

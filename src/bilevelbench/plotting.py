@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .trace import COLUMNS, read_trace
+from .trace import COLUMNS, read_trace, write_atomic
 
 
 class PlotError(ValueError):
@@ -143,9 +143,8 @@ def render_chart(series: list[Series], metric: str, logy: bool = False) -> str:
 
 
 def plot(trace_paths: Sequence, metric: str, out_path, logy: bool = False) -> None:
-    """Write a line chart of one metric across trace files to an SVG file."""
+    """Write a line chart of one metric across trace files to an SVG file,
+    through a temporary file renamed into place."""
     series = series_from_traces(trace_paths, metric)
-    svg = render_chart(series, metric, logy=logy)
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write(svg)
+    write_atomic(out_path, render_chart(series, metric, logy=logy))
 

@@ -199,8 +199,8 @@ def random_quadratic_spec(dim_x: int, dim_y: int, seed: int, *,
                           mu: float = 1.0, l_g1: float = 2.0,
                           r: float = 1.0) -> QuadraticSpec:
     """A random spec with lower-level eigenvalues spread over [mu, l_g1]."""
-    if not 0 < mu <= l_g1:
-        raise ConfigurationError(f"need 0 < mu <= l_g1, got ({mu}, {l_g1})")
+    if not 0 < mu <= l_g1 < math.inf:
+        raise ConfigurationError(f"need 0 < mu <= l_g1 < inf, got ({mu}, {l_g1})")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim_y, dim_y)))
     if dim_y == 1:

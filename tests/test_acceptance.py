@@ -241,9 +241,8 @@ def test_10_complexity_trend():
     cfg = RunConfig(
         problem_kind="quadratic", problem_params={"preset": "q2"},
         noise=bb.NoiseModel.gaussian(0.1, 0.1, 0.1), algorithm="slip",
-        schedule_spec={"mode": "theorem41", "eps": 0.1, "delta": 0.1,
-                       "Delta0": 1.0, "Delta_y0": 1.0, "Delta_z0": 1.0,
-                       "grad_phi_x0": None},
+        schedule={"mode": "theorem41", "eps": 0.1, "delta": 0.1,
+                  "delta0": 1.0, "delta_y0": 1.0, "delta_z0": 1.0},
         seeds=[1])
     summary = sweep_eps(cfg, [0.2, 0.1, 0.05, 0.025])
     elapsed = time.perf_counter() - start

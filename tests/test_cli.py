@@ -86,6 +86,55 @@ def test_malformed_value_exit_1(tmp_path, capsys, old, new):
     assert "Traceback" not in err
 
 
+THEOREM_CFG = CFG.replace(
+    "mode = practical\nalpha = 0.1\nbeta = 0.9\ngamma = 0.1\neta = 0.01\n"
+    "T = 50\nT0 = 5",
+    "mode = theorem41\neps = 0.1\ndelta = 0.1\ndelta0 = 1.0\n"
+    "delta_y0 = 1.0\ndelta_z0 = 1.0").replace("sigma_g1 = 0.05", "sigma_g1 = 0.1")
+
+
+@pytest.mark.parametrize("text,old,new", [
+    # counters past 2**64: a ValueError traceback, and a seed ERROR
+    (CFG, "T = 50", "T = 100000000000000000000"),
+    (CFG, "T0 = 5", "T0 = 100000000000000000000"),
+    # T = 4*delta0/(eta*eps) is inf: an OverflowError traceback
+    (THEOREM_CFG, "delta0 = 1.0", "delta0 = 1e308"),
+], ids=["T", "T0", "theorem-delta0"])
+def test_unrunnable_schedule_exit_1(tmp_path, capsys, text, old, new):
+    p = tmp_path / "big.cfg"
+    p.write_text(text.replace(old, new, 1))
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o" / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_sweep_non_finite_T_skipped(tmp_path, capsys):
+    p = tmp_path / "big.cfg"
+    p.write_text(THEOREM_CFG.replace("delta0 = 1.0", "delta0 = 1e308", 1))
+    assert cli.main(["sweep", "--config", str(p), "--eps", "0.2,0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "0.2,SKIPPED,,,,,", "0.1,SKIPPED,,,,,"]
+
+
+def test_sweep_refused_rename_keeps_old_summary(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "sweep.cfg"
+    p.write_text(THEOREM_CFG)
+    out = tmp_path / "sweep.csv"
+    out.write_text("old summary\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("bilevelbench.trace.os.replace", refuse)
+    rc = cli.main(["sweep", "--config", str(p), "--eps", "0.2", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: rename refused\n"
+    assert out.read_text() == "old summary\n"
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["sweep.cfg", "sweep.csv"]
+
+
 def test_missing_config_exit_1(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "x")])

@@ -191,6 +191,22 @@ class TestTheoremSchedules:
                                   grad_phi_x0=1e9)
         assert "gradPhi" in exc_info.value.binding_term
 
+    @pytest.mark.parametrize("change,match", [
+        ({"eps": math.nan}, "eps must be strictly positive, got nan"),
+        ({"Delta0": math.nan}, "Delta0 must be strictly positive and finite"),
+        ({"Delta_y0": math.inf}, "Delta_y0 must be strictly positive and finite"),
+        ({"grad_phi_x0": math.nan}, "grad_phi_x0 must be non-negative"),
+        ({"Delta0": 1e308}, "non-finite iteration count T"),
+    ], ids=["eps-nan", "Delta0-nan", "Delta_y0-inf", "grad_phi_x0-nan",
+            "T-inf"])
+    def test_non_finite_input_or_T_rejected(self, change, match):
+        # nan escaped as ValueError from math.ceil, the T = inf of a huge
+        # Delta0 as OverflowError, and a nan grad_phi_x0 made a nan ceiling
+        args = {"eps": 0.5, "delta": 0.1, "c": paper_scale_constants(),
+                "Delta0": 1.0, "Delta_y0": 1.0, "Delta_z0": 1.0} | change
+        with pytest.raises(bb.SchedulingError, match=match):
+            bb.schedule_theorem41(**args)
+
     def test_schedule_pure(self):
         c = paper_scale_constants()
         a = bb.schedule_theorem41(0.5, 0.1, c, 1.0, 1.0, 1.0)

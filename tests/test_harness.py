@@ -218,6 +218,11 @@ class TestTraceCsv:
                                  "calls_hyy")
 
 
+# a theorem-mode schedule as a config built in code gives it
+THEOREM = {"mode": "theorem41", "eps": 0.1, "delta": 0.1, "delta0": 1.0,
+           "delta_y0": 1.0, "delta_z0": 1.0}
+
+
 class TestConfig:
     def test_parse_round_trip(self, cfg_file):
         cfg = parse_config(cfg_file)
@@ -277,7 +282,11 @@ class TestConfig:
         {"problem_params": {"preset": "q2", "whatever": 3}},
         {"problem_kind": "hyperclean", "problem_params": {"a": 1.0}},
         {"problem_kind": "cubic"},
-    ], ids=["ttsa-rate", "slip-refine", "q2-key", "hyperclean-a", "kind"])
+        # "theorem4.1" ran the Theorem 4.2 schedule; Delta_z was dropped
+        {"schedule": {**THEOREM, "mode": "theorem4.1"}},
+        {"schedule": {**THEOREM, "Delta_z": 5.0}},
+    ], ids=["ttsa-rate", "slip-refine", "q2-key", "hyperclean-a", "kind",
+            "schedule-mode", "schedule-key"])
     def test_programmatic_unknown_key_rejected(self, change):
         fields = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
                   "noise": bb.NoiseModel.noiseless(), "algorithm": "slip",
@@ -311,6 +320,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=key):
             build_problem(cfg)
 
+    @pytest.mark.parametrize("kind,params,match", [
+        # escaped as OverflowError from numpy's uniform draw and from a ** 2
+        ("quadratic", {"dim_x": 2, "dim_y": 3, "seed": 1, "l_g1": math.inf},
+         r"need 0 < mu <= l_g1 < inf, got \(1.0, inf\)"),
+        ("unbounded", {"preset": "q2", "a": 1e300},
+         r"the \[problem\] values overflow \(OverflowError"),
+    ], ids=["l_g1-inf", "a-huge"])
+    def test_overflowing_problem_value_rejected(self, kind, params, match):
+        cfg = RunConfig(**(self._FIELDS | {"problem_kind": kind,
+                                           "problem_params": params}))
+        with pytest.raises(ConfigurationError, match=match):
+            build_problem(cfg)
+
     @pytest.mark.parametrize("kind,params,key", [
         ("quadratic", {"dim_x": 5}, "dim_x"),
         ("quadratic", {"r": 2.0}, "r"),
@@ -341,6 +363,39 @@ class TestConfig:
             assert cfg.algo_params == {"refine_interval": 2, "refine_steps": 4}
             assert all(type(v) is int for v in
                        [*cfg.problem_params.values(), *cfg.algo_params.values()])
+
+    def test_theorem_config_typed_alike_from_file_and_code(self, tmp_path):
+        path = tmp_path / "th.cfg"
+        path.write_text(CFG_TEXT.replace(
+            "mode = practical\nalpha = 0.1\nbeta = 0.9\ngamma = 0.1\n"
+            "eta = 0.01\nT = 120\nT0 = 10",
+            "mode = theorem42\neps = 0.1\ndelta = 0.1\ndelta0 = 1\n"
+            "delta_y0 = 1.0\ndelta_z0 = 2.0\ngrad_phi_x0 = 0.5")
+            .replace("sigma_g1 = 0.05", "sigma_g1 = 0.1")
+            .replace("seeds = 1, 2, 3", "seeds = 1 2 3\nx0 = 0.5\ny0 = 1, 2"))
+        from_file = parse_config(path)
+        from_code = RunConfig(
+            problem_kind="quadratic", problem_params={"preset": "q2"},
+            noise=from_file.noise, algorithm="slip",
+            schedule={"mode": "theorem42", "eps": "0.1", "delta": 0.1,
+                      "delta0": 1, "delta_y0": "1", "delta_z0": 2.0,
+                      "grad_phi_x0": np.float64(0.5)},
+            seeds=(1, "2", 3.0), out="runs/q2",
+            inits={"x0": [0.5], "y0": np.array([1, 2])})
+        assert from_code == from_file
+        assert from_file.schedule == {
+            "mode": "theorem42", "eps": 0.1, "delta": 0.1, "delta0": 1.0,
+            "delta_y0": 1.0, "delta_z0": 2.0, "grad_phi_x0": 0.5}
+        assert from_file.inits == {"x0": 0.5, "y0": (1.0, 2.0)}
+        assert all(type(v) is float for v in [
+            *list(from_code.schedule.values())[1:], from_code.inits["x0"],
+            *from_code.inits["y0"]])
+        # the schedule is built from the constants, the same from either
+        assert (resolve_schedule(from_code, build_problem(from_code))
+                == resolve_schedule(from_file, build_problem(from_file)))
+        # schedule is the only schedule field: run and sweep read the same one
+        with pytest.raises(TypeError, match="schedule_spec"):
+            RunConfig(**(self._FIELDS | {"schedule_spec": from_file.schedule}))
 
     _FIELDS = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
                "noise": bb.NoiseModel.noiseless(), "algorithm": "slip",
@@ -376,10 +431,23 @@ class TestConfig:
         ({"max_wall_seconds": -1.0}, "max_wall_seconds must be >= 0"),
         ({"max_wall_seconds": "soon"}, "max_wall_seconds.*not a valid float"),
         ({"inits": {"x0": 1.0, "w0": 3.0}}, r"unknown inits keys: \['w0'\]"),
-    ], ids=["wall-nan", "wall-negative", "wall-text", "init-key"])
+        ({"inits": {"x0": "abc"}}, r"key 'x0' is not a valid float: 'abc'"),
+        ({"inits": {"x0": [[1.0, 2.0]]}},
+         r"key 'x0' is not a valid float: \[1.0, 2.0\]"),
+        ({"schedule": {"mode": "theorem41"}},
+         r"missing \[schedule\] keys for mode=theorem41: \['delta', 'delta0', "
+         r"'delta_y0', 'delta_z0', 'eps'\]"),
+        ({"schedule": {**THEOREM, "eps": "tenth"}}, "'eps' is not a valid float"),
+        ({"schedule": {**THEOREM, "grad_phi_x0": None}},
+         "'grad_phi_x0' is not a valid float"),
+        ({"schedule": None}, "schedule must be a ParamSchedule or a mapping"),
+    ], ids=["wall-nan", "wall-negative", "wall-text", "init-key", "init-text",
+            "init-nested", "schedule-missing", "schedule-text",
+            "grad-phi-none", "no-schedule"])
     def test_bad_run_value_rejected(self, change, match):
         # nan turned the deadline off, -1 ended every seed TIMEOUT at row 0,
-        # and w0 was ignored
+        # and w0 was ignored; the init and schedule values escaped later as
+        # ValueError, "length 1", KeyError or TypeError, or not at all
         with pytest.raises(ConfigurationError, match=match):
             RunConfig(**(self._FIELDS | change))
 
@@ -416,6 +484,77 @@ class TestConfig:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             cfg = parse_config(path)
+            resolve_schedule(cfg, build_problem(cfg))
+        except ConfigurationError:
+            pass
+
+    # valid configs built in code, one per schedule kind and builder, that
+    # the property test below changes one value of
+    _CODE_CONFIGS = [
+        {"problem_kind": "quadratic",
+         "problem_params": {"dim_x": 2, "dim_y": 2, "seed": 1, "mu": 1.0,
+                            "l_g1": 2.0, "r": 1.0},
+         "noise": bb.NoiseModel.gaussian(0.05, 0.05, 0.05),
+         "algorithm": "doubleloop",
+         "algo_params": {"refine_interval": 2, "refine_steps": 3},
+         "schedule": {"mode": "practical", "alpha": 0.1, "beta": 0.9,
+                      "gamma": 0.1, "eta": 0.01, "T": 20, "T0": 5,
+                      "alpha_init": 0.1},
+         "seeds": [1, 2], "inits": {"x0": 0.5, "y0": [1.0, 1.0], "z0": 0.0},
+         "max_wall_seconds": 10.0, "workers": 1},
+        {"problem_kind": "unbounded", "problem_params": {"preset": "q2", "a": 1.0},
+         "noise": bb.NoiseModel.gaussian(0.1, 0.1, 0.1), "algorithm": "slip",
+         "schedule": THEOREM | {"grad_phi_x0": 1.0}, "seeds": [3],
+         "inits": {"x0": 0.0, "y0": "1, 1", "z0": (0.0, 0.0)},
+         "max_wall_seconds": math.inf, "workers": 2},
+        {"problem_kind": "quadratic",
+         "problem_params": {"dim_x": 2, "dim_y": 3, "seed": 2, "mu": 0.5,
+                            "l_g1": 1.0},
+         "noise": bb.NoiseModel.bounded(0.1, 0.1, 0.1, 0.1),
+         "algorithm": "masoba",
+         "schedule": THEOREM | {"mode": "theorem42", "eps": 0.001},
+         "seeds": [4, 5], "inits": {"y0": 1.0}},
+    ]
+    _PLACES = [(i, name, key)
+               for i, fields in enumerate(_CODE_CONFIGS)
+               for name in ("problem_params", "algo_params", "schedule",
+                            "seeds", "inits", "max_wall_seconds", "workers")
+               if name in fields
+               for key in (fields[name] if isinstance(fields[name], dict)
+                           else range(len(fields[name])) if name == "seeds"
+                           else [None])]
+    # no decimal digits in the text, so no text is a dimension large enough
+    # to allocate a big problem
+    _VALUES = st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=10),
+        st.floats(-4, 4),
+        st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308]),
+        st.integers(-4, 4), st.sampled_from([2**64, 10**400]),
+        st.booleans(), st.none(),
+        st.lists(st.floats(-4, 4), max_size=3),
+        st.lists(st.lists(st.floats(-4, 4), max_size=2), max_size=2))
+
+    def test_code_configs_are_valid(self):
+        for fields in self._CODE_CONFIGS:
+            cfg = RunConfig(**fields)
+            resolve_schedule(cfg, build_problem(cfg))
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(place=st.sampled_from(_PLACES), value=_VALUES)
+    def test_mutated_code_config_fails_only_as_config_error(self, place, value):
+        # one value of a config built in code replaced: construction, build
+        # and resolve either succeed or raise ConfigurationError
+        i, name, key = place
+        fields = dict(self._CODE_CONFIGS[i])
+        if name == "seeds":
+            fields["seeds"] = [*fields["seeds"][:key], value,
+                               *fields["seeds"][key + 1:]]
+        elif key is None:
+            fields[name] = value
+        else:
+            fields[name] = {**fields[name], key: value}
+        try:
+            cfg = RunConfig(**fields)
             resolve_schedule(cfg, build_problem(cfg))
         except ConfigurationError:
             pass
@@ -631,9 +770,8 @@ class TestSweep:
         return RunConfig(
             problem_kind="quadratic", problem_params={"preset": "q2"},
             noise=bb.NoiseModel.gaussian(0.1, 0.1, 0.1), algorithm="slip",
-            schedule_spec={"mode": "theorem41", "eps": 0.1, "delta": 0.1,
-                           "Delta0": 1.0, "Delta_y0": 1.0, "Delta_z0": 1.0,
-                           "grad_phi_x0": None},
+            schedule={"mode": "theorem41", "eps": 0.1, "delta": 0.1,
+                      "delta0": 1.0, "delta_y0": 1.0, "delta_z0": 1.0},
             seeds=[1])
 
     def test_doubling_eps_ratio(self):
@@ -655,6 +793,13 @@ class TestSweep:
         assert summary.rows[0].status == "SKIPPED"
         assert summary.rows[0].binding_term is not None
         assert summary.rows[1].status == "OK"
+
+    def test_T_past_int64_reported(self):
+        # the slope's np.log raised TypeError on a Python int T past 2**63
+        summary = sweep_eps(self.sweep_cfg(), [0.2, 0.01])
+        assert [r.status for r in summary.rows] == ["OK", "OK"]
+        assert summary.rows[1].T > 2**64
+        assert 3.0 <= summary.slope <= 5.0
 
     def test_execute_averages_only_ok_seeds(self):
         # T is about 3.8e14 at eps 0.2: both seeds end TIMEOUT

@@ -80,3 +80,19 @@ def test_deterministic_bytes(trace_files, tmp_path):
     plot(trace_files, "y_err", a)
     plot(trace_files, "y_err", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_refused_rename_keeps_old_chart(trace_files, tmp_path, monkeypatch):
+    out = tmp_path / "chart.svg"
+    plot(trace_files[:1], "grad_norm", out)
+    before = out.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("bilevelbench.trace.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        plot(trace_files, "grad_norm", out)
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "algo1.csv", "algo2.csv", "chart.svg"]
