@@ -379,21 +379,21 @@ class RunResult:
 def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     """Execute every seed of a config; write one CSV per seed plus metadata.
 
-    Seeds run in order in the calling thread, each writing its trace file
-    as it finishes; ``cfg.workers`` has no effect.  Every file is written
-    through a temporary file and renamed into place.  A seed that fails
-    (``FAILED``), times out (``TIMEOUT``) or raises anything else once its
-    run has started (``ERROR``) keeps its partial trace and does not stop
-    the others; its ``reason`` is ``"<Class>: <message>"`` of the exception
-    that stopped it, and an ``ERROR`` seed's exception is also logged with
-    its traceback.  The metadata record is rewritten after every seed, so
-    an exception that escapes a later seed (say, an ``OSError`` from writing
-    its trace file) still leaves the finished seeds' records.  Each seed's
-    ``calls`` are the counts of its last trace row, so for ``doubleloop``
-    they leave out the refinement that runs after that row.
+    Seeds run in order in the calling thread, each writing its trace file as
+    it finishes; ``cfg.workers`` has no effect.  Every file is written
+    through a temporary file and renamed into place; the directory is made
+    at the first write, so a config rejected before it leaves none.  A seed
+    that fails (``FAILED``), times out (``TIMEOUT``) or raises anything else
+    once its run has started (``ERROR``) keeps its partial trace and does
+    not stop the others; its ``reason`` is ``"<Class>: <message>"`` of the
+    exception that stopped it, and an ``ERROR`` seed's exception is also
+    logged with its traceback.  The metadata record is rewritten after every
+    seed, so an exception that escapes a later seed (say, an ``OSError``
+    from writing its trace file) still leaves the finished seeds' records.
+    Each seed's ``calls`` are the counts of its last trace row, so for
+    ``doubleloop`` they leave out the refinement that runs after that row.
     """
     out_prefix = Path(out_prefix)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     schedule = resolve_schedule(cfg, problem)
     # the metadata records the schedule the runner follows
@@ -403,6 +403,7 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
         # the trace is dropped on return, so one seed's rows are alive at a time
         trace, info = _run_single(problem, schedule, cfg, seed)
         path = Path(f"{out_prefix}_seed{seed}.csv")
+        path.parent.mkdir(parents=True, exist_ok=True)
         write_trace(path, trace)
         return path, info
 
@@ -484,7 +485,7 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     of ``slip`` and ``masoba``; any other algorithm is rejected.  With
     ``execute=True`` each admissible eps is actually run and the final
     gradient norm averaged over the seeds that ended ``OK`` (left empty when
-    none did).
+    none did); an eps whose sample counters pass ``2**64`` is SKIPPED.
     """
     if isinstance(cfg.schedule, ParamSchedule):
         raise ConfigurationError("sweep requires a theorem-mode schedule")
@@ -498,20 +499,20 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
         sub = replace(cfg, schedule={**cfg.schedule, "eps": eps})
         try:
             schedule = resolve_schedule(sub, problem)
+            infos = [_run_single(problem, schedule, sub, seed)[1]
+                     for seed in cfg.seeds] if execute else []
         except ConfigurationError as exc:
-            binding = None
+            # an inadmissible eps, a non-finite T or, from the run's own
+            # check, counters past 2**64: each is raised from its cause
             cause = exc.__cause__
-            if isinstance(cause, SchedulingError):
-                binding = cause.binding_term
+            if cause is None:
+                raise   # not this eps's fault: say, a bad init
+            binding = getattr(cause, "binding_term", None)
             rows.append(SweepRow(eps, "SKIPPED", None, None, None, None, binding))
             continue
         total = schedule.T0 + 5 * schedule.T
-        avg_gn = None
-        if execute:
-            infos = [_run_single(problem, schedule, sub, seed)[1]
-                     for seed in cfg.seeds]
-            norms = [i["final"]["grad_norm"] for i in infos if i["status"] == "OK"]
-            avg_gn = float(np.mean(norms)) if norms else None
+        norms = [i["final"]["grad_norm"] for i in infos if i["status"] == "OK"]
+        avg_gn = float(np.mean(norms)) if norms else None
         rows.append(SweepRow(eps, "OK", schedule.T, schedule.T0, total,
                              avg_gn, schedule.binding_eps_term))
     ok = [(r.eps, r.T) for r in rows if r.status == "OK"]

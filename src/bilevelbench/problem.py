@@ -149,80 +149,67 @@ def _norms(v: Array) -> Array:
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
-def _noise_vec(sample: Sample, tag: OracleTag, dim: int, scale: float,
-               clip: float | None = None) -> Vec:
-    """Mean-zero noise with total standard deviation ``scale``.
-
-    Per-coordinate std is ``scale / sqrt(dim)`` so the expected squared norm
-    equals ``scale**2``.  Radial clipping keeps the draw mean-zero.
-    """
-    if scale == 0.0:
-        return np.zeros(dim)
-    v = (scale / math.sqrt(dim)) * sample.generator(tag).standard_normal(dim)
-    if clip is not None:
-        n = _norm(v)
-        if n > clip:
-            # shave slightly below the bound: the almost-sure contract must
-            # survive the add-then-subtract round trip in float arithmetic
-            v *= (clip / n) * (1.0 - 1e-10)
-    return v
-
-
 class StochasticOracle:
     """The five stochastic oracles, realized as deterministic map + noise.
 
-    Each method is a pure function of its arguments; identical samples give
-    bit-identical outputs.
+    Each method evaluates its deterministic map and states its noise scale
+    and whether the bounded model clips it; one noise path (:meth:`_noisy`)
+    adds the draw.  Each method is a pure function of its arguments;
+    identical samples give bit-identical outputs.
     """
 
     def __init__(self, det: DeterministicOracle, noise: NoiseModel):
         self.det = det
         self.noise = noise
 
-    def _bounded(self) -> bool:
-        return self.noise.kind is NoiseKind.BOUNDED
+    def _noisy(self, g: Vec, sample: Sample, tag: OracleTag, scale: float,
+               clip: bool, z: Vec | None = None) -> Vec:
+        """``g`` plus the mean-zero draw of ``tag``, whose total std is
+        ``scale`` (times ``||z||`` when ``z`` is given): ``scale / sqrt(dim)``
+        per coordinate.  When ``clip``, the bounded model clips the draw
+        radially at that std, which keeps it mean-zero.  A noiseless model
+        returns ``g`` before any of this is computed."""
+        kind = self.noise.kind
+        if kind is NoiseKind.NOISELESS:
+            return g
+        if z is not None:
+            scale = scale * _norm(z)
+        dim = g.shape[0]
+        if scale == 0.0:
+            return g + np.zeros(dim)   # no draw; the sum turns -0.0 into 0.0
+        v = (scale / math.sqrt(dim)) * sample.generator(tag).standard_normal(dim)
+        if clip and kind is NoiseKind.BOUNDED:
+            n = _norm(v)
+            if n > scale:
+                # shave slightly below the bound: the almost-sure contract must
+                # survive the add-then-subtract round trip in float arithmetic
+                v *= (scale / n) * (1.0 - 1e-10)
+        return g + v
 
     def grad_x_F(self, x: Vec, y: Vec, sample: Sample) -> Vec:
-        g = self.det.grad_x_f(x, y)
-        if self.noise.kind is NoiseKind.NOISELESS:
-            return g
-        clip = self.noise.sigma_f1 if self._bounded() else None
-        return g + _noise_vec(sample, OracleTag.GRAD_X_F, g.shape[0],
-                              self.noise.sigma_f1, clip)
+        return self._noisy(self.det.grad_x_f(x, y), sample, OracleTag.GRAD_X_F,
+                           self.noise.sigma_f1, True)
 
     def grad_y_F(self, x: Vec, y: Vec, sample: Sample) -> Vec:
-        g = self.det.grad_y_f(x, y)
-        if self.noise.kind is NoiseKind.NOISELESS:
-            return g
-        clip = self.noise.sigma_f1 if self._bounded() else None
-        return g + _noise_vec(sample, OracleTag.GRAD_Y_F, g.shape[0],
-                              self.noise.sigma_f1, clip)
+        return self._noisy(self.det.grad_y_f(x, y), sample, OracleTag.GRAD_Y_F,
+                           self.noise.sigma_f1, True)
 
     def grad_y_G(self, x: Vec, y: Vec, sample: Sample) -> Vec:
-        g = self.det.grad_y_g(x, y)
-        if self.noise.kind is NoiseKind.NOISELESS:
-            return g
         # light-tailed in both noise models, never clipped
-        return g + _noise_vec(sample, OracleTag.GRAD_Y_G, g.shape[0],
-                              self.noise.sigma_g1)
+        return self._noisy(self.det.grad_y_g(x, y), sample, OracleTag.GRAD_Y_G,
+                           self.noise.sigma_g1, False)
 
     def hvp_xy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample) -> Vec:
-        g = self.det.hvp_xy_g(x, y, z)
-        if self.noise.kind is NoiseKind.NOISELESS:
-            return g
-        scale = self.noise.sigma_g2 * _norm(z)
-        clip = scale if self._bounded() else None
-        return g + _noise_vec(sample, OracleTag.HVP_XY_G, g.shape[0], scale, clip)
+        return self._noisy(self.det.hvp_xy_g(x, y, z), sample,
+                           OracleTag.HVP_XY_G, self.noise.sigma_g2, True, z)
 
     def hvp_yy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample) -> Vec:
         g = self.det.hvp_yy_g(x, y, z)
-        if self.noise.kind is NoiseKind.NOISELESS:
-            return g
-        if self._bounded():
-            return g + _noise_vec(sample, OracleTag.HVP_YY_G, g.shape[0],
-                                  self.noise.sigma_z, self.noise.sigma_z)
-        scale = self.noise.sigma_g2 * _norm(z)
-        return g + _noise_vec(sample, OracleTag.HVP_YY_G, g.shape[0], scale)
+        if self.noise.kind is NoiseKind.BOUNDED:
+            return self._noisy(g, sample, OracleTag.HVP_YY_G,
+                               self.noise.sigma_z, True)
+        return self._noisy(g, sample, OracleTag.HVP_YY_G, self.noise.sigma_g2,
+                           False, z)
 
 
 @dataclass(frozen=True)

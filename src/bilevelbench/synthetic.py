@@ -11,8 +11,11 @@ Three families:
   learned weights separate clean from corrupted samples
   (:func:`hyperclean_weight_report`).
 
-Hypercleaning has no closed-form ground truth: it calls the Newton solvers
-of :mod:`bilevelbench.verify`, which imports nothing from this module.
+The first two differ only in the upper level's x-part: one builder,
+:func:`_quadratic_problem`, states their lower level, closed forms and
+constants.  Hypercleaning has no closed-form ground truth: it calls the
+Newton solvers of :mod:`bilevelbench.verify`, which imports nothing from
+this module.
 
 Each family's ``solve`` and ``upper`` take one point or a stack of points
 (see :class:`~bilevelbench.problem.BilevelProblem`).  The closed forms
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,13 +77,19 @@ def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(a, v[..., None])[..., 0]
 
 
-def _value(v):
-    """A Python float for one point's value; the array of a stack's."""
-    return float(v) if np.ndim(v) == 0 else v
+def _quadratic_problem(core: QuadraticSpec, noise: NoiseModel,
+                       upper_x: Callable[[Vec], Vec],
+                       grad_x_f: Callable[[Vec, Vec], Vec], *,
+                       L_x0: float, L_x1: float, name: str,
+                       metadata: dict) -> BilevelProblem:
+    """The problem over the lower level of ``core`` with the upper level
+    ``upper_x(x) + ||y - e||^2/2``, whose x-gradient ``grad_x_f`` ignores y.
 
-
-def _check_spd(a: np.ndarray) -> np.ndarray:
-    """Return the eigenvalues of a symmetric positive-definite matrix."""
+    Both take one point or a stack.  Closed forms: ``y*(x) = A^-1 (Bx + c)``,
+    ``z*(x) = A^-1 (y*(x) - e)``, hypergradient ``grad_x_f(x, y*) + B' z*``.
+    Declared constants: ``mu`` and ``l_g1`` are the extreme eigenvalues of A.
+    """
+    a, b, c, e = core.A, core.B, core.c, core.e
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"A must be square, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-12):
@@ -89,35 +98,32 @@ def _check_spd(a: np.ndarray) -> np.ndarray:
     if eigs[0] <= 0:
         raise ConfigurationError(
             f"A must be positive definite; eigenvalues {np.array2string(eigs, precision=6)}")
-    return eigs
-
-
-def _quadratic_constants(spec: QuadraticSpec, noise: NoiseModel,
-                         L_x0: float, L_x1: float) -> SmoothnessConstants:
-    eigs = _check_spd(spec.A)
     mu, l_g1 = float(eigs[0]), float(eigs[-1])
-    b_norm = float(np.linalg.norm(spec.B, 2))
+    b_norm = float(np.linalg.norm(b, 2))
     if b_norm > l_g1 + 1e-12:
         raise ConfigurationError(
             f"||B|| = {b_norm:g} exceeds the declared lower-level smoothness "
             f"l_g1 = {l_g1:g}; rescale the coupling")
-    a_inv = np.linalg.inv(spec.A)
+    a_inv = np.linalg.inv(a)
     # sup over [-1, 1]^dim_x of ||y*(x) - e||, via the operator-norm bound
-    l_f0 = (float(np.linalg.norm(a_inv @ spec.B, 2)) * math.sqrt(spec.dim_x)
-            + float(np.linalg.norm(a_inv @ spec.c - spec.e)))
-    return derive_constants(SmoothnessConstants(
+    l_f0 = (float(np.linalg.norm(a_inv @ b, 2)) * math.sqrt(core.dim_x)
+            + float(np.linalg.norm(a_inv @ c - e)))
+    consts = derive_constants(SmoothnessConstants(
         mu=mu, l_g1=l_g1, l_g2=0.0, l_f0=l_f0,
         L_x0=L_x0, L_x1=L_x1, L_y0=1.0, L_y1=0.0,
         **{s: getattr(noise, s) for s in SIGMAS},
     ))
 
-
-def _quadratic_lower_parts(spec: QuadraticSpec):
-    a, b, c = spec.A, spec.B, spec.c
-    a_inv = np.linalg.inv(a)
-
     def lower(x: Vec, y: Vec) -> float:
         return float(0.5 * y @ (a @ y) - y @ (b @ x + c))
+
+    def upper(x: Vec, y: Vec) -> float:
+        v = upper_x(x) + 0.5 * ((y - e) ** 2).sum(axis=-1)
+        # a Python float for one point; the array of a stack's values
+        return float(v) if np.ndim(v) == 0 else v
+
+    def grad_y_f(x: Vec, y: Vec) -> Vec:
+        return y - e
 
     def grad_y_g(x: Vec, y: Vec) -> Vec:
         return a @ y - (b @ x + c)
@@ -135,11 +141,19 @@ def _quadratic_lower_parts(spec: QuadraticSpec):
             hvp_yy=lambda z: hvp_yy_g(x, y, z),
             hvp_xy=lambda z: hvp_xy_g(x, y, z))
 
-    def lower_solve(x: Vec) -> tuple[Vec, Vec]:
+    def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
         ys = _mv(a_inv, _mv(b, x) + c)
-        return ys, _mv(a_inv, ys - spec.e)
+        zs = _mv(a_inv, ys - e)
+        return ys, zs, grad_x_f(x, ys) + _mv(b.T, zs)
 
-    return lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve
+    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
+                              hvp_yy_g, lower_at)
+    return BilevelProblem(
+        dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
+        det=det, oracle=StochasticOracle(det, noise),
+        solve=solve,
+        constants=consts, name=name, metadata=metadata,
+    )
 
 
 def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless(),
@@ -147,41 +161,20 @@ def make_quadratic(spec: QuadraticSpec, noise: NoiseModel = NoiseModel.noiseless
                    name: str = "quadratic") -> BilevelProblem:
     """Build the quadratic instance with full analytic ground truth.
 
-    Closed forms: ``y*(x) = A^-1 (Bx + c)``, ``z*(x) = A^-1 (y*(x) - e)``,
-    hypergradient ``r x + B' z*(x)``.  Declared constants: ``mu`` and
-    ``l_g1`` are the extreme eigenvalues of A.  ``declared_L_x1`` may be set
-    above the true value 0 to certify the instance under a nonzero
-    gradient-growth coefficient (any such value is a valid upper bound); the
-    warm-start thresholds are finite only then.
+    The upper level's x-part is ``r*||x||^2/2``, so the hypergradient is
+    ``r x + B' z*(x)``.  ``declared_L_x1`` may be set above the true value
+    0 to certify the instance under a nonzero gradient-growth coefficient
+    (any such value is a valid upper bound); the warm-start thresholds are
+    finite only then.
     """
-    lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve = (
-        _quadratic_lower_parts(spec))
-    consts = _quadratic_constants(spec, noise, L_x0=spec.r, L_x1=declared_L_x1)
-    e, r, b = spec.e, spec.r, spec.B
-
-    def upper(x: Vec, y: Vec) -> float:
-        return _value(0.5 * ((y - e) ** 2).sum(axis=-1)
-                      + 0.5 * r * (x ** 2).sum(axis=-1))
+    r = spec.r
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         return r * x
 
-    def grad_y_f(x: Vec, y: Vec) -> Vec:
-        return y - e
-
-    def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
-        ys, zs = lower_solve(x)
-        return ys, zs, r * x + _mv(b.T, zs)
-
-    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, lower_at)
-    return BilevelProblem(
-        dim_x=spec.dim_x, dim_y=spec.dim_y, upper=upper, lower=lower,
-        det=det, oracle=StochasticOracle(det, noise),
-        solve=solve,
-        constants=consts, name=name,
-        metadata={"kind": "quadratic"},
-    )
+    return _quadratic_problem(
+        spec, noise, lambda x: 0.5 * r * (x ** 2).sum(axis=-1), grad_x_f,
+        L_x0=r, L_x1=declared_L_x1, name=name, metadata={"kind": "quadratic"})
 
 
 def q2_spec() -> QuadraticSpec:
@@ -203,11 +196,9 @@ def random_quadratic_spec(dim_x: int, dim_y: int, seed: int, *,
         raise ConfigurationError(f"need 0 < mu <= l_g1 < inf, got ({mu}, {l_g1})")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim_y, dim_y)))
-    if dim_y == 1:
-        eigs = np.array([mu])
-    else:
-        eigs = np.concatenate([[mu], rng.uniform(mu, l_g1, size=dim_y - 2), [l_g1]]) \
-            if dim_y > 2 else np.array([mu, l_g1])
+    # mu, then l_g1 and dim_y - 2 uniform draws between them when dim_y > 1
+    eigs = np.array([mu]) if dim_y == 1 else np.concatenate(
+        [[mu], rng.uniform(mu, l_g1, size=dim_y - 2), [l_g1]])
     a = q @ np.diag(eigs) @ q.T
     a = 0.5 * (a + a.T)
     b = rng.standard_normal((dim_y, dim_x))
@@ -251,12 +242,8 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     overflows double precision; for a stack, ``solve`` and ``upper`` check
     the whole stack once.
     """
-    core = spec.core
-    lower, grad_y_g, hvp_yy_g, hvp_xy_g, lower_at, lower_solve = (
-        _quadratic_lower_parts(core))
     a_rate = spec.a
     x_max = 700.0 / a_rate
-    e, b = core.e, core.B
 
     def _guard(x: Vec) -> None:
         m = float(np.abs(x).max()) if x.size else 0.0
@@ -264,33 +251,18 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
             raise OverflowError(
                 f"|x| up to {m:g} exceeds the cosh evaluation range {x_max:g}")
 
-    def upper(x: Vec, y: Vec) -> float:
+    def upper_x(x: Vec) -> Vec:
         _guard(x)
-        return _value(np.cosh(a_rate * x).sum(axis=-1) - x.shape[-1]
-                      + 0.5 * ((y - e) ** 2).sum(axis=-1))
+        return np.cosh(a_rate * x).sum(axis=-1) - x.shape[-1]
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         _guard(x)
         return a_rate * np.sinh(a_rate * x)
 
-    def grad_y_f(x: Vec, y: Vec) -> Vec:
-        return y - e
-
-    def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
-        _guard(x)
-        ys, zs = lower_solve(x)
-        return ys, zs, a_rate * np.sinh(a_rate * x) + _mv(b.T, zs)
-
-    base = _quadratic_constants(core, noise, L_x0=a_rate ** 2, L_x1=a_rate)
-    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, lower_at)
-    return BilevelProblem(
-        dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
-        det=det, oracle=StochasticOracle(det, noise),
-        solve=solve,
-        constants=base, name="unbounded",
-        metadata={"kind": "unbounded", "a": a_rate, "x_max": x_max},
-    )
+    return _quadratic_problem(
+        spec.core, noise, upper_x, grad_x_f, L_x0=a_rate ** 2, L_x1=a_rate,
+        name="unbounded",
+        metadata={"kind": "unbounded", "a": a_rate, "x_max": x_max})
 
 
 def sigmoid(v):

@@ -3,6 +3,7 @@ name; this pins the names it relies on.  ``perfbench/`` is only imported."""
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,35 @@ _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    return _load(_TRACING)
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # a dataclass looks its module up by name while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
+
+
+@pytest.mark.parametrize("seed", [1, 901])
+def test_benchmark_inputs_build(tmp_path, seed):
+    # every config the benchmark renders goes through the set-up it runs, so
+    # a builder change that breaks one of them fails here
+    workloads = _load(_TRACING.with_name("workloads.py"))
+    for wl in workloads.WORKLOADS.values():
+        for label, text in workloads.render_configs(wl, seed):
+            path = tmp_path / f"{wl.name}-{label}.cfg"
+            path.write_text(text)
+            cfg = harness.parse_config(path)
+            problem = harness.build_problem(cfg)
+            schedule = harness.resolve_schedule(cfg, problem)
+            assert problem.metadata["kind"] == cfg.problem_kind
+            assert schedule.T > 0
 
 
 def test_tracer_records_every_layer(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,7 @@ def test_unrunnable_schedule_exit_1(tmp_path, capsys, text, old, new):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert list(tmp_path.rglob("*.csv")) == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_non_finite_T_skipped(tmp_path, capsys):
@@ -116,6 +118,20 @@ def test_sweep_non_finite_T_skipped(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(p), "--eps", "0.2,0.1"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         "0.2,SKIPPED,,,,,", "0.1,SKIPPED,,,,,"]
+
+
+def test_sweep_execute_skips_an_eps_that_cannot_run(tmp_path, capsys):
+    # eps = 0.01 puts T, and the sample counters, past 2**64: that eps is
+    # SKIPPED and the sweep goes on
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    p = tmp_path / "sweep.cfg"
+    p.write_text(cfg.read_text() + "max_wall_seconds = 0.05\n")
+    rc = cli.main(["sweep", "--config", str(p), "--eps", "0.2,0.01",
+                   "--execute"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[1].startswith("0.2,OK,")
+    assert out[2:] == ["0.01,SKIPPED,,,,,"]
 
 
 def test_sweep_refused_rename_keeps_old_summary(tmp_path, capsys, monkeypatch):

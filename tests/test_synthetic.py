@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -273,3 +274,85 @@ def test_hyperclean_stack_is_solved_row_by_row():
         for got, want in zip(stacked, prob.solve(x[i])):
             np.testing.assert_array_equal(got[i], want)
     assert prob.upper(x, y).tolist() == [prob.upper(*row) for row in zip(x, y)]
+
+
+# sha256 digests of each instance family's oracle outputs and ground truth,
+# pinned bit for bit.  Per noise model: the five stochastic oracles at five
+# fixed ``(x, y, z, Sample)`` points, drawn so that the bounded model both
+# clips and keeps draws.  "truth": ``solve`` and ``upper`` on a stack of
+# the five points, ``lower`` and the ``lower_at`` view at each of them.
+_PIN_INSTANCES = {
+    "q2": lambda noise: bb.make_q2(noise),
+    "quadratic-r1": lambda noise: bb.make_quadratic(
+        random_quadratic_spec(3, 4, seed=21, r=1.0), noise),
+    "cosh": lambda noise: bb.make_unbounded_smooth(bb.UnboundedSmoothSpec(
+        a=0.8, core=random_quadratic_spec(4, 3, seed=22)), noise),
+    "hyperclean": lambda noise: bb.make_hyperclean(bb.HypercleanSpec(
+        n_train=30, n_val=30, feature_dim=3, corruption_rate=0.2, seed=23),
+        noise),
+}
+_PIN_NOISE = {
+    "gaussian": bb.NoiseModel.gaussian(0.3, 0.2, 0.4),
+    "bounded": bb.NoiseModel.bounded(0.3, 0.2, 0.4, 0.25),
+}
+_PIN_DIGESTS = {
+    "q2": {
+        "gaussian": "9ea060a790faf5672b776895784603432bf93da39a02518c2ce67bf67a806e8a",
+        "bounded": "c2a10f464001da81ac07ed12b05ef26a7d4390e6febb3b2c6bef1757000d2b6d",
+        "truth": "25dfa2bf270e1d150b6347a189d8985d6fdc18c999b75b913f258d4b9f39828e",
+    },
+    "quadratic-r1": {
+        "gaussian": "282014792ee17d41e836a78aa7d15fea75081db3e95b77ef323a4f088a8c71bb",
+        "bounded": "87a5bb2a1af9c6d00c1176ada8177aef0b7bfa29433063cfa8b55e4661235165",
+        "truth": "bb1966516170fd2cef23b29e00721474ead080f48aea06c468b85488bd6c654b",
+    },
+    "cosh": {
+        "gaussian": "24addb698c6e2d39c20c027bcadd6099c09ea432af1a9f0299f76d542c0cad7c",
+        "bounded": "805303d92f677e38bae1a5f1c014cdb5d09cb1d8a9bb8301821cad81af4bb297",
+        "truth": "6a2254101ce5aa1ccc48c0a028154436f0f29af8d9a1acca314453271066a3b0",
+    },
+    "hyperclean": {
+        "gaussian": "b24a98815a5957662caa6740d8b11605654182a1636ef0b0bcaaaa420e5bbb21",
+        "bounded": "54bf396653b98383618eec7611c8d858ae21e7876eb0110a7777782cc9ab7091",
+        "truth": "44ce1414a79c20c8c8f1ca579125eb527947a17ba6ab6e3a9bde388486fc3580",
+    },
+}
+
+
+def _pin_points(prob):
+    rng = np.random.default_rng(24)
+    x = rng.uniform(-1.0, 1.0, (5, prob.dim_x))
+    y = rng.standard_normal((5, prob.dim_y))
+    z = rng.standard_normal((5, prob.dim_y))
+    return x, y, z
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_INSTANCES))
+def test_problem_layer_is_pinned_bit_for_bit(name):
+    got = {}
+    for kind, noise in _PIN_NOISE.items():
+        prob = _PIN_INSTANCES[name](noise)
+        o = prob.oracle
+        out = []
+        for k, (x, y, z) in enumerate(zip(*_pin_points(prob))):
+            s = bb.Sample(bb.Stream.PI, k, 31)
+            out += [o.grad_x_F(x, y, s), o.grad_y_F(x, y, s),
+                    o.grad_y_G(x, y, s), o.hvp_xy_G(x, y, z, s),
+                    o.hvp_yy_G(x, y, z, s)]
+        got[kind] = _digest(out)
+    prob = _PIN_INSTANCES[name](bb.NoiseModel.noiseless())
+    x, y, z = _pin_points(prob)
+    out = [*prob.solve(x), prob.upper(x, y)]
+    for xi, yi, zi in zip(x, y, z):
+        point = prob.det.lower_at(xi)(yi)
+        out += [prob.lower(xi, yi), prob.upper(xi, yi), point.grad(),
+                point.hess(), point.hvp_yy(zi), point.hvp_xy(zi)]
+    got["truth"] = _digest(out)
+    assert got == _PIN_DIGESTS[name]
