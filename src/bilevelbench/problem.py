@@ -106,7 +106,8 @@ class LowerPoint(NamedTuple):
     of its Hessian, and ``hvp_yy(z)`` and ``hvp_xy(z)`` are bit for bit
     ``hvp_yy_g(x, y, z)`` and ``hvp_xy_g(x, y, z)``.  Each is computed only
     when called, from the pieces they share at ``y``, which are computed
-    once.  The inner Newton solve returns its converged point.
+    once.  For a stack of ``x``, ``y`` and ``z`` are stacks too, with one
+    result per row.  The inner Newton solve returns its converged point.
     """
 
     y: Vec
@@ -126,7 +127,9 @@ class DeterministicOracle:
     ``x`` alone once and returns the map ``y -> LowerPoint`` through which
     the Newton solves of :mod:`bilevelbench.verify` iterate; its gradient
     and its two products are bit for bit ``grad_y_g(x, y)``,
-    ``hvp_yy_g(x, y, .)`` and ``hvp_xy_g(x, y, .)``.
+    ``hvp_yy_g(x, y, .)`` and ``hvp_xy_g(x, y, .)``.  Hypercleaning's
+    ``lower_at`` and ``grad_y_f`` also take a stack, row by row bit for bit,
+    for its stacked solves; the closed forms need only one point.
     """
 
     grad_x_f: Callable[[Vec, Vec], Vec]
@@ -144,9 +147,20 @@ def _norm(v: Vec) -> float:
 
 
 def _norms(v: Array) -> Array:
-    """Euclidean norm of each row of a 2-D float array, bit for bit
-    :func:`_norm` of the row: ``matmul`` takes one ``dot`` per row."""
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    """Euclidean norm of each row of a float array (a 0-d array for a 1-D
+    one), bit for bit :func:`_norm` of the row: ``matmul`` takes one
+    ``dot`` per row."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+def _mv(a: Array, v: Array) -> Array:
+    """``a @ v`` for one vector ``v`` or for each row of a stack of them (and
+    of ``a``, if a stack of matrices).
+
+    ``matmul`` takes one matrix-vector product per row, so each row is bit
+    for bit ``a @ row`` (a single matrix product ``v @ a.T`` is not).
+    """
+    return np.matmul(a, v[..., None])[..., 0]
 
 
 class StochasticOracle:

@@ -19,8 +19,8 @@ this module.
 
 Each family's ``solve`` and ``upper`` take one point or a stack of points
 (see :class:`~bilevelbench.problem.BilevelProblem`).  The closed forms
-evaluate a stack at once, through :func:`_mv` and ``.sum(axis=-1)``;
-hypercleaning solves its rows one at a time.
+evaluate a stack at once, through ``_mv`` and ``.sum(axis=-1)``;
+hypercleaning's Newton solves run on a stack through its stacked ``lower_at``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import verify
 from .constants import SmoothnessConstants, derive_constants
 from .problem import (SIGMAS, BilevelProblem, ConfigurationError,
                       DeterministicOracle, LowerPoint, NoiseModel,
-                      StochasticOracle)
+                      StochasticOracle, _mv)
 
 Vec = np.ndarray
 
@@ -66,15 +66,6 @@ class QuadraticSpec:
     @property
     def dim_x(self) -> int:
         return self.B.shape[1]
-
-
-def _mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a @ v`` for one vector ``v`` or for each row of a stack of them.
-
-    ``matmul`` takes one matrix-vector product per row, so each row is bit
-    for bit ``a @ row`` (a single matrix product ``v @ a.T`` is not).
-    """
-    return np.matmul(a, v[..., None])[..., 0]
 
 
 def _quadratic_problem(core: QuadraticSpec, noise: NoiseModel,
@@ -265,6 +256,10 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
         metadata={"kind": "unbounded", "a": a_rate, "x_max": x_max})
 
 
+# rows per stacked solve: a whole 128-row block's temporaries cost memory, not speed
+_SOLVE_ROWS = 32
+
+
 def sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
@@ -321,15 +316,16 @@ def make_hyperclean(spec: HypercleanSpec,
 
     There is no closed-form lower-level minimizer; the problem's ``solve``
     is backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
-    1e-10), one inner and one linear solve per point, uncached.  The solvers
-    iterate through ``lower_at(x)``, which evaluates ``sigmoid(x)`` and
-    ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins,
+    1e-10), one inner and one linear solve per point or per stack of up to
+    ``_SOLVE_ROWS`` points, uncached.  The solvers iterate through
+    ``lower_at(x)``, which evaluates ``sigmoid(x)`` and ``sigmoid(x) *
+    lab_tr`` once; at each ``y`` it computes the margins,
     ``sigmoid(-margins)`` and ``sigmoid(margins)`` once for the gradient,
-    the Hessian and the two Hessian-vector products.  The inner solve's
-    converged point serves the linear solve (its Hessian and residual
-    check) and the hypergradient's mixed product, so one point's solve
-    evaluates ``sigmoid(x)`` once.  ``solve`` and ``upper`` take a stack
-    of points one row at a time.  The per-sample weights live in dimension
+    the Hessian and the two Hessian-vector products.  ``lower_at``, its
+    points, ``grad_y_f`` and ``upper`` take one point or a stack.  The
+    inner solve's converged point serves the linear solve (its Hessian and
+    residual check) and the hypergradient's mixed product, so one solve
+    evaluates ``sigmoid(x)`` once.  The per-sample weights live in dimension
     ``n_train`` and are meant to be initialized at 1.0.
     """
     feats_tr, lab_tr, feats_val, lab_val, corrupted = _hyperclean_data(spec)
@@ -337,31 +333,33 @@ def make_hyperclean(spec: HypercleanSpec,
     reg_hess = 2.0 * lam * np.eye(spec.feature_dim)
 
     def _margins(y: Vec) -> Vec:
-        return lab_tr * (feats_tr @ y)
+        return lab_tr * _mv(feats_tr, y)
 
     # The lower-level derivatives from their shared pieces: ``sx =
     # sigmoid(x)``, ``sx_lab = sx * lab_tr``, and at y the margins ``m``,
     # ``s = sigmoid(-m)`` and ``sp = sigmoid(m)``.
     def _grad(sx_lab: Vec, s: Vec, y: Vec) -> Vec:
-        return -(feats_tr.T @ (sx_lab * s)) / n_tr + 2.0 * lam * y
+        return -_mv(feats_tr.T, sx_lab * s) / n_tr + 2.0 * lam * y
 
     def _hess(sx: Vec, sp: Vec, s: Vec) -> np.ndarray:
-        return (feats_tr.T * (sx * sp * s)) @ feats_tr / n_tr + reg_hess
+        # per row bit for bit (feats_tr.T * w) @ feats_tr, the same product
+        w = (sx * sp * s)[..., None]
+        return np.matmul(np.swapaxes(feats_tr * w, -1, -2), feats_tr) / n_tr + reg_hess
 
     def _hvp_yy(sx: Vec, sp: Vec, s: Vec, z: Vec) -> Vec:
-        return (feats_tr.T @ (sx * (sp * s) * (feats_tr @ z))) / n_tr + 2.0 * lam * z
+        return (_mv(feats_tr.T, sx * (sp * s) * _mv(feats_tr, z)) / n_tr
+                + 2.0 * lam * z)
 
     def _hvp_xy(sx: Vec, s: Vec, z: Vec) -> Vec:
-        return sx * (1.0 - sx) * (-(lab_tr * s) * (feats_tr @ z)) / n_tr
+        return sx * (1.0 - sx) * (-(lab_tr * s) * _mv(feats_tr, z)) / n_tr
 
     def lower(x: Vec, y: Vec) -> float:
         losses = np.logaddexp(0.0, -_margins(y))
         return float(sigmoid(x) @ losses / n_tr + lam * np.sum(y ** 2))
 
     def upper(x: Vec, y: Vec) -> float:
-        if x.ndim > 1:
-            return np.array([upper(xi, yi) for xi, yi in zip(x, y)])
-        return float(np.logaddexp(0.0, -lab_val * (feats_val @ y)).mean())
+        v = np.logaddexp(0.0, -lab_val * _mv(feats_val, y)).mean(axis=-1)
+        return float(v) if v.ndim == 0 else v
 
     def grad_y_g(x: Vec, y: Vec) -> Vec:
         return _grad(sigmoid(x) * lab_tr, sigmoid(-_margins(y)), y)
@@ -391,8 +389,8 @@ def make_hyperclean(spec: HypercleanSpec,
         return np.zeros(n_tr)
 
     def grad_y_f(x: Vec, y: Vec) -> Vec:
-        s = sigmoid(-lab_val * (feats_val @ y))
-        return -(feats_val.T @ (lab_val * s)) / spec.n_val
+        s = sigmoid(-lab_val * _mv(feats_val, y))
+        return -_mv(feats_val.T, lab_val * s) / spec.n_val
 
     tr_norms = np.linalg.norm(feats_tr, axis=1)
     val_norms = np.linalg.norm(feats_val, axis=1)
@@ -414,9 +412,9 @@ def make_hyperclean(spec: HypercleanSpec,
     settings = verify.SolverSettings(tol=1e-10, max_iters=200)
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
-        if x.ndim > 1:
-            # a stack: one Newton solve per row
-            return tuple(map(np.array, zip(*map(solve, x))))
+        if x.ndim > 1 and len(x) > _SOLVE_ROWS:
+            return tuple(map(np.concatenate, zip(*(
+                solve(x[i:i + _SOLVE_ROWS]) for i in range(0, len(x), _SOLVE_ROWS)))))
         point = verify.inner_solve_exact(problem, x, settings)
         zs = verify.solve_linear_system_exact(problem, x, point, settings)
         return point.y, zs, grad_x_f(x, point.y) - point.hvp_xy(zs)

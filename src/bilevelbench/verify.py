@@ -11,7 +11,8 @@ with its report per guarantee: the warm-start tail bound
 materialized lower-level Hessian, read through the x-bound view
 ``det.lower_at(x)`` that every problem carries: the inner solve returns
 its converged ``LowerPoint``, which the linear solve takes in place of
-``y``.  They are deliberately
+``y``.  Both take a stack of points wherever ``lower_at`` does, through
+the one code path of a single point.  They are deliberately
 independent of the optimizers: they only consume the deterministic maps of
 a problem.  The named suites that run these checkers on fixed instances
 live in :mod:`bilevelbench.harness`, which, like the instances of
@@ -29,7 +30,7 @@ import numpy as np
 from .algorithms import sgd_dd
 from .constants import ParamSchedule, SmoothnessConstants
 from .problem import (SIGMAS, BilevelProblem, ConfigurationError, LowerPoint,
-                      NoiseKind, StochasticOracle, _norm)
+                      NoiseKind, StochasticOracle, _mv, _norms)
 from .samples import Sample, Stream
 from .trace import Trace
 
@@ -37,7 +38,8 @@ Vec = np.ndarray
 
 
 class SolverError(RuntimeError):
-    """Solver did not reach its tolerance; carries the final residual."""
+    """Solver did not reach its tolerance; carries the final residual, a
+    stack's largest."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -67,27 +69,34 @@ def inner_solve_exact(problem: BilevelProblem, x: Vec,
                       y0: Vec | None = None) -> LowerPoint:
     """Solve the lower-level problem to ``||grad_y g(x, y)|| <= tol``.
 
-    Requires a strongly convex lower level.  Runs at most
-    ``settings.max_iters`` Newton steps, each a direct solve with the
-    materialized Hessian.  ``x`` is bound once through
+    Requires a strongly convex lower level.  ``x`` is one point or, where
+    ``det.lower_at`` takes one, a stack, each row bit for bit as alone.
+    Runs at most ``settings.max_iters`` Newton steps, each a direct solve
+    with the materialized Hessian, on the rows still above ``tol``; a
+    converged row keeps its ``y``.  ``x`` is bound once through
     ``det.lower_at(x)``; each iterate's gradient and Hessian share one
     evaluation at that iterate.  Returns the converged ``LowerPoint``, whose
     ``y`` is the minimizer, for :func:`solve_linear_system_exact` and the
     hypergradient to read without evaluating the lower level again.
     """
     lower = problem.det.lower_at(x)
-    point = lower(np.zeros(problem.dim_y) if y0 is None
+    point = lower(np.zeros(np.shape(x)[:-1] + (problem.dim_y,)) if y0 is None
                   else np.asarray(y0, dtype=float).copy())
     g = point.grad()
     for _ in range(settings.max_iters):
-        if _norm(g) <= settings.tol:
+        # a nan norm stays active, as it fails the test
+        active = ~(_norms(g) <= settings.tol)
+        if not active.any():
             return point
-        point = lower(point.y - np.linalg.solve(point.hess(), g))
+        y = point.y.copy()
+        y[active] = y[active] - np.linalg.solve(
+            point.hess()[active], g[active][..., None])[..., 0]
+        point = lower(y)
         g = point.grad()
-    gnorm = _norm(g)
-    if gnorm <= settings.tol:
-        return point
-    raise SolverError("inner solve exhausted max_iters", gnorm)
+    gnorms = _norms(g)   # above tol, the largest is a failing row's
+    if not (gnorms <= settings.tol).all():
+        raise SolverError("inner solve exhausted max_iters", float(gnorms.max()))
+    return point
 
 
 def solve_linear_system_exact(problem: BilevelProblem, x: Vec, point: LowerPoint,
@@ -96,24 +105,27 @@ def solve_linear_system_exact(problem: BilevelProblem, x: Vec, point: LowerPoint
     ``y = point.y``.
 
     ``point`` is ``det.lower_at(x)(y)``, such as the return of
-    :func:`inner_solve_exact`.  A direct solve with the point's
-    materialized Hessian (its gradient is never computed) plus up to three
-    steps of iterative refinement.  The returned iterate always satisfies
-    the residual tolerance, re-checked on the point's Hessian-vector
+    :func:`inner_solve_exact`, for one point or a stack.  A direct solve
+    with the point's materialized Hessian (its gradient is never computed)
+    plus up to three steps of iterative refinement, which each row stops at
+    its own tolerance.  The returned iterate always satisfies the residual
+    tolerance, re-checked on every row through the point's Hessian-vector
     product ``point.hvp_yy``, independently of the materialized Hessian,
     before returning.
     """
     b = problem.det.grad_y_f(x, point.y)
     h = point.hess()
-    z = np.linalg.solve(h, b)
+    z = np.linalg.solve(h, b[..., None])[..., 0]
     for _ in range(3):  # iterative refinement against the tolerance
-        r = b - h @ z
-        if _norm(r) <= settings.tol:
+        r = b - _mv(h, z)
+        active = ~(_norms(r) <= settings.tol)
+        if not active.any():
             break
-        z = z + np.linalg.solve(h, r)
-    residual = _norm(point.hvp_yy(z) - b)
-    if residual > settings.tol:
-        raise SolverError("linear solve missed its tolerance", residual)
+        z[active] = z[active] + np.linalg.solve(
+            h[active], r[active][..., None])[..., 0]
+    residual = _norms(point.hvp_yy(z) - b)
+    if (residual > settings.tol).any():
+        raise SolverError("linear solve missed its tolerance", float(residual.max()))
     return z
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench import algorithms, harness
+from bilevelbench import algorithms, harness, verify
 from bilevelbench.algorithms import METRIC_BLOCK, default_metrics, update_z
 from bilevelbench.problem import (DeterministicOracle, LowerPoint,
                                   StochasticOracle, _norm)
@@ -554,6 +554,43 @@ def test_block_metrics_equal_row_metrics(kind, n):
     cols = default_metrics(prob)(np.arange(n), x, y, z, m)
     block = list(zip(*(np.asarray(c).tolist() for c in cols)))
     assert block == [row_metrics(prob, *row) for row in zip(x, y, z, m)]
+
+
+def test_solver_failure_inside_a_block_ends_the_run_at_its_row(monkeypatch):
+    # the inner solve fails on any stack that holds row 130's x: the block of
+    # rows 128-199 fails, and its row-by-row retry ends the run at row 130
+    prob = BLOCK_PROBLEMS["hyperclean"]()
+    sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                   "eta": 0.05, "T": 200, "T0": 10})
+    inits = (np.ones(prob.dim_x), np.zeros(prob.dim_y), np.zeros(prob.dim_y))
+    rows = []
+    base = default_metrics(prob)
+
+    def recording(ts, *iterates):
+        rows.extend(zip(*iterates))
+        return base(ts, *iterates)
+
+    _, full = bb.slip_run(prob, sched, *inits, seed=2, metrics=recording)
+    x_130 = rows[130][0]
+    solve = verify.inner_solve_exact
+
+    def failing(problem, x, *args, **kwargs):
+        if (x == x_130).all(axis=-1).any():
+            raise verify.SolverError("inner solve exhausted max_iters", 1.0)
+        return solve(problem, x, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "inner_solve_exact", failing)
+    with pytest.raises(bb.RunError) as exc_info:
+        bb.slip_run(prob, sched, *inits, seed=2)
+    err = exc_info.value
+    assert err.t == 130
+    assert type(err.__cause__) is verify.SolverError
+    assert trace_to_csv(err.trace) == trace_to_csv(Trace(full.records[:130]))
+    state = err.state
+    assert state.t == 130
+    for got, want in zip((state.x, state.y, state.z, state.m), rows[130]):
+        np.testing.assert_array_equal(got, want)
+    assert state.calls.as_tuple() == full.records[130][6:]
 
 
 class TestBaselines:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench import synthetic
+from bilevelbench import synthetic, verify
 from bilevelbench.synthetic import random_quadratic_spec, sigmoid
 from bilevelbench.verify import SolverSettings, finite_diff_hypergrad
 
@@ -274,6 +274,26 @@ def test_hyperclean_stack_is_solved_row_by_row():
         for got, want in zip(stacked, prob.solve(x[i])):
             np.testing.assert_array_equal(got[i], want)
     assert prob.upper(x, y).tolist() == [prob.upper(*row) for row in zip(x, y)]
+
+
+def test_hyperclean_block_is_solved_as_sub_stacks(monkeypatch):
+    # a 128-row block takes four 32-row solves of each kind, not 128
+    prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
+    calls = {"inner_solve_exact": 0, "solve_linear_system_exact": 0}
+
+    def counting(name):
+        solver = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, (128, prob.dim_x))
+    assert [a.shape[0] for a in prob.solve(x)] == [128, 128, 128]
+    assert calls == {"inner_solve_exact": 4, "solve_linear_system_exact": 4}
 
 
 # sha256 digests of each instance family's oracle outputs and ground truth,

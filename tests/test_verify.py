@@ -64,6 +64,97 @@ class TestLinearSystem:
             assert np.linalg.norm(res) <= settings.tol
 
 
+# the hyperclean instance of configs/hyperclean_slip.cfg
+SHIPPED_HYPERCLEAN = bb.HypercleanSpec(
+    n_train=200, n_val=200, feature_dim=5, corruption_rate=0.2, reg=0.1, seed=7)
+
+
+class TestStackedSolves:
+    """A stack of points is solved row by row bit for bit as each row alone,
+    each row stopping at its own Newton step."""
+
+    @staticmethod
+    def stack():
+        # weights near 0 make the lower level nearly quadratic: rows about -9
+        # take one Newton step, rows about -3 two, and row 45 (weights 1/2)
+        # three; 70 rows cross the 32-row sub-stacks of ``problem.solve``
+        rng = np.random.default_rng(5)
+        x = (np.where(np.arange(70)[:, None] % 2 == 0, -9.0, -3.0)
+             + rng.uniform(-0.5, 0.5, (70, 200)))
+        x[45] = rng.uniform(-0.5, 0.5, 200)
+        return x
+
+    @staticmethod
+    def steps(prob, x):
+        """Newton steps the 1-D solve at ``x`` takes."""
+        for k in range(1, 10):
+            try:
+                inner_solve_exact(prob, x, SolverSettings(max_iters=k))
+                return k
+            except SolverError:
+                pass
+
+    def test_every_row_is_its_one_point_result(self):
+        prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
+        x = self.stack()
+        assert {self.steps(prob, row) for row in x} == {1, 2, 3}
+        y = np.random.default_rng(6).standard_normal((70, prob.dim_y))
+        point = inner_solve_exact(prob, x)
+        z = solve_linear_system_exact(prob, x, point)
+        solved = prob.solve(x)
+        values = prob.upper(x, y)
+        for i, xi in enumerate(x):
+            alone = inner_solve_exact(prob, xi)
+            np.testing.assert_array_equal(point.y[i], alone.y)
+            np.testing.assert_array_equal(
+                z[i], solve_linear_system_exact(prob, xi, alone))
+            for got, want in zip(solved, prob.solve(xi)):
+                np.testing.assert_array_equal(got[i], want)
+            assert values[i] == prob.upper(xi, y[i])
+
+    @pytest.mark.parametrize("max_iters", [1, 2])
+    def test_a_row_over_budget_fails_with_its_own_residual(self, max_iters):
+        # two steps leave row 45 alone above tol; one step also the
+        # two-step rows, and the stack reports the largest residual
+        prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
+        x = self.stack()
+        settings = SolverSettings(max_iters=max_iters)
+        residuals = []
+        for row in x:
+            try:
+                inner_solve_exact(prob, row, settings)
+            except SolverError as exc:
+                residuals.append(exc.residual)
+        assert len(residuals) == (1 if max_iters == 2 else 35)
+        with pytest.raises(SolverError) as exc_info:
+            inner_solve_exact(prob, x, settings)
+        assert exc_info.value.residual == max(residuals)
+
+    def test_refinement_stops_for_each_row_at_its_own_tolerance(self):
+        # at tol 1e-16 some rows refine their direct solve and a few still
+        # miss it: the stack fails with the largest of their residuals, and
+        # the rows that meet it are each their one-point result
+        prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
+        x = self.stack()
+        settings = SolverSettings(tol=1e-16)
+        alone, residuals = {}, []
+        for i, row in enumerate(x):
+            try:
+                alone[i] = solve_linear_system_exact(
+                    prob, row, inner_solve_exact(prob, row), settings)
+            except SolverError as exc:
+                residuals.append(exc.residual)
+        assert residuals and alone
+        with pytest.raises(SolverError) as exc_info:
+            solve_linear_system_exact(prob, x, inner_solve_exact(prob, x),
+                                      settings)
+        assert exc_info.value.residual == max(residuals)
+        rows = sorted(alone)
+        z = solve_linear_system_exact(prob, x[rows],
+                                      inner_solve_exact(prob, x[rows]), settings)
+        for k, i in enumerate(rows):
+            np.testing.assert_array_equal(z[k], alone[i])
+
 class TestFiniteDiff:
     def test_q2_origin(self, q2):
         fd = finite_diff_hypergrad(q2, np.zeros(2), h=1e-5)
