@@ -37,11 +37,10 @@ any, and the only generator a draw uses is its thread's own, rewound to the
 draw's position (see :mod:`bilevelbench.samples`).
 
 The loop's fixed cost per iteration is kept small: the seed and the counter
-range are checked once per run (:func:`~bilevelbench.samples.check_range`),
-not once per sample, and ``np.errstate`` is entered once around the main
-loop, so an overflow in the in-loop refinement gives ``inf`` without a
-warning, as one in the main update does, and ends the run at the next
-finiteness check.
+range are checked once per run (:func:`check_schedule_runs`), not once per
+sample, and ``np.errstate`` is entered once around the main loop, so an
+overflow in the in-loop refinement gives ``inf`` without a warning, as one
+in the main update does, and ends the run at the next finiteness check.
 """
 
 from __future__ import annotations
@@ -205,6 +204,24 @@ def update_z(z: Vec, x: Vec, y: Vec, gamma: float, s_zeta: Sample, s_xi: Sample,
     return z - gamma * (hz - gf)
 
 
+def check_schedule_runs(schedule: ParamSchedule,
+                        refine: tuple[int, int] = (1, 0), seed: int = 0) -> None:
+    """Raise ``ConfigurationError`` unless ``schedule`` can run with
+    ``refine = (interval, extra)`` and ``seed``: ``interval >= 1``,
+    ``extra >= 0``, and the seed and every counter in ``[0, 2**64)``
+    (:func:`check_range`), ``T`` on each main-loop stream and
+    ``T0 + extra * (T // interval)`` on the warm start's ``PI_TILDE``."""
+    interval, extra = refine
+    if interval < 1 or extra < 0:
+        raise ConfigurationError(f"refine_interval must be >= 1 and refine_steps "
+                                 f">= 0, got {interval} and {extra}")
+    try:
+        check_range(seed, 0, max(schedule.T, schedule.T0
+                                 + extra * (schedule.T // interval)) - 1)
+    except ValueError as exc:
+        raise ConfigurationError(f"the schedule cannot run: {exc}") from exc
+
+
 def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
               y0_init: Vec, z0: Vec, seed: int, *,
               normalize: bool,
@@ -223,7 +240,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     exception once the warm start has begun ends the run with a
     :class:`RunAborted`: :class:`NumericalDivergenceError` for overflow and
     non-finite iterates, :class:`RunError` for anything but the deadline;
-    sample counters past ``2**64`` raise ``ConfigurationError`` before it.
+    what :func:`check_schedule_runs` rejects raises ConfigurationError first.
     The pending rows' metrics are also evaluated when the loop ends; a row
     whose metrics fail ends the run there, with its iterates and call
     counts as the state, before any later failure.
@@ -239,12 +256,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
             f"y0/z0 must have shape ({problem.dim_y},), got {y.shape}/{z.shape}")
     if metrics is None:
         metrics = default_metrics(problem)
+    check_schedule_runs(schedule, refine, seed)
     interval, extra = refine
-    try:   # every counter: the main loop's, the warm start's, the refinement's
-        check_range(seed, 0, max(schedule.T, schedule.T0
-                                 + extra * (schedule.T // interval)) - 1)
-    except ValueError as exc:
-        raise ConfigurationError(f"the schedule cannot run: {exc}") from exc
     warm_counter = schedule.T0
 
     calls = OracleCounter()
@@ -415,13 +428,8 @@ def double_loop_run(problem: BilevelProblem, schedule: ParamSchedule,
     Every ``refine_interval`` upper steps, runs ``refine_steps`` extra
     lower-level SGD updates.  With interval 1 and 0 extra steps the run is
     trace-identical to ``slip_run`` under the same seed discipline.
+    :func:`check_schedule_runs` checks both values before any oracle call.
     """
-    if refine_interval < 1:
-        raise ConfigurationError(
-            f"refine_interval must be >= 1, got {refine_interval}")
-    if refine_steps < 0:
-        raise ConfigurationError(
-            f"refine_steps must be >= 0, got {refine_steps}")
     return _run_loop(problem, schedule, x0, y0_init, z0, seed,
                      normalize=True, refine=(refine_interval, refine_steps),
                      deadline=deadline, metrics=metrics)

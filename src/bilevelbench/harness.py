@@ -24,14 +24,15 @@ import logging
 import math
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algorithms import (RunAborted, double_loop_run, default_metrics,
-                         masoba_run, slip_run, ttsa_run, ttsa_schedule)
+from .algorithms import (RunAborted, check_schedule_runs, double_loop_run,
+                         default_metrics, masoba_run, slip_run, ttsa_run,
+                         ttsa_schedule)
 from .constants import (ParamSchedule, SchedulingError, schedule_practical,
                         schedule_theorem41, schedule_theorem42,
                         warm_start_alpha, warm_start_T0)
@@ -306,20 +307,24 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
 
 
 def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
-    """The config's schedule; a theorem mode's is built from the problem's
-    constants.  A schedule that cannot be built raises ``ConfigurationError``."""
-    if isinstance(cfg.schedule, ParamSchedule):
-        return cfg.schedule
+    """The schedule the runner follows (``ttsa``'s by :func:`ttsa_schedule`,
+    a theorem mode's from the problem's constants).  One that cannot be
+    built or run (:func:`check_schedule_runs`) raises ConfigurationError."""
     s = cfg.schedule
-    builder = schedule_theorem41 if s["mode"] == "theorem41" else schedule_theorem42
-    try:
-        return builder(s["eps"], s["delta"], problem.constants, s["delta0"],
-                       s["delta_y0"], s["delta_z0"], s.get("grad_phi_x0"))
-    except SchedulingError as exc:
-        raise ConfigurationError(f"schedule rejected: {exc}") from exc
-    except ArithmeticError as exc:   # say, a squared Delta_y0 past 1e308
-        raise ConfigurationError(f"schedule rejected: its closed forms overflow "
-                                 f"({type(exc).__name__}: {exc})") from exc
+    if not isinstance(s, ParamSchedule):
+        builder = schedule_theorem41 if s["mode"] == "theorem41" else schedule_theorem42
+        try:
+            s = builder(s["eps"], s["delta"], problem.constants, s["delta0"],
+                        s["delta_y0"], s["delta_z0"], s.get("grad_phi_x0"))
+        except SchedulingError as exc:
+            raise ConfigurationError(f"schedule rejected: {exc}") from exc
+        except ArithmeticError as exc:   # say, a squared Delta_y0 past 1e308
+            raise ConfigurationError(f"schedule rejected: its closed forms overflow "
+                                     f"({type(exc).__name__}: {exc})") from exc
+    s = ttsa_schedule(s) if cfg.algorithm == "ttsa" else s
+    p = cfg.algo_params
+    check_schedule_runs(s, (p.get("refine_interval", 1), p.get("refine_steps", 0)))
+    return s
 
 
 def _broadcast(v: float | tuple[float, ...], dim: int) -> Vec:
@@ -382,7 +387,8 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     Seeds run in order in the calling thread, each writing its trace file as
     it finishes; ``cfg.workers`` has no effect.  Every file is written
     through a temporary file and renamed into place; the directory is made
-    at the first write, so a config rejected before it leaves none.  A seed
+    at the first write, so a config rejected before it leaves none.  The
+    metadata records the schedule :func:`resolve_schedule` returns.  A seed
     that fails (``FAILED``), times out (``TIMEOUT``) or raises anything else
     once its run has started (``ERROR``) keeps its partial trace and does
     not stop the others; its ``reason`` is ``"<Class>: <message>"`` of the
@@ -396,8 +402,6 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     out_prefix = Path(out_prefix)
     problem = build_problem(cfg)
     schedule = resolve_schedule(cfg, problem)
-    # the metadata records the schedule the runner follows
-    ran = ttsa_schedule(schedule) if cfg.algorithm == "ttsa" else schedule
 
     def job(seed: int):
         # the trace is dropped on return, so one seed's rows are alive at a time
@@ -413,7 +417,7 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
                     "noise": cfg.noise.kind.value,
                     **{s: getattr(cfg.noise, s) for s in SIGMAS}},
         "algorithm": {"name": cfg.algorithm, **cfg.algo_params},
-        "schedule": asdict(ran) | {"mode": ran.mode.value},
+        "schedule": asdict(schedule) | {"mode": schedule.mode.value},
         "seeds": [],
     }
     meta_path = Path(f"{out_prefix}_meta.json")
@@ -459,16 +463,11 @@ class SweepSummary:
     slope: float | None
 
     def to_csv(self) -> str:
-        lines = [SWEEP_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                repr(r.eps), r.status,
-                "" if r.T is None else str(r.T),
-                "" if r.T0 is None else str(r.T0),
-                "" if r.total_calls is None else str(r.total_calls),
-                "" if r.avg_grad_norm is None else repr(r.avg_grad_norm),
-                r.binding_term or "",
-            ]))
+        def cell(v) -> str:
+            return "" if v is None else v if isinstance(v, str) else repr(v)
+
+        lines = [SWEEP_HEADER,
+                 *(",".join(map(cell, astuple(r))) for r in self.rows)]
         if self.slope is not None:
             lines.append(f"# slope of log T vs log(1/eps): {self.slope!r}")
         return "\n".join(lines) + "\n"
@@ -483,9 +482,9 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     entries SKIPPED with the binding ceiling term, and fits the slope of
     ``log T`` against ``log(1/eps)``.  The total is ``T0 + 5T``, the count
     of ``slip`` and ``masoba``; any other algorithm is rejected.  With
-    ``execute=True`` each admissible eps is actually run and the final
-    gradient norm averaged over the seeds that ended ``OK`` (left empty when
-    none did); an eps whose sample counters pass ``2**64`` is SKIPPED.
+    ``execute=True`` each eps that :func:`resolve_schedule` accepts, as
+    ``run`` does, is run and the final gradient norm averaged over the seeds
+    that ended ``OK`` (left empty when none did); one it rejects is SKIPPED.
     """
     if isinstance(cfg.schedule, ParamSchedule):
         raise ConfigurationError("sweep requires a theorem-mode schedule")
@@ -499,17 +498,12 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
         sub = replace(cfg, schedule={**cfg.schedule, "eps": eps})
         try:
             schedule = resolve_schedule(sub, problem)
-            infos = [_run_single(problem, schedule, sub, seed)[1]
-                     for seed in cfg.seeds] if execute else []
         except ConfigurationError as exc:
-            # an inadmissible eps, a non-finite T or, from the run's own
-            # check, counters past 2**64: each is raised from its cause
-            cause = exc.__cause__
-            if cause is None:
-                raise   # not this eps's fault: say, a bad init
-            binding = getattr(cause, "binding_term", None)
+            binding = getattr(exc.__cause__, "binding_term", None)
             rows.append(SweepRow(eps, "SKIPPED", None, None, None, None, binding))
             continue
+        infos = [_run_single(problem, schedule, sub, seed)[1]
+                 for seed in cfg.seeds] if execute else []
         total = schedule.T0 + 5 * schedule.T
         norms = [i["final"]["grad_norm"] for i in infos if i["status"] == "OK"]
         avg_gn = float(np.mean(norms)) if norms else None

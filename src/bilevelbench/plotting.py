@@ -2,11 +2,12 @@
 
 Charts are plain polylines with axes, ticks and a legend, written with fixed
 float formatting so identical inputs produce identical bytes.  One series
-per trace file; rows whose metric is missing break the polyline.
+per trace file; rows whose metric is missing or not finite break the polyline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from .trace import COLUMNS, read_trace, write_atomic
 
 
 class PlotError(ValueError):
-    """Unusable plot request (unknown metric, non-positive log values)."""
+    """Unusable plot request (unknown metric, malformed trace, log of <= 0)."""
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -38,13 +39,20 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def _tick_label(v: float, logy: bool) -> str:
     return f"{10.0 ** v:.3g}" if logy else f"{v:.4g}"
+
+
+def _plotted(v: float, logy: bool, label: str) -> float:
+    if not logy:
+        return float(v)
+    if v <= 0:
+        raise PlotError(f"log scale needs strictly positive values; series "
+                        f"{label!r} has {v!r}")
+    return math.log10(v)
 
 
 def series_from_traces(paths: Sequence, metric: str) -> list[Series]:
@@ -53,31 +61,30 @@ def series_from_traces(paths: Sequence, metric: str) -> list[Series]:
                         f"{', '.join(c for c in COLUMNS if c != 't')}")
     out = []
     for p in paths:
-        tr = read_trace(p)
+        try:
+            tr = read_trace(p)
+        except ValueError as exc:   # a bad header or row, or bytes not UTF-8
+            raise PlotError(f"malformed trace {p}: {exc}") from exc
         out.append(Series(label=Path(p).stem,
                           ts=[float(r.t) for r in tr.records],
-                          values=[getattr(r, metric) for r in tr.records]))
+                          values=tr.column(metric)))
     return out
 
 
 def render_chart(series: list[Series], metric: str, logy: bool = False) -> str:
     """Render the SVG document for the given series."""
-    pts_all: list[tuple[float, float]] = []
+    # each series' runs of (t, value), split at missing and non-finite values
+    runs: list[list[list[tuple[float, float]]]] = []
     for s in series:
-        for t, v in zip(s.ts, s.values):
-            if v is None:
-                continue
-            if logy:
-                if v <= 0:
-                    raise PlotError(
-                        f"log scale needs strictly positive values; series "
-                        f"{s.label!r} has {v!r}")
-                v = math.log10(v)
-            pts_all.append((t, float(v)))
+        runs.append([])
+        for gap, pts in itertools.groupby(zip(s.ts, s.values), key=lambda p: (
+                p[1] is None or not math.isfinite(p[1]))):
+            if not gap:
+                runs[-1].append([(t, _plotted(v, logy, s.label)) for t, v in pts])
+    pts_all = [p for segs in runs for seg in segs for p in seg]
     if not pts_all:
         raise PlotError(f"no values to plot for metric {metric!r}")
-    xs = [p[0] for p in pts_all]
-    ys = [p[1] for p in pts_all]
+    xs, ys = zip(*pts_all)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -116,23 +123,12 @@ def render_chart(series: list[Series], metric: str, logy: bool = False) -> str:
     ylab = f"log10({metric})" if logy else metric
     parts.append(f'<text x="14" y="{_MT + 10}" font-size="12">{ylab}</text>')
 
-    for i, s in enumerate(series):
+    for i, (s, segs) in enumerate(zip(series, runs)):
         color = _PALETTE[i % len(_PALETTE)]
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for t, v in zip(s.ts, s.values):
-            if v is None:
-                if segment:
-                    segments.append(segment)
-                segment = []
-                continue
-            vv = math.log10(v) if logy else float(v)
-            segment.append(f"{_fmt(sx(t))},{_fmt(sy(vv))}")
-        if segment:
-            segments.append(segment)
-        for seg in segments:
+        for seg in segs:
+            points = " ".join(f"{_fmt(sx(t))},{_fmt(sy(v))}" for t, v in seg)
             parts.append(f'<polyline fill="none" stroke="{color}" '
-                         f'stroke-width="1.5" points="{" ".join(seg)}"/>')
+                         f'stroke-width="1.5" points="{points}"/>')
         ly = _MT + 14 + 16 * i
         parts.append(f'<line x1="{_W - 170}" y1="{ly - 4}" x2="{_W - 146}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import math
@@ -697,6 +698,36 @@ class TestBaselines:
         with pytest.raises(bb.ConfigurationError):
             bb.double_loop_run(q2, sched, 0, 3, np.zeros(2), np.ones(2),
                                np.zeros(2), seed=0)
+
+    @pytest.mark.parametrize("run", ["doubleloop-refinement", "slip-seed"])
+    def test_unrunnable_schedule_rejected_before_any_oracle_call(
+            self, q2, monkeypatch, run):
+        def oracle_called(*args):
+            raise AssertionError("an oracle was called")
+
+        for name in ("grad_x_F", "grad_y_F", "grad_y_G", "hvp_xy_G", "hvp_yy_G"):
+            monkeypatch.setattr(StochasticOracle, name, oracle_called)
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.01, "T": 2, "T0": 0})
+        inits = (np.zeros(2), np.ones(2), np.zeros(2))
+        with pytest.raises(bb.ConfigurationError, match="cannot run"):
+            if run == "slip-seed":
+                bb.slip_run(q2, sched, *inits, seed=2**64)
+            else:
+                # the warm start uses counters up to 2**64 - 2, and the two
+                # refinement steps 2**64 - 1 and 2**64
+                bb.double_loop_run(q2, replace(sched, T0=2**64 - 1), 1, 1,
+                                   *inits, seed=0)
+
+    @pytest.mark.parametrize("T0,runs", [(2**64 - 2, True), (2**64 - 1, False)])
+    def test_refinement_counters_end_below_2_64(self, T0, runs):
+        # PI_TILDE holds T0 warm-start steps, then 1 step after each of T = 2
+        # iterations: counters 0 .. T0 + 1
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.01, "T": 2, "T0": 0})
+        with (contextlib.nullcontext() if runs else
+              pytest.raises(bb.ConfigurationError, match="cannot run")):
+            algorithms.check_schedule_runs(replace(sched, T0=T0), (1, 1))
 
 
 # sha256 of noisy trace CSVs.  They pin the draw path (the Philox word layout

@@ -7,6 +7,7 @@ import pytest
 import bilevelbench as bb
 from bilevelbench import cli
 from bilevelbench.harness import CheckResult
+from bilevelbench.trace import CSV_HEADER
 
 CFG = """\
 [problem]
@@ -132,6 +133,30 @@ def test_sweep_execute_skips_an_eps_that_cannot_run(tmp_path, capsys):
     assert rc == 0
     assert out[1].startswith("0.2,OK,")
     assert out[2:] == ["0.01,SKIPPED,,,,,"]
+
+
+def test_sweep_skips_an_eps_that_cannot_run(capsys):
+    # the closed-form sweep listed eps = 0.01 OK, while run and --execute
+    # rejected its T; 0.02 keeps a T past 2**63 that can run
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    rc = cli.main(["sweep", "--config", str(cfg), "--eps", "0.2,0.02,0.01"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [line.split(",")[:3] for line in out[1:3]] == [
+        ["0.2", "OK", "377756864705073"], ["0.02", "OK", "9507569619380099072"]]
+    assert out[3] == "0.01,SKIPPED,,,,,"
+
+
+def test_sweep_execute_bad_init_exit_1(tmp_path, capsys):
+    # a bad init is the config's fault, not one eps's: the sweep ends
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    p = tmp_path / "sweep.cfg"
+    p.write_text(cfg.read_text() + "x0 = 1, 2, 3\n")
+    rc = cli.main(["sweep", "--config", str(p), "--eps", "0.2", "--execute"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_sweep_refused_rename_keeps_old_summary(tmp_path, capsys, monkeypatch):
@@ -340,6 +365,22 @@ def test_plot_unknown_metric_exit_1(cfg_path, tmp_path):
     rc = cli.main(["plot", str(tmp_path / "exp_seed1.csv"),
                    "--metric", "nope", "-o", str(tmp_path / "c.svg")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("data", [
+    b"bad,header\n1,2\n",
+    CSV_HEADER.encode() + b"\n0,1.0\n",                   # a short row
+    CSV_HEADER.encode() + b"\n0,\xff,,,,,0,0,0,0,0\n",     # not UTF-8
+], ids=["header", "columns", "bytes"])
+def test_plot_malformed_trace_exit_1(tmp_path, capsys, data):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(data)
+    rc = cli.main(["plot", str(p), "--metric", "grad_norm",
+                   "-o", str(tmp_path / "c.svg")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: malformed trace {p}") and err.count("\n") == 1
+    assert not (tmp_path / "c.svg").exists()
 
 
 def test_sweep_outputs_summary(tmp_path, capsys):

@@ -512,7 +512,7 @@ class TestConfig:
                             "l_g1": 1.0},
          "noise": bb.NoiseModel.bounded(0.1, 0.1, 0.1, 0.1),
          "algorithm": "masoba",
-         "schedule": THEOREM | {"mode": "theorem42", "eps": 0.001},
+         "schedule": THEOREM | {"mode": "theorem42", "eps": 0.1},
          "seeds": [4, 5], "inits": {"y0": 1.0}},
     ]
     _PLACES = [(i, name, key)
@@ -533,6 +533,19 @@ class TestConfig:
         st.booleans(), st.none(),
         st.lists(st.floats(-4, 4), max_size=3),
         st.lists(st.lists(st.floats(-4, 4), max_size=2), max_size=2))
+
+    @pytest.mark.parametrize("refine,match", [
+        ({"refine_interval": 0}, "got 0 and 3"),
+        ({"refine_steps": -1}, "got 2 and -1"),
+        ({"refine_steps": 2**64}, "cannot run"),
+    ], ids=["interval-0", "steps-negative", "steps-past-counters"])
+    def test_unrunnable_refinement_rejected_when_resolved(self, refine, match):
+        # each was found only by the runner; interval 0 is rejected before
+        # T is divided by it
+        fields = self._CODE_CONFIGS[0]
+        cfg = RunConfig(**(fields | {"algo_params": fields["algo_params"] | refine}))
+        with pytest.raises(ConfigurationError, match=match):
+            resolve_schedule(cfg, build_problem(cfg))
 
     def test_code_configs_are_valid(self):
         for fields in self._CODE_CONFIGS:
@@ -722,6 +735,19 @@ class TestRunExperiment:
         recorded = json.loads(res.metadata_path.read_text())["schedule"]
         assert (recorded["beta"], recorded["T0"]) == (0.0, 0)
 
+    def test_ttsa_ignores_an_unrunnable_T0(self, tmp_path):
+        # T0 = 10**20 would put the warm-start counters past 2**64, but ttsa
+        # runs no warm start: its schedule resolves with T0 = 0 and runs
+        path = tmp_path / "ttsa.cfg"
+        path.write_text(CFG_TEXT.replace("name = slip", "name = ttsa")
+                        .replace("T0 = 10", "T0 = 100000000000000000000")
+                        .replace("seeds = 1, 2, 3", "seeds = 2"))
+        cfg = parse_config(path)
+        assert resolve_schedule(cfg, build_problem(cfg)).T0 == 0
+        res = run_experiment(cfg, tmp_path / "exp")
+        assert [s["status"] for s in res.metadata["seeds"]] == ["OK"]
+        assert res.metadata["schedule"]["T0"] == 0
+
     def test_metadata_records_sigmas_and_skipped_steps(self, cfg_file, tmp_path):
         res = run_experiment(parse_config(cfg_file), tmp_path / "noisy")
         meta = json.loads(res.metadata_path.read_text())
@@ -795,10 +821,11 @@ class TestSweep:
         assert summary.rows[1].status == "OK"
 
     def test_T_past_int64_reported(self):
-        # the slope's np.log raised TypeError on a Python int T past 2**63
-        summary = sweep_eps(self.sweep_cfg(), [0.2, 0.01])
-        assert [r.status for r in summary.rows] == ["OK", "OK"]
-        assert summary.rows[1].T > 2**64
+        # the slope's np.log raised TypeError on a Python int T past 2**63;
+        # at eps 0.01 the sample counters pass 2**64, so that eps cannot run
+        summary = sweep_eps(self.sweep_cfg(), [0.2, 0.02, 0.01])
+        assert [r.status for r in summary.rows] == ["OK", "OK", "SKIPPED"]
+        assert 2**63 < summary.rows[1].T < 2**64
         assert 3.0 <= summary.slope <= 5.0
 
     def test_execute_averages_only_ok_seeds(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,15 +44,18 @@ def test_two_series_legend(trace_files):
 
 
 def test_missing_values_break_polyline(tmp_path):
-    tr = bb.Trace()
-    for t in range(6):
-        gn = None if t == 3 else 1.0 + t
-        tr.append(bb.TraceRecord(t, gn, None, None, None, None, 0, 0, 0, 0, 0))
-    p = tmp_path / "g.csv"
-    bb.write_trace(p, tr)
-    svg = render_chart(series_from_traces([p], "grad_norm"), "grad_norm")
-    assert svg.count("<polyline") == 2
-    assert count_polyline_vertices(svg) == 5
+    # a non-finite value breaks the line too, and is not written as nan
+    for gap in (None, math.nan, math.inf):
+        tr = bb.Trace()
+        for t in range(6):
+            gn = gap if t == 3 else 1.0 + t
+            tr.append(bb.TraceRecord(t, gn, None, None, None, None, 0, 0, 0, 0, 0))
+        p = tmp_path / "g.csv"
+        bb.write_trace(p, tr)
+        svg = render_chart(series_from_traces([p], "grad_norm"), "grad_norm")
+        assert svg.count("<polyline") == 2
+        assert count_polyline_vertices(svg) == 5
+        assert "nan" not in svg and "inf" not in svg
 
 
 def test_unknown_metric_lists_columns(trace_files):
