@@ -22,14 +22,14 @@ the methods they are named after:
 The frozen-x SGD (``sgd_dd``, used for the warm start and the refinement)
 returns only the final lower-level iterate; the ground truth is read only by
 the metric evaluator (``default_metrics``), the loop's one metric callback.
-The loop writes each row's iterates into a block of :data:`METRIC_BLOCK`
-rows, fresh arrays per block, and evaluates a full block's metrics in one
-call: one ``problem.solve`` call per block, each of its rows bit for bit
-what a call for that row alone gives.  The pending rows are also evaluated
-when the loop ends, however it ends, so a trace holds the same rows as one
-evaluated row by row.  When a block's evaluation raises, or one of its rows
-is rejected, the block is evaluated again one row at a time, and the run
-ends at the first row that fails, as it would have row by row.
+The loop appends each row's index, iterates and call counts to one list (no
+update changes an array in place) and evaluates :data:`METRIC_BLOCK` pending
+rows in one call, stacked into fresh arrays: one ``problem.solve`` call per
+block, each row bit for bit what a call for that row alone gives.  The
+pending rows are also evaluated when the loop ends, however it ends, so a
+trace holds the same rows as one evaluated row by row.  A block whose
+evaluation raises, or rejects a row, is evaluated again one row at a time,
+and the run ends at the first row that fails, as it would have row by row.
 
 A run is strictly sequential; runs with distinct seeds share no mutable
 state and may execute concurrently in separate threads: no problem keeps
@@ -239,11 +239,13 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     ``deadline``, the run stops after recording the current row.  Any
     exception once the warm start has begun ends the run with a
     :class:`RunAborted`: :class:`NumericalDivergenceError` for overflow and
-    non-finite iterates, :class:`RunError` for anything but the deadline;
-    what :func:`check_schedule_runs` rejects raises ConfigurationError first.
-    The pending rows' metrics are also evaluated when the loop ends; a row
-    whose metrics fail ends the run there, with its iterates and call
-    counts as the state, before any later failure.
+    non-finite iterates, :class:`RunError` for anything but the deadline; an
+    init of the wrong shape and what :func:`check_schedule_runs` rejects
+    raise ConfigurationError first.
+    Rows wait in one list and are evaluated in one call once
+    :data:`METRIC_BLOCK` are pending and when the loop ends; a row whose
+    metrics fail ends the run there, with its iterates and call counts as
+    the state, before any later failure.
     """
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0_init, dtype=float).copy()
@@ -267,47 +269,40 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     # unlike v.dot(v) it cannot overflow on a finite v
     zero_x, zero_y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
     trace = Trace()
-    # the pending rows: the block's t, x, y, z and m, one array each with a
-    # row per iteration, and each row's call counts
-    block: list[np.ndarray] = []
-    block_calls: list[tuple[int, ...]] = []
+    # the pending rows, one (t, x, y, z, m, call counts) tuple per iteration;
+    # every update binds a new array, so a row's arrays stay as it read them
+    rows: list[tuple] = []
     failed: SlipState | None = None   # the row whose metrics failed
 
     def flush() -> None:
         # evaluates the pending rows and appends them to the trace; if that
         # fails, evaluates them one at a time, appends those before the first
         # that fails, keeps its state in ``failed`` and re-raises its exception
-        nonlocal block, block_calls, failed
-        n = len(block_calls)
-        if n == 0:
-            return
-        pending, row_calls = [b[:n] for b in block], block_calls
-        block, block_calls = [], []
+        nonlocal rows, failed
+        pending, rows = rows, []
 
-        def record(rows: slice) -> None:
-            ts = pending[0][rows]
+        def record(block: list[tuple]) -> None:
+            ts, *iterates, row_calls = zip(*block)
             cols = [[None] * len(ts) if c is None
                     else np.asarray(c).reshape(len(ts)).tolist()
-                    for c in metrics(*(b[rows] for b in pending))]
-            for *row, c in zip(ts.tolist(), *cols, row_calls[rows]):
+                    for c in metrics(np.array(ts), *map(np.array, iterates))]
+            for *row, c in zip(ts, *cols, row_calls):
                 trace.append(TraceRecord(*row, *c))
 
         start = len(trace.records)
         try:
-            record(slice(0, n))
+            record(pending)
             return
         except Exception:
             del trace.records[start:]
-        for k in range(n):
+        for row in pending:
             try:
-                record(slice(k, k + 1))
+                record([row])
             except Exception:
-                t = int(pending[0][k])
+                t, *iterates, c = row
                 # a row-by-row run stops at t: drop the later rows' skips
-                trace.skipped_steps[:] = [
-                    s for s in trace.skipped_steps if s <= t]
-                failed = SlipState(*(b[k] for b in pending[1:]), t=t,
-                                   calls=OracleCounter(*row_calls[k]))
+                trace.skipped_steps[:] = [s for s in trace.skipped_steps if s <= t]
+                failed = SlipState(*iterates, t=t, calls=OracleCounter(*c))
                 raise
 
     t = 0
@@ -357,16 +352,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                     else:
                         x_next = x - eta * m
 
-                    i = t % METRIC_BLOCK
-                    if i == 0:
-                        # fresh arrays, allocated once the last block is
-                        # evaluated: the metric callable may keep those
-                        block = [np.arange(t, t + METRIC_BLOCK), *(
-                            np.empty((METRIC_BLOCK, v.size)) for v in (x, y, z, m))]
-                    _, bx, by, bz, bm = block
-                    bx[i], by[i], bz[i], bm[i] = x, y, z, m
-                    block_calls.append(calls.as_tuple())
-                    if i == METRIC_BLOCK - 1:
+                    rows.append((t, x, y, z, m, calls.as_tuple()))
+                    if len(rows) == METRIC_BLOCK:
                         flush()
                     if time.monotonic() > deadline:
                         raise TimeoutError(f"deadline passed at iteration {t}")
@@ -383,7 +370,8 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                         warm_counter += extra
             finally:
                 # the pending rows are evaluated however the loop ends
-                flush()
+                if rows:
+                    flush()
     except Exception as exc:
         state = failed or SlipState(x=x, y=y, z=z, m=m, t=t, calls=calls)
         t = state.t

@@ -328,11 +328,8 @@ def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
 
 
 def _broadcast(v: float | tuple[float, ...], dim: int) -> Vec:
-    if not isinstance(v, tuple):   # one number for every coordinate
-        return np.full(dim, v)
-    if len(v) != dim:
-        raise ConfigurationError(f"init vector has length {len(v)}, expected {dim}")
-    return np.array(v)
+    # one number for every coordinate, or a vector whose shape the run checks
+    return np.array(v) if isinstance(v, tuple) else np.full(dim, v)
 
 
 def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
@@ -485,6 +482,7 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
     ``execute=True`` each eps that :func:`resolve_schedule` accepts, as
     ``run`` does, is run and the final gradient norm averaged over the seeds
     that ended ``OK`` (left empty when none did); one it rejects is SKIPPED.
+    ``execute`` needs a finite ``cfg.max_wall_seconds`` to bound each run.
     """
     if isinstance(cfg.schedule, ParamSchedule):
         raise ConfigurationError("sweep requires a theorem-mode schedule")
@@ -492,6 +490,8 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
         raise ConfigurationError(
             f"sweep counts oracle calls as T0 + 5T, which holds for slip and "
             f"masoba only, not {cfg.algorithm}")
+    if execute and math.isinf(cfg.max_wall_seconds):
+        raise ConfigurationError("sweep --execute needs a finite max_wall_seconds")
     problem = build_problem(cfg)
     rows: list[SweepRow] = []
     for eps in eps_list:

@@ -469,6 +469,32 @@ class TestMetricBlocks:
         assert trace_to_csv(err.trace) == trace_to_csv(Trace(full.records[:k]))
         np.testing.assert_array_equal(err.state.x, rows[k][0])
 
+    # the warm start's third step raises, or row 0's first oracle call:
+    # the run ends with no row pending
+    @pytest.mark.parametrize("stream, counter, warm_calls", [
+        (Stream.PI_TILDE, 2, 2), (Stream.PI, 0, 10)], ids=["warm-start", "row-0"])
+    def test_oracle_failure_before_row_0(self, q2_gauss, stream, counter,
+                                         warm_calls):
+        class Failing(StochasticOracle):
+            def grad_y_G(self, x, y, sample):
+                if (sample.stream, sample.counter) == (stream, counter):
+                    raise KeyError("oracle before row 0")
+                return super().grad_y_G(x, y, sample)
+
+        rows, _ = self.full_run(q2_gauss)
+        prob = replace(q2_gauss, oracle=Failing(q2_gauss.det,
+                                                q2_gauss.oracle.noise))
+        with pytest.raises(bb.RunError) as exc_info:
+            self.run(prob, None)
+        err = exc_info.value
+        assert err.t == 0
+        assert type(err.__cause__) is KeyError
+        assert len(err.trace) == 0 and err.trace.skipped_steps == []
+        # the warm start returns only its final iterate: y is y0 until then
+        y = np.ones(2) if stream is Stream.PI_TILDE else rows[0][1]
+        np.testing.assert_array_equal(err.state.y, y)
+        assert err.state.calls.as_tuple() == (0, 0, warm_calls, 0, 0)
+
     # row 130 is recorded, with one block evaluated and one pending, before
     # the abort
     def test_non_finite_update_after_a_full_block(self, q2_gauss):
@@ -524,6 +550,7 @@ class TestMetricBlocks:
         self.run(q2, keeping)
         assert [b[0].tolist() for b in blocks] == [list(range(128)),
                                                    list(range(128, 200))]
+        assert all(b[0].dtype == np.int64 for b in blocks)
         assert not np.shares_memory(blocks[0][1][0], blocks[1][1][0])
         np.testing.assert_array_equal(blocks[0][1][0][0], np.zeros(2))
 

@@ -151,12 +151,31 @@ def test_sweep_execute_bad_init_exit_1(tmp_path, capsys):
     # a bad init is the config's fault, not one eps's: the sweep ends
     cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
     p = tmp_path / "sweep.cfg"
-    p.write_text(cfg.read_text() + "x0 = 1, 2, 3\n")
+    p.write_text(cfg.read_text() + "max_wall_seconds = 0.05\nx0 = 1, 2, 3\n")
     rc = cli.main(["sweep", "--config", str(p), "--eps", "0.2", "--execute"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "x0" in captured.err
     assert captured.out == ""
+
+
+def test_sweep_execute_without_a_deadline_exit_1(capsys, monkeypatch):
+    # the shipped config sets no max_wall_seconds, and its T at eps 0.2 is
+    # about 3.8e14: the sweep exits before it builds the problem or runs a
+    # seed (stubs stand in for both, so a sweep that runs fails, not hangs)
+    calls = []
+    for name in ("build_problem", "_run_single"):
+        monkeypatch.setattr(f"bilevelbench.harness.{name}",
+                            lambda *args, name=name: calls.append(name))
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    rc = cli.main(["sweep", "--config", str(cfg), "--eps", "0.2", "--execute"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ("error: sweep --execute needs a finite "
+                            "max_wall_seconds\n")
+    assert captured.out == ""
+    assert calls == []
 
 
 def test_sweep_refused_rename_keeps_old_summary(tmp_path, capsys, monkeypatch):
