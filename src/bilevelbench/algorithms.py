@@ -218,7 +218,7 @@ def check_schedule_runs(schedule: ParamSchedule,
     try:
         check_range(seed, 0, max(schedule.T, schedule.T0
                                  + extra * (schedule.T // interval)) - 1)
-    except ValueError as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"the schedule cannot run: {exc}") from exc
 
 

@@ -4,15 +4,16 @@ Subcommands: ``run`` (execute a config), ``sweep`` (closed-form schedule
 sweep over target accuracies), ``verify`` (the named suites of
 :mod:`bilevelbench.harness`) and ``plot`` (trace metrics to SVG).  Exit
 codes: 0 success, 1 usage, config or file error (a
-:class:`~bilevelbench.problem.ConfigurationError`, any unknown config key
-included, or an ``OSError`` such as an output path that cannot be
-written; the seeds written before it keep their files and metadata), 2
-run failure (a seed ended ``FAILED`` on a non-finite iterate or an oracle
-overflow, ``TIMEOUT``, or ``ERROR`` on any other exception once its run
-had started; the other seeds still run, and every seed's partial trace is
-written), 3 verification failure.  ``run`` prints each seed's status, and
-after a status other than ``OK`` the seed's reason.  Seeds run in order;
-``[run] workers`` is accepted and has no effect.
+:class:`~bilevelbench.samples.ConfigurationError`, which covers an unknown
+config key, a schedule that cannot run and a bad plot request, or an
+``OSError`` such as an output path that cannot be written; the seeds
+written before it keep their files and metadata), 2 run failure (a seed
+ended ``FAILED`` on a non-finite iterate or an oracle overflow,
+``TIMEOUT``, or ``ERROR`` on any other exception once its run had started;
+the other seeds still run, and every seed's partial trace is written), 3
+verification failure.  ``run`` prints each seed's status, and after a
+status other than ``OK`` the seed's reason.  Seeds run in order; ``[run]
+workers`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import argparse
 import sys
 
 from .harness import SUITES, parse_config, run_experiment, run_suite, sweep_eps
-from .plotting import PlotError, plot
-from .problem import ConfigurationError
+from .plotting import plot
+from .samples import ConfigurationError
 from .trace import write_atomic
 
 EXIT_OK = 0
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
                 "verify": _cmd_verify, "plot": _cmd_plot}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, PlotError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

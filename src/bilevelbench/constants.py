@@ -4,7 +4,9 @@ Holds the constant vocabulary of the analysis (strong convexity ``mu``,
 lower-level smoothness ``l_g1``/``l_g2``, relaxed-smoothness constants of the
 upper level, noise levels) together with the derived constants ``L0``, ``L1``
 and ``l_zstar``, and produces the two analysis-driven step-size schedules as
-well as a pass-through "practical" schedule for hand-tuned runs.
+well as a pass-through "practical" schedule for hand-tuned runs.  Bad input
+raises :class:`~bilevelbench.samples.ConfigurationError` or its subclass
+:class:`SchedulingError`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
+from .samples import ConfigurationError
 
-class SchedulingError(ValueError):
+
+class SchedulingError(ConfigurationError):
     """Raised when a schedule request is infeasible or ill-posed.
 
     Carries the computed admissibility ceiling (and the name of the binding
@@ -58,8 +62,8 @@ class SmoothnessConstants:
         for name in ("mu", "l_g1", "l_g2", "l_f0", "L_x0", "L_x1", "L_y0",
                      "L_y1", "sigma_f1", "sigma_g1", "sigma_g2", "sigma_z"):
             v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"constant {name} must be non-negative, got {v}")
+            if not v >= 0:   # nan fails too
+                raise ConfigurationError(f"constant {name} must be non-negative, got {v}")
 
 
 def derive_constants(raw: SmoothnessConstants) -> SmoothnessConstants:
@@ -70,8 +74,8 @@ def derive_constants(raw: SmoothnessConstants) -> SmoothnessConstants:
     and for the Lipschitz constant of the linear-system solution ``z*(x)``.
     """
     if raw.mu <= 0:
-        raise ValueError("mu must be strictly positive to derive constants "
-                         f"(got mu={raw.mu}); a zero mu divides by zero")
+        raise ConfigurationError("mu must be strictly positive to derive constants "
+                                 f"(got mu={raw.mu}); a zero mu divides by zero")
     kappa = math.sqrt(1.0 + (raw.l_g1 / raw.mu) ** 2)
     l1 = kappa * raw.L_x1
     l0 = kappa * (
@@ -123,12 +127,10 @@ class ParamSchedule:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta < 1.0:
             raise SchedulingError(f"beta must lie in [0, 1), got {self.beta}")
-        for name in ("alpha", "gamma", "eta"):
+        for name in ("alpha", "gamma", "eta", "alpha_init"):
             v = getattr(self, name)
-            if not v > 0:
-                raise SchedulingError(f"{name} must be strictly positive, got {v}")
-        if self.alpha_init <= 0:
-            raise SchedulingError(f"alpha_init must be strictly positive, got {self.alpha_init}")
+            if not 0 < v < math.inf:   # nan fails too
+                raise SchedulingError(f"{name} must be strictly positive and finite, got {v}")
         if self.T < 1:
             raise SchedulingError(f"T must be a positive integer, got {self.T}")
         if self.T0 < 0:

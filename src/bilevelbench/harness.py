@@ -33,9 +33,8 @@ import numpy as np
 from .algorithms import (RunAborted, check_schedule_runs, double_loop_run,
                          default_metrics, masoba_run, slip_run, ttsa_run,
                          ttsa_schedule)
-from .constants import (ParamSchedule, SchedulingError, schedule_practical,
-                        schedule_theorem41, schedule_theorem42,
-                        warm_start_alpha, warm_start_T0)
+from .constants import (ParamSchedule, schedule_practical, schedule_theorem41,
+                        schedule_theorem42, warm_start_alpha, warm_start_T0)
 from .problem import (SIGMAS, BilevelProblem, ConfigurationError, NoiseKind,
                       NoiseModel, hypergrad_estimate)
 from .samples import Sample, Stream, check_range
@@ -86,7 +85,7 @@ class RunConfig:
     ``workers`` as an int (a fractional number or a bool is rejected) and a
     schedule value or an init as a float.  ``seeds`` and an init (``x0``,
     ``y0``, ``z0``) take a comma- or space-separated string, a sequence or
-    one value; an init of one number is a float, else a tuple of floats.
+    one value; an init of one number is a float, else a tuple, all finite.
     ``schedule`` is a :class:`ParamSchedule` or a mapping of ``mode`` and
     the ``[schedule]`` keys: a practical one becomes its
     :class:`ParamSchedule`, a theorem one stays a mapping for
@@ -113,10 +112,7 @@ class RunConfig:
             raise ConfigurationError("seeds must be nonempty")
         object.__setattr__(self, "seeds", seeds)
         for s in self.seeds:
-            try:
-                check_range(s, 0, -1)   # the seed alone: no counters
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from exc
+            check_range(s, 0, -1)   # the seed alone: no counters
         if len(set(self.seeds)) != len(self.seeds):
             # a repeat would run twice into one trace file
             raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
@@ -159,12 +155,8 @@ class RunConfig:
                     raise ConfigurationError(f"missing [schedule] keys for mode="
                                              f"{mode}: {sorted(missing)}")
             values = {k: _converted(v, k, float) for k, v in values.items()}
-            try:
-                schedule = (schedule_practical(values) if mode == "practical"
-                            else {"mode": mode, **values})
-            except SchedulingError as exc:
-                raise ConfigurationError(f"invalid schedule: {exc}") from exc
-            object.__setattr__(self, "schedule", schedule)
+            object.__setattr__(self, "schedule", schedule_practical(values)
+                               if mode == "practical" else {"mode": mode, **values})
         object.__setattr__(self, "workers",
                            _converted(self.workers, "workers", int))
         if self.workers < 1:
@@ -179,6 +171,8 @@ class RunConfig:
         inits = {}
         for k, raw in self.inits.items():
             vals = tuple(_converted(v, k, float) for v in _items(raw))
+            if not all(map(math.isfinite, vals)):
+                raise ConfigurationError(f"{k} must be finite, got {raw!r}")
             inits[k] = vals[0] if len(vals) == 1 else vals
         object.__setattr__(self, "inits", inits)
 
@@ -316,10 +310,8 @@ def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
         try:
             s = builder(s["eps"], s["delta"], problem.constants, s["delta0"],
                         s["delta_y0"], s["delta_z0"], s.get("grad_phi_x0"))
-        except SchedulingError as exc:
-            raise ConfigurationError(f"schedule rejected: {exc}") from exc
         except ArithmeticError as exc:   # say, a squared Delta_y0 past 1e308
-            raise ConfigurationError(f"schedule rejected: its closed forms overflow "
+            raise ConfigurationError(f"the schedule's closed forms overflow "
                                      f"({type(exc).__name__}: {exc})") from exc
     s = ttsa_schedule(s) if cfg.algorithm == "ttsa" else s
     p = cfg.algo_params
@@ -499,7 +491,7 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
         try:
             schedule = resolve_schedule(sub, problem)
         except ConfigurationError as exc:
-            binding = getattr(exc.__cause__, "binding_term", None)
+            binding = getattr(exc, "binding_term", None)
             rows.append(SweepRow(eps, "SKIPPED", None, None, None, None, binding))
             continue
         infos = [_run_single(problem, schedule, sub, seed)[1]

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .samples import ConfigurationError
 from .trace import COLUMNS, read_trace, write_atomic
 
 
-class PlotError(ValueError):
+class PlotError(ConfigurationError):
     """Unusable plot request (unknown metric, malformed trace, log of <= 0)."""
 
 
@@ -130,10 +131,11 @@ def render_chart(series: list[Series], metric: str, logy: bool = False) -> str:
             parts.append(f'<polyline fill="none" stroke="{color}" '
                          f'stroke-width="1.5" points="{points}"/>')
         ly = _MT + 14 + 16 * i
+        label = s.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<line x1="{_W - 170}" y1="{ly - 4}" x2="{_W - 146}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{_W - 140}" y="{ly}" font-size="11">'
-                     f'{s.label}</text>')
+                     f'{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

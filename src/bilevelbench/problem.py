@@ -19,7 +19,8 @@ truth of a block of rows in one call.
 All oracle and ground-truth evaluations are pure functions of (point,
 sample) or of the point: no problem keeps shared mutable state, and each
 noise draw uses its thread's own generator, so every one is safe to call
-concurrently.
+concurrently.  Bad input raises :class:`ConfigurationError`, imported from
+:mod:`bilevelbench.samples`.
 """
 
 from __future__ import annotations
@@ -32,15 +33,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .constants import SmoothnessConstants
-from .samples import OracleTag, Sample, Stream
+from .samples import ConfigurationError, OracleTag, Sample, Stream
 
 Array = np.ndarray
 Vec = np.ndarray
-
-
-class ConfigurationError(ValueError):
-    """Bad input: wrong dimensions, wrong stream, an invalid or unknown
-    config key or value (CLI exit code 1)."""
 
 
 # the four noise levels of a NoiseModel, in field order
@@ -65,8 +61,8 @@ class NoiseModel:
     ``sigma_z`` (the noise enters after multiplication by ``z``).  The
     lower-level gradient keeps Gaussian noise in both models: its contract
     is a sub-Gaussian tail, which the Gaussian satisfies exactly.
-    Construction rejects a negative sigma, any nonzero sigma under
-    ``noiseless`` and a nonzero ``sigma_z`` under ``gaussian``.
+    Construction rejects a negative or non-finite sigma, any nonzero sigma
+    under ``noiseless`` and a nonzero ``sigma_z`` under ``gaussian``.
     """
 
     kind: NoiseKind = NoiseKind.NOISELESS
@@ -90,8 +86,8 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in SIGMAS:
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:   # nan fails too
+                raise ConfigurationError(f"{name} must be non-negative and finite")
         if self.kind is NoiseKind.NOISELESS and any(
                 getattr(self, n) != 0 for n in SIGMAS):
             raise ConfigurationError("noiseless model must have all sigmas zero")

@@ -17,6 +17,8 @@ No generator is built per draw: each thread keeps one Philox generator, and
 Constructing a :class:`Sample` checks both ranges with :func:`check_range`.
 A run calls :func:`check_range` once for its seed and whole counter range,
 and then builds its per-iteration samples with :func:`unchecked_sample`.
+This module, below every other, defines :class:`ConfigurationError`, the
+package's one exception for bad input, raised where a value is checked.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ _WORD = 1 << 64
 # one generator per thread, rewound to each draw's position by
 # Sample.generator; a generator is never shared between threads
 _local = threading.local()
+
+
+class ConfigurationError(ValueError):
+    """Bad input: wrong dimensions, wrong stream, an invalid or unknown
+    config key or value (CLI exit code 1)."""
 
 
 class Stream(enum.IntEnum):
@@ -93,16 +100,16 @@ class Sample:
 
 
 def check_range(seed: int, first: int, last: int) -> None:
-    """Raise ``ValueError`` unless ``seed`` and every counter from ``first``
-    to ``last`` lie in ``[0, 2**64)``.
+    """Raise :class:`ConfigurationError` unless ``seed`` and every counter
+    from ``first`` to ``last`` lie in ``[0, 2**64)``.
 
     Each fills one 64-bit Philox word; wrapping would alias two draws.
     """
     if first <= last and not (0 <= first and last < _WORD):
-        raise ValueError("sample counters must lie in [0, 2**64), "
-                         f"got {first}..{last}")
+        raise ConfigurationError("sample counters must lie in [0, 2**64), "
+                                 f"got {first}..{last}")
     if not 0 <= seed < _WORD:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ConfigurationError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 _new = object.__new__

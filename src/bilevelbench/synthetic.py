@@ -56,8 +56,8 @@ class QuadraticSpec:
     r: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ConfigurationError(f"r must be non-negative, got {self.r}")
+        if not 0 <= self.r < math.inf:   # nan fails too
+            raise ConfigurationError(f"r must be non-negative and finite, got {self.r}")
 
     @property
     def dim_y(self) -> int:
@@ -220,8 +220,8 @@ class UnboundedSmoothSpec:
     core: QuadraticSpec
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ConfigurationError(f"growth rate a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:   # nan fails too
+            raise ConfigurationError(f"growth rate a must be positive and finite, got {self.a}")
 
 
 def make_unbounded_smooth(spec: UnboundedSmoothSpec,
@@ -286,8 +286,8 @@ class HypercleanSpec:
         if not 0.0 <= self.corruption_rate <= 1.0:
             raise ConfigurationError(
                 f"corruption_rate must lie in [0, 1], got {self.corruption_rate}")
-        if self.reg <= 0:
-            raise ConfigurationError(f"reg must be positive, got {self.reg}")
+        if not 0 < self.reg < math.inf:   # nan fails too
+            raise ConfigurationError(f"reg must be positive and finite, got {self.reg}")
         if min(self.n_train, self.n_val, self.feature_dim) < 1:
             raise ConfigurationError("n_train, n_val and feature_dim must be positive")
 

@@ -58,7 +58,7 @@ class SolverSettings:
     max_iters: int = 500
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
+        if not self.tol > 0:   # nan fails too
             raise ConfigurationError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")

@@ -88,6 +88,12 @@ class TestSgdDD:
         # this instance actually contracts at 0.25 per squared step
         assert dist[1] ** 2 == pytest.approx(0.25 * dist[0] ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("counter_start,n_steps", [(0, -1), (2**64 - 1, 2)])
+    def test_bad_range_is_a_configuration_error(self, q2, counter_start, n_steps):
+        with pytest.raises(bb.ConfigurationError):
+            bb.sgd_dd(q2, np.zeros(2), np.ones(2), 0.25, n_steps, 0,
+                      counter_start=counter_start)
+
     def test_large_alpha_warns(self, q2):
         with pytest.warns(UserWarning, match="tracking"):
             bb.sgd_dd(q2, np.zeros(2), np.ones(2), alpha=1.0, n_steps=1, seed=0)

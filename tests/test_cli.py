@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench import cli
+from bilevelbench import cli, samples
 from bilevelbench.harness import CheckResult
+from bilevelbench.plotting import PlotError
 from bilevelbench.trace import CSV_HEADER
 
 CFG = """\
@@ -77,6 +78,12 @@ def test_bad_config_exit_1(tmp_path):
     ("seeds = 1,2", "seeds = 1,2\nx0 = 1, 2, 3"),     # found before the loop
     ("seeds = 1,2", "seeds = 1,2\nmax_wall_seconds = nan"),  # turned the deadline off
     ("seeds = 1,2", "seeds = 1,2\nmax_wall_seconds = -1"),   # a TIMEOUT at row 0
+    # each of these failed every seed at row 0 and exited 2
+    ("sigma_g1 = 0.05", "sigma_g1 = nan"),
+    ("sigma_g1 = 0.05", "sigma_g1 = inf"),
+    ("eta = 0.01", "eta = inf"),
+    ("T0 = 5", "T0 = 5\nalpha_init = nan"),
+    ("seeds = 1,2", "seeds = 1,2\nx0 = nan"),
 ])
 def test_malformed_value_exit_1(tmp_path, capsys, old, new):
     p = tmp_path / "bad.cfg"
@@ -111,6 +118,26 @@ def test_unrunnable_schedule_exit_1(tmp_path, capsys, text, old, new):
     assert err.startswith("error:") and err.count("\n") == 1
     assert list(tmp_path.rglob("*.csv")) == []
     assert not (tmp_path / "o").exists()
+
+
+def test_inadmissible_eps_exit_1(tmp_path, capsys):
+    # the scheduler's own message is the one line, with no prefix added
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    p = tmp_path / "theorem.cfg"
+    p.write_text(cfg.read_text().replace("eps = 0.1", "eps = 0.5", 1))
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o" / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: eps=0.5 exceeds the admissibility ceiling")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc", [bb.SchedulingError, PlotError])
+def test_bad_input_is_one_exception(exc):
+    # exit 1 catches ConfigurationError alone
+    assert issubclass(exc, bb.ConfigurationError)
+    assert bb.ConfigurationError is samples.ConfigurationError
 
 
 def test_sweep_non_finite_T_skipped(tmp_path, capsys):

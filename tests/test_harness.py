@@ -326,7 +326,15 @@ class TestConfig:
          r"need 0 < mu <= l_g1 < inf, got \(1.0, inf\)"),
         ("unbounded", {"preset": "q2", "a": 1e300},
          r"the \[problem\] values overflow \(OverflowError"),
-    ], ids=["l_g1-inf", "a-huge"])
+        # NaN passed each range check and failed the run at row 0
+        ("unbounded", {"preset": "q2", "a": math.nan},
+         "growth rate a must be positive and finite, got nan"),
+        ("quadratic", {"dim_x": 2, "dim_y": 3, "seed": 1, "r": math.nan},
+         "r must be non-negative and finite, got nan"),
+        ("hyperclean", {"n_train": 10, "n_val": 10, "feature_dim": 2,
+                        "corruption_rate": 0.2, "reg": math.nan},
+         "reg must be positive and finite, got nan"),
+    ], ids=["l_g1-inf", "a-huge", "a-nan", "r-nan", "reg-nan"])
     def test_overflowing_problem_value_rejected(self, kind, params, match):
         cfg = RunConfig(**(self._FIELDS | {"problem_kind": kind,
                                            "problem_params": params}))

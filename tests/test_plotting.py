@@ -1,4 +1,5 @@
 import math
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ def test_two_series_legend(trace_files):
     svg = render_chart(series, "grad_norm")
     assert svg.count("<polyline") == 2
     assert "algo1" in svg and "algo2" in svg
+
+
+def test_legend_escapes_markup(trace_files, tmp_path):
+    # a file name is the legend's text, never markup
+    p = tmp_path / "a&b<1>.csv"
+    p.write_bytes(trace_files[0].read_bytes())
+    out = tmp_path / "chart.svg"
+    plot([p], "grad_norm", out)
+    texts = xml.dom.minidom.parse(str(out)).getElementsByTagName("text")
+    assert texts[-1].firstChild.data == "a&b<1>"
 
 
 def test_missing_values_break_polyline(tmp_path):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bilevelbench.samples import (OracleTag, Sample, Stream, check_range,
-                                  unchecked_sample)
+from bilevelbench.samples import (ConfigurationError, OracleTag, Sample,
+                                  Stream, check_range, unchecked_sample)
 
 
 def fresh_normals(sample, tag, d):
@@ -59,6 +59,12 @@ def test_negative_counter_rejected():
 def test_out_of_range_rejected(counter, seed):
     with pytest.raises(ValueError):
         Sample(Stream.XI, counter, seed)
+
+
+def test_range_error_is_a_configuration_error():
+    # the one exception for bad input, which the CLI turns into exit 1
+    with pytest.raises(ConfigurationError, match="must lie in"):
+        Sample(Stream.PI, 2**64, 0)
 
 
 @pytest.mark.parametrize("seed,first,last,ok", [
