@@ -19,7 +19,9 @@ the methods they are named after:
 * ``ttsa_run`` - momentum-free, unnormalized, with polynomially decaying
   two-timescale step sizes and a single sample per oracle per iteration.
 
-The frozen-x SGD (``sgd_dd``, used for the warm start and the refinement)
+Each iteration hands one lower-level point, ``problem.det.lower_at(x)(y)``,
+to the three lower-level oracles.  The frozen-x SGD (``sgd_dd``, used for the
+warm start and the refinement) binds ``lower_at(x)`` once per call and
 returns only the final lower-level iterate; the ground truth is read only by
 the metric evaluator (``default_metrics``), the loop's one metric callback.
 The loop appends each row's index, iterates and call counts to one list (no
@@ -55,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import ParamSchedule
-from .problem import BilevelProblem, ConfigurationError, _norm, _norms
+from .problem import BilevelProblem, ConfigurationError, LowerPoint, _norm, _norms
 from .samples import Sample, Stream, check_range, unchecked_sample
 from .trace import Trace, TraceRecord
 
@@ -166,8 +168,8 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
 
     Performs exactly ``n_steps`` updates ``y - alpha * grad_y_G(x, y)``,
     consuming the warm-start stream at counters ``counter_start ..
-    counter_start + n_steps - 1``, and returns the final iterate.  Never
-    reads the ground truth.
+    counter_start + n_steps - 1``, and returns the final iterate, with
+    ``lower_at(x)`` bound once.  Never reads the ground truth.
     """
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be non-negative, got {n_steps}")
@@ -179,9 +181,10 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
             "the tracking guarantees assume the smaller step", stacklevel=2)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
+    lower = problem.det.lower_at(x)
     for t in range(n_steps):
         g = problem.oracle.grad_y_G(
-            x, y, unchecked_sample(Stream.PI_TILDE, counter_start + t, seed))
+            x, y, unchecked_sample(Stream.PI_TILDE, counter_start + t, seed), lower(y))
         if calls is not None:
             calls.n_grad_y_G += 1
         y = y - alpha * g
@@ -190,13 +193,13 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
 
 def update_z(z: Vec, x: Vec, y: Vec, gamma: float, s_zeta: Sample, s_xi: Sample,
              problem: BilevelProblem,
-             calls: OracleCounter | None = None) -> Vec:
+             calls: OracleCounter | None = None, point: LowerPoint | None = None) -> Vec:
     """One SGD step on the quadratic surrogate whose minimizer is z*(x).
 
     ``z - gamma * (hvp_yy_G(x, y, z) - grad_y_F(x, y))`` with independent
-    samples for the two oracles.
+    samples for the two oracles; ``point`` is handed on to ``hvp_yy_G``.
     """
-    hz = problem.oracle.hvp_yy_G(x, y, z, s_zeta)
+    hz = problem.oracle.hvp_yy_G(x, y, z, s_zeta, point)
     gf = problem.oracle.grad_y_F(x, y, s_xi)
     if calls is not None:
         calls.n_hvp_yy += 1
@@ -265,6 +268,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     calls = OracleCounter()
     m = np.zeros(problem.dim_x)
     beta = schedule.beta
+    lower_at = problem.det.lower_at
     # v.dot(0) is 0 for a finite v and nan once v holds a nan or an inf, and
     # unlike v.dot(v) it cannot overflow on a finite v
     zero_x, zero_y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
@@ -286,15 +290,13 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
             cols = [[None] * len(ts) if c is None
                     else np.asarray(c).reshape(len(ts)).tolist()
                     for c in metrics(np.array(ts), *map(np.array, iterates))]
-            for *row, c in zip(ts, *cols, row_calls):
-                trace.append(TraceRecord(*row, *c))
+            trace.extend(list(map(TraceRecord._make, zip(ts, *cols, *zip(*row_calls)))))
 
-        start = len(trace.records)
         try:
             record(pending)
             return
         except Exception:
-            del trace.records[start:]
+            pass   # the trace kept none of the block
         for row in pending:
             try:
                 record([row])
@@ -330,12 +332,13 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
 
                     # updates read the current (x_t, y_t, z_t); z feeds the
                     # momentum update before its own refresh
-                    gy = problem.oracle.grad_y_G(x, y, s_pi)
+                    point = lower_at(x)(y)
+                    gy = problem.oracle.grad_y_G(x, y, s_pi, point)
                     calls.n_grad_y_G += 1
                     y_next = y - alpha * gy
-                    z_next = update_z(z, x, y, gamma, s_zeta, s_xi, problem, calls)
+                    z_next = update_z(z, x, y, gamma, s_zeta, s_xi, problem, calls, point)
                     gx = problem.oracle.grad_x_F(x, y, s_xi_p)
-                    hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p)
+                    hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p, point)
                     calls.n_grad_x_F += 1
                     calls.n_hvp_xy += 1
                     ghat = gx - hxy

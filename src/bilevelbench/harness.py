@@ -283,6 +283,12 @@ def build_problem(cfg: RunConfig) -> BilevelProblem:
     if fixed:
         raise ConfigurationError(f"preset = q2 fixes the instance; "
                                  f"remove the [problem] keys {fixed}")
+    need = {"hyperclean": ("n_train", "n_val", "feature_dim", "corruption_rate")}.get(
+        kind, () if preset else ("dim_x", "dim_y", "seed"))
+    missing = [k for k in need if k not in p]
+    if missing:
+        raise ConfigurationError(f"[problem] kind = {kind} needs {', '.join(missing)}"
+                                 + ("" if kind == "hyperclean" else " (or preset = q2)"))
     try:
         if kind == "hyperclean":
             return make_hyperclean(HypercleanSpec(**p), cfg.noise)
@@ -353,7 +359,8 @@ def _run_single(problem: BilevelProblem, schedule: ParamSchedule,
     info["wall_seconds"] = time.monotonic() - t_start
     info["skipped_steps"] = len(trace.skipped_steps)
     if trace.records:
-        final = dict(zip(COLUMNS, trace.records[-1]))
+        final = {c: v if v is None or math.isfinite(v) else None   # strict JSON
+                 for c, v in zip(COLUMNS, trace.records[-1])}
         calls = {c: final.pop(c) for c in COLUMNS if c.startswith("calls_")}
         info["final"], info["calls"] = final, calls
     return trace, info
@@ -385,8 +392,8 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     logged with its traceback.  The metadata record is rewritten after every
     seed, so an exception that escapes a later seed (say, an ``OSError``
     from writing its trace file) still leaves the finished seeds' records.
-    Each seed's ``calls`` are the counts of its last trace row, so for
-    ``doubleloop`` they leave out the refinement that runs after that row.
+    Each seed's ``final`` (a non-finite metric as ``None``) and ``calls`` are
+    its last trace row, so for ``doubleloop`` they leave out the refinement.
     """
     out_prefix = Path(out_prefix)
     problem = build_problem(cfg)

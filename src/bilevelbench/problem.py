@@ -3,12 +3,13 @@
 A :class:`BilevelProblem` bundles the two deterministic objectives, their
 deterministic first/second-order maps (including an x-bound view of the
 lower level that materializes its Hessian), the five stochastic oracles
-built from them by an additive noise model, the ground truth ``solve``
-(exact lower-level minimizer, linear-system solution and hypergradient
-from one call) used only for verification and metrics, and the declared
-smoothness constants.  Every problem carries all three: there is no path
-for a problem without them.  The checkers that test a problem's oracles
-against these maps live in :mod:`bilevelbench.verify`.
+built from them by an additive noise model (the lower-level ones also from
+that view's point), the ground truth ``solve`` (exact lower-level
+minimizer, linear-system solution and hypergradient from one call) used
+only for verification and metrics, and the declared smoothness
+constants.  Every problem carries all three: there is no path for a
+problem without them.  The checkers that test a problem's oracles against
+these maps live in :mod:`bilevelbench.verify`.
 
 For one point, ``solve`` returns three 1-D arrays (``y*`` and ``z*`` of
 length ``dim_y``, the hypergradient of length ``dim_x``) and ``upper`` a
@@ -101,9 +102,10 @@ class LowerPoint(NamedTuple):
     ``grad()`` is ``grad_y g(x, y)``, ``hess()`` the materialized yy block
     of its Hessian, and ``hvp_yy(z)`` and ``hvp_xy(z)`` are bit for bit
     ``hvp_yy_g(x, y, z)`` and ``hvp_xy_g(x, y, z)``.  Each is computed only
-    when called, from the pieces they share at ``y``, which are computed
-    once.  For a stack of ``x``, ``y`` and ``z`` are stacks too, with one
-    result per row.  The inner Newton solve returns its converged point.
+    when called, from the pieces they share at ``y``, computed once.  For a
+    stack of ``x``, ``y`` and ``z`` are stacks too, with one result per row.
+    The inner Newton solve returns its converged point; the run loop hands
+    one per iteration to the three lower-level oracles.
     """
 
     y: Vec
@@ -121,11 +123,11 @@ class DeterministicOracle:
     ``z`` (a length-``dim_x`` vector); ``hvp_yy_g`` the yy block applied to
     ``z`` (length ``dim_y``).  ``lower_at(x)`` evaluates what depends on
     ``x`` alone once and returns the map ``y -> LowerPoint`` through which
-    the Newton solves of :mod:`bilevelbench.verify` iterate; its gradient
-    and its two products are bit for bit ``grad_y_g(x, y)``,
-    ``hvp_yy_g(x, y, .)`` and ``hvp_xy_g(x, y, .)``.  Hypercleaning's
-    ``lower_at`` and ``grad_y_f`` also take a stack, row by row bit for bit,
-    for its stacked solves; the closed forms need only one point.
+    the Newton solves of :mod:`bilevelbench.verify`, the run loop and the
+    frozen-x SGD evaluate the lower level; its gradient and its two products
+    are bit for bit ``grad_y_g(x, y)``, ``hvp_yy_g(x, y, .)`` and
+    ``hvp_xy_g(x, y, .)``.  Hypercleaning's ``lower_at`` and ``grad_y_f``
+    also take a stack, row by row bit for bit, for its stacked solves.
     """
 
     grad_x_f: Callable[[Vec, Vec], Vec]
@@ -162,10 +164,11 @@ def _mv(a: Array, v: Array) -> Array:
 class StochasticOracle:
     """The five stochastic oracles, realized as deterministic map + noise.
 
-    Each method evaluates its deterministic map and states its noise scale
-    and whether the bounded model clips it; one noise path (:meth:`_noisy`)
-    adds the draw.  Each method is a pure function of its arguments;
-    identical samples give bit-identical outputs.
+    Each method evaluates its deterministic map, or reads it from ``point``
+    (``det.lower_at(x)(y)``, which an oracle the run loop calls must accept
+    on the three lower-level methods), and states its noise scale and whether
+    the bounded model clips it; one noise path (:meth:`_noisy`) adds the
+    draw.  Each is a pure function of its arguments, bit-identical per sample.
     """
 
     def __init__(self, det: DeterministicOracle, noise: NoiseModel):
@@ -204,17 +207,17 @@ class StochasticOracle:
         return self._noisy(self.det.grad_y_f(x, y), sample, OracleTag.GRAD_Y_F,
                            self.noise.sigma_f1, True)
 
-    def grad_y_G(self, x: Vec, y: Vec, sample: Sample) -> Vec:
+    def grad_y_G(self, x: Vec, y: Vec, sample: Sample, point=None) -> Vec:
+        g = self.det.grad_y_g(x, y) if point is None else point.grad()
         # light-tailed in both noise models, never clipped
-        return self._noisy(self.det.grad_y_g(x, y), sample, OracleTag.GRAD_Y_G,
-                           self.noise.sigma_g1, False)
+        return self._noisy(g, sample, OracleTag.GRAD_Y_G, self.noise.sigma_g1, False)
 
-    def hvp_xy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample) -> Vec:
-        return self._noisy(self.det.hvp_xy_g(x, y, z), sample,
-                           OracleTag.HVP_XY_G, self.noise.sigma_g2, True, z)
+    def hvp_xy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample, point=None) -> Vec:
+        g = self.det.hvp_xy_g(x, y, z) if point is None else point.hvp_xy(z)
+        return self._noisy(g, sample, OracleTag.HVP_XY_G, self.noise.sigma_g2, True, z)
 
-    def hvp_yy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample) -> Vec:
-        g = self.det.hvp_yy_g(x, y, z)
+    def hvp_yy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample, point=None) -> Vec:
+        g = self.det.hvp_yy_g(x, y, z) if point is None else point.hvp_yy(z)
         if self.noise.kind is NoiseKind.BOUNDED:
             return self._noisy(g, sample, OracleTag.HVP_YY_G,
                                self.noise.sigma_z, True)

@@ -116,29 +116,28 @@ def _quadratic_problem(core: QuadraticSpec, noise: NoiseModel,
     def grad_y_f(x: Vec, y: Vec) -> Vec:
         return y - e
 
+    # the curvature is constant: every point shares its Hessian and products
+    b_t, hess, hvp_yy = b.T, a.copy, a.__matmul__
+
+    def hvp_xy(z: Vec) -> Vec:
+        return -(b_t @ z)
+
     def grad_y_g(x: Vec, y: Vec) -> Vec:
         return a @ y - (b @ x + c)
 
-    def hvp_yy_g(x: Vec, y: Vec, z: Vec) -> Vec:
-        return a @ z
-
-    def hvp_xy_g(x: Vec, y: Vec, z: Vec) -> Vec:
-        return -(b.T @ z)
-
     def lower_at(x: Vec):
         shift = b @ x + c
-        return lambda y: LowerPoint(
-            y, grad=lambda: a @ y - shift, hess=a.copy,
-            hvp_yy=lambda z: hvp_yy_g(x, y, z),
-            hvp_xy=lambda z: hvp_xy_g(x, y, z))
+        # LowerPoint._make without its length check: a point per iteration
+        return lambda y: tuple.__new__(
+            LowerPoint, (y, lambda: a @ y - shift, hess, hvp_yy, hvp_xy))
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
         ys = _mv(a_inv, _mv(b, x) + c)
         zs = _mv(a_inv, ys - e)
         return ys, zs, grad_x_f(x, ys) + _mv(b.T, zs)
 
-    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, lower_at)
+    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, lambda x, y, z: hvp_xy(z),
+                              lambda x, y, z: hvp_yy(z), lower_at)
     return BilevelProblem(
         dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
@@ -321,7 +320,8 @@ def make_hyperclean(spec: HypercleanSpec,
     ``lower_at(x)``, which evaluates ``sigmoid(x)`` and ``sigmoid(x) *
     lab_tr`` once; at each ``y`` it computes the margins,
     ``sigmoid(-margins)`` and ``sigmoid(margins)`` once for the gradient,
-    the Hessian and the two Hessian-vector products.  ``lower_at``, its
+    the Hessian and the two Hessian-vector products, and the run loop's
+    lower-level oracles read one point per iteration.  ``lower_at``, its
     points, ``grad_y_f`` and ``upper`` take one point or a stack.  The
     inner solve's converged point serves the linear solve (its Hessian and
     residual check) and the hypergradient's mixed product, so one solve

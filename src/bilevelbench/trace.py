@@ -8,8 +8,8 @@ Float fields use the shortest round-tripping decimal form, so parsing a
 trace and re-emitting it reproduces the file byte for byte.
 
 A row is a :class:`TraceRecord` named tuple.  Its metrics are checked once,
-when it enters a :class:`Trace` through :meth:`Trace.append` or the
-constructor (every loop row and every parsed row passes through append);
+when it enters a :class:`Trace` through :meth:`Trace.append`, the
+constructor or :meth:`Trace.extend` (the loop's rows, a block at a time);
 a row put into ``Trace.records`` directly is not checked.
 :func:`trace_to_csv` encodes a row with one ``",".join`` of its values.
 """
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,7 +57,7 @@ _NONNEGATIVE = COLUMNS[1:5]
 class Trace:
     """An ordered run trace plus run-level events.
 
-    Add rows with :meth:`append` or the constructor, which check them.
+    Add rows with :meth:`append`, :meth:`extend` or the constructor.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
@@ -74,6 +76,16 @@ class Trace:
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be non-negative, got {v}")
         self.records.append(rec)
+
+    def extend(self, records: list[TraceRecord]) -> None:
+        """Append ``records`` as :meth:`append` would, or keep none of them."""
+        # the checks a column at a time; filter(None, .) drops None and zeros
+        ts, *metrics = islice(zip(*records), 5) if records else [()]
+        seq = (self.records[-1].t, *ts) if self.records else ts
+        if not all(map(lt, seq, seq[1:])) or any(
+                any(map(lt, filter(None, col), repeat(0))) for col in metrics):
+            Trace(self.records[-1:] + records)   # append raises the first failure
+        self.records += records
 
     def __len__(self) -> int:
         return len(self.records)

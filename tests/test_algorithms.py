@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench import algorithms, harness, verify
+from bilevelbench import algorithms, harness, synthetic, verify
 from bilevelbench.algorithms import METRIC_BLOCK, default_metrics, update_z
 from bilevelbench.problem import (DeterministicOracle, LowerPoint,
                                   StochasticOracle, _norm)
@@ -329,13 +329,13 @@ class InjectingOracle:
     def grad_y_F(self, x, y, sample):
         return np.zeros(2)
 
-    def grad_y_G(self, x, y, sample):
+    def grad_y_G(self, x, y, sample, point=None):
         return self._out("y", sample, [0.0, 0.0])
 
-    def hvp_xy_G(self, x, y, z, sample):
+    def hvp_xy_G(self, x, y, z, sample, point=None):
         return np.zeros(2)
 
-    def hvp_yy_G(self, x, y, z, sample):
+    def hvp_yy_G(self, x, y, z, sample, point=None):
         return self._out("z", sample, [0.0, 0.0])
 
 
@@ -482,10 +482,10 @@ class TestMetricBlocks:
     def test_oracle_failure_before_row_0(self, q2_gauss, stream, counter,
                                          warm_calls):
         class Failing(StochasticOracle):
-            def grad_y_G(self, x, y, sample):
+            def grad_y_G(self, x, y, sample, point=None):
                 if (sample.stream, sample.counter) == (stream, counter):
                     raise KeyError("oracle before row 0")
-                return super().grad_y_G(x, y, sample)
+                return super().grad_y_G(x, y, sample, point)
 
         rows, _ = self.full_run(q2_gauss)
         prob = replace(q2_gauss, oracle=Failing(q2_gauss.det,
@@ -505,8 +505,8 @@ class TestMetricBlocks:
     # the abort
     def test_non_finite_update_after_a_full_block(self, q2_gauss):
         class NanAt130(StochasticOracle):
-            def grad_y_G(self, x, y, sample):
-                g = super().grad_y_G(x, y, sample)
+            def grad_y_G(self, x, y, sample, point=None):
+                g = super().grad_y_G(x, y, sample, point)
                 if sample.stream is Stream.PI and sample.counter == 130:
                     return np.full_like(g, np.nan)
                 return g
@@ -828,3 +828,53 @@ def test_cosh16_trace_bytes_pinned(name):
     assert len(trace) == 60
     digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
     assert digest == COSH16_SHA256[name]
+
+
+class TestOneLowerPoint:
+    """The loop builds the lower level's point once per iteration and the
+    frozen-x SGD once per call; the three lower-level oracles read it."""
+
+    SCHED = {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01,
+             "T": 20, "T0": 5}
+
+    @pytest.mark.parametrize("name,calls", [
+        ("slip", 21),         # 20 iterations and the warm start
+        ("doubleloop", 31),   # and 10 refinements, after every 2nd iteration
+        ("ttsa", 20),         # no warm start
+    ])
+    def test_lower_at_calls(self, q2_gauss, name, calls):
+        made = []
+
+        def lower_at(x):
+            made.append(x)
+            return q2_gauss.det.lower_at(x)
+
+        prob = replace(q2_gauss, det=replace(q2_gauss.det, lower_at=lower_at))
+        sched = bb.schedule_practical(self.SCHED)
+        inits = (np.zeros(2), np.ones(2), np.zeros(2))
+        if name == "slip":
+            _, trace = bb.slip_run(prob, sched, *inits, seed=2)
+        elif name == "doubleloop":
+            _, trace = bb.double_loop_run(prob, sched, 2, 3, *inits, seed=2)
+        else:
+            _, trace = bb.ttsa_run(prob, sched, *inits, seed=2)
+        assert len(made) == calls
+        assert len(trace) == 20
+
+    def test_hyperclean_sigmoid_calls(self, monkeypatch):
+        prob = bb.make_hyperclean(bb.HypercleanSpec(
+            n_train=20, n_val=10, feature_dim=3, corruption_rate=0.1, seed=5))
+        sched = bb.schedule_practical({**self.SCHED, "T": 5, "T0": 0})
+        calls = []
+        sigmoid = synthetic.sigmoid
+
+        def counted(v):
+            calls.append(1)
+            return sigmoid(v)
+
+        monkeypatch.setattr(synthetic, "sigmoid", counted)
+        bb.slip_run(prob, sched, np.ones(20), np.zeros(3), np.zeros(3), seed=0,
+                    metrics=lambda *rows: (None,) * 5)
+        # per iteration: sigmoid(x) and sigmoid(+-margins) for the point,
+        # one for grad_y_f
+        assert len(calls) == 4 * 5

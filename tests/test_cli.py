@@ -56,6 +56,27 @@ def test_run_without_out_prefix(cfg_path, capsys):
     assert rc == 1
 
 
+def test_diverging_seed_metadata_is_strict_json(tmp_path):
+    p = tmp_path / "div.cfg"
+    p.write_text(CFG.replace("name = slip", "name = masoba")
+                 .replace("eta = 0.01", "eta = 1e300").replace("seeds = 1,2", "seeds = 1"))
+    rc = cli.main(["run", "--config", str(p), "--out", str(tmp_path / "x")])
+    assert rc == 2
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    meta = json.loads((tmp_path / "x_meta.json").read_text(), parse_constant=reject)
+    seed = meta["seeds"][0]
+    assert seed["status"] == "FAILED"
+    t = seed["aborted_at"]
+    assert seed["final"] == {"t": t, "grad_norm": None, "y_err": None,
+                             "z_err": None, "eps_err": None, "phi": None}
+    # the trace keeps the values
+    last = (tmp_path / "x_seed1.csv").read_text().splitlines()[-1]
+    assert last.startswith(f"{t},inf,inf,inf,inf,inf,")
+
+
 def test_bad_config_exit_1(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text(CFG.replace("name = slip", "name = slip\nsurprise = 1"))
@@ -84,6 +105,10 @@ def test_bad_config_exit_1(tmp_path):
     ("eta = 0.01", "eta = inf"),
     ("T0 = 5", "T0 = 5\nalpha_init = nan"),
     ("seeds = 1,2", "seeds = 1,2\nx0 = nan"),
+    # a required [problem] key left out: named, not a Python signature
+    ("preset = q2", "dim_x = 2\ndim_y = 2"),
+    ("kind = quadratic\npreset = q2", "kind = unbounded\nseed = 3"),
+    ("kind = quadratic\npreset = q2", "kind = hyperclean\nn_train = 10\nn_val = 5"),
 ])
 def test_malformed_value_exit_1(tmp_path, capsys, old, new):
     p = tmp_path / "bad.cfg"

@@ -212,6 +212,39 @@ class TestTraceCsv:
             Trace(records=[rec, rec])
         assert Trace(records=[rec]).records == [rec]
 
+    ROWS = [TraceRecord(t, 1.0, 0.5, 0.25, 0.0, -2.0, t, t, t, t, t)
+            for t in range(1, 5)]
+
+    @pytest.mark.parametrize("bad", [
+        {0: {"t": 0}},                                  # not after the trace's row
+        {2: {"t": 2}, 3: {"y_err": -1.0}},              # a repeated t comes first
+        {1: {"z_err": -1.0}, 3: {"grad_norm": -2.0}},   # the first negative metric
+        {3: {"eps_err": -5e-324}},
+    ], ids=["t-after-trace", "t-repeat", "z_err", "eps_err"])
+    def test_extend_keeps_none_of_a_failing_list(self, bad):
+        rows = [r._replace(**bad.get(i, {})) for i, r in enumerate(self.ROWS)]
+        first = TraceRecord(0, 1.0, 0.5, 0.25, 0.0, 2.0, 0, 0, 0, 0, 0)
+        by_append = Trace(records=[first])
+        with pytest.raises(ValueError) as appended:
+            for r in rows:
+                by_append.append(r)
+        tr = Trace(records=[first])
+        with pytest.raises(ValueError) as extended:
+            tr.extend(rows)
+        assert str(extended.value) == str(appended.value)
+        assert tr.records == [first]
+
+    def test_extend_keeps_rows_append_keeps(self):
+        # None, nan and -0.0 pass append's checks, as do zeros
+        rows = [self.ROWS[0]._replace(grad_norm=math.nan, y_err=None),
+                self.ROWS[1]._replace(z_err=-0.0, eps_err=0.0)]
+        tr = Trace()
+        tr.extend(rows)
+        tr.extend([])
+        assert tr.records == rows
+        tr.extend(self.ROWS[2:])
+        assert tr.records == [*rows, *self.ROWS[2:]]
+
     def test_header_pinned(self):
         assert bb.CSV_HEADER == ("t,grad_norm,y_err,z_err,eps_err,phi,"
                                  "calls_gxF,calls_gyF,calls_gyG,calls_hxy,"
@@ -319,6 +352,22 @@ class TestConfig:
                              "eta": 0.01, "T": 5}))
         with pytest.raises(ConfigurationError, match=key):
             build_problem(cfg)
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("quadratic", {"dim_x": 2, "dim_y": 2},
+         "[problem] kind = quadratic needs seed (or preset = q2)"),
+        ("unbounded", {"a": 2.0},
+         "[problem] kind = unbounded needs dim_x, dim_y, seed (or preset = q2)"),
+        ("hyperclean", {"reg": 0.2}, "[problem] kind = hyperclean needs "
+         "n_train, n_val, feature_dim, corruption_rate"),
+    ], ids=["quadratic", "unbounded", "hyperclean"])
+    def test_missing_problem_keys_listed(self, kind, params, message):
+        # by their config names, not by a Python signature
+        cfg = RunConfig(**(self._FIELDS | {"problem_kind": kind,
+                                           "problem_params": params}))
+        with pytest.raises(ConfigurationError) as exc_info:
+            build_problem(cfg)
+        assert str(exc_info.value) == message
 
     @pytest.mark.parametrize("kind,params,match", [
         # escaped as OverflowError from numpy's uniform draw and from a ** 2

@@ -360,13 +360,17 @@ def test_problem_layer_is_pinned_bit_for_bit(name):
     for kind, noise in _PIN_NOISE.items():
         prob = _PIN_INSTANCES[name](noise)
         o = prob.oracle
-        out = []
+        # the lower-level oracles from their maps, and from the loop's point
+        out, via_point = [], []
         for k, (x, y, z) in enumerate(zip(*_pin_points(prob))):
             s = bb.Sample(bb.Stream.PI, k, 31)
-            out += [o.grad_x_F(x, y, s), o.grad_y_F(x, y, s),
-                    o.grad_y_G(x, y, s), o.hvp_xy_G(x, y, z, s),
-                    o.hvp_yy_G(x, y, z, s)]
+            point = prob.det.lower_at(x)(y)
+            for dest, p in ((out, None), (via_point, point)):
+                dest += [o.grad_x_F(x, y, s), o.grad_y_F(x, y, s),
+                         o.grad_y_G(x, y, s, p), o.hvp_xy_G(x, y, z, s, p),
+                         o.hvp_yy_G(x, y, z, s, p)]
         got[kind] = _digest(out)
+        assert _digest(via_point) == got[kind], kind
     prob = _PIN_INSTANCES[name](bb.NoiseModel.noiseless())
     x, y, z = _pin_points(prob)
     out = [*prob.solve(x), prob.upper(x, y)]
