@@ -42,10 +42,10 @@ from .synthetic import (HypercleanSpec, UnboundedSmoothSpec, make_hyperclean,
                         make_q2, make_quadratic, make_unbounded_smooth,
                         q2_spec, random_quadratic, random_quadratic_spec)
 from .trace import COLUMNS, Trace, write_atomic, write_trace
-from .verify import (SolverSettings, bound_check_tracking,
-                     check_bias_decomposition, check_warm_start,
-                     finite_diff_hypergrad, inner_solve_exact,
-                     probe_strong_convexity)
+from .verify import (SolverSettings, TrackingReport, WarmStartReport,
+                     bound_check_tracking, check_bias_decomposition,
+                     check_warm_start, finite_diff_hypergrad,
+                     inner_solve_exact, probe_strong_convexity)
 
 logger = logging.getLogger(__name__)
 
@@ -592,39 +592,46 @@ def _shipped_instances() -> list[BilevelProblem]:
     ]
 
 
-def suite_warmstart() -> list[CheckResult]:
+def warmstart_report() -> tuple[WarmStartReport, float, int]:
     """Warm-start tail bound on the noisy pinned quadratic instance
     (``sigma_g1 = 0.1``), 200 seeds at ``delta = 0.05``, with the warm-start
-    step capped for that ``delta`` and the ``T0`` it needs from ``y0 = 1``."""
+    step capped for that ``delta`` and the ``T0`` it needs from ``y0 = 1``.
+    Returns the report, that step and ``T0``."""
     prob = make_q2(NoiseModel.gaussian(0.0, 0.1, 0.0))
     c = prob.constants
     alpha_init = warm_start_alpha(c, 0.05)
-    dist0 = math.sqrt(2.0)  # ||y0_init - y*(x0)|| for y0_init = 1, x0 = 0
-    t0 = warm_start_T0(alpha_init, c.mu, c.L1, dist0)
-    report = check_warm_start(prob, alpha_init, t0, c.L1, 200, 0.05)
+    # dist0 = ||y0_init - y*(x0)|| = sqrt(2) for y0_init = 1, x0 = 0
+    t0 = warm_start_T0(alpha_init, c.mu, c.L1, math.sqrt(2.0))
+    return check_warm_start(prob, alpha_init, t0, c.L1, 200, 0.05), alpha_init, t0
+
+
+def suite_warmstart() -> list[CheckResult]:
+    """The ensemble of :func:`warmstart_report`."""
+    report, _, t0 = warmstart_report()
     return [_result(
-        "warm-start-bound",
-        report.passed,
+        "warm-start-bound", report.passed,
         f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f} "
-        f"(threshold {report.threshold:.4f}, T0 ={t0})")]
+        f"(threshold {report.threshold:.4f}, T0 = {t0})")]
 
 
-def suite_tracking() -> list[CheckResult]:
+def tracking_report() -> TrackingReport:
     """Main-loop tracking bound with drift radius equal to the step length,
     200 seeds at ``delta = 0.05``."""
     prob = make_q2(NoiseModel.gaussian(0.0, 0.1, 0.0))
     schedule = schedule_practical(
         {"alpha": 0.25, "beta": 0.9, "gamma": 0.1, "eta": 0.005, "T": 300,
          "T0": 50, "alpha_init": 0.25})
-    traces = []
-    for s in range(200):
-        _, tr = slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2),
-                         seed=s)
-        traces.append(tr)
-    report = bound_check_tracking(traces, schedule, prob.constants, 0.05)
+    traces = [slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2),
+                       seed=s)[1]
+              for s in range(200)]
+    return bound_check_tracking(traces, schedule, prob.constants, 0.05)
+
+
+def suite_tracking() -> list[CheckResult]:
+    """The ensemble of :func:`tracking_report`."""
+    report = tracking_report()
     return [_result(
-        "tracking-bound",
-        report.passed,
+        "tracking-bound", report.passed,
         f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f}")]
 
 

@@ -1,15 +1,15 @@
 """Bilevel problem abstraction: objectives, stochastic oracles, ground truth.
 
 A :class:`BilevelProblem` bundles the two deterministic objectives, their
-deterministic first/second-order maps (including an x-bound view of the
-lower level that materializes its Hessian), the five stochastic oracles
-built from them by an additive noise model (the lower-level ones also from
-that view's point), the ground truth ``solve`` (exact lower-level
-minimizer, linear-system solution and hypergradient from one call) used
-only for verification and metrics, and the declared smoothness
-constants.  Every problem carries all three: there is no path for a
-problem without them.  The checkers that test a problem's oracles against
-these maps live in :mod:`bilevelbench.verify`.
+deterministic first/second-order maps (the lower level's stated once, as
+an x-bound view that materializes its Hessian, which the pointwise maps
+read), the five stochastic oracles built from them by an additive noise
+model (the lower-level ones also from that view's point), the ground
+truth ``solve`` (exact lower-level minimizer, linear-system solution and
+hypergradient from one call) used only for verification and metrics, and
+the declared smoothness constants.  Every problem carries all three:
+there is no path for a problem without them.  The checkers that test a
+problem's oracles against these maps live in :mod:`bilevelbench.verify`.
 
 For one point, ``solve`` returns three 1-D arrays (``y*`` and ``z*`` of
 length ``dim_y``, the hypergradient of length ``dim_x``) and ``upper`` a
@@ -100,12 +100,13 @@ class LowerPoint(NamedTuple):
     """The lower level ``g(x, .)`` at one ``y``, for one bound ``x``.
 
     ``grad()`` is ``grad_y g(x, y)``, ``hess()`` the materialized yy block
-    of its Hessian, and ``hvp_yy(z)`` and ``hvp_xy(z)`` are bit for bit
-    ``hvp_yy_g(x, y, z)`` and ``hvp_xy_g(x, y, z)``.  Each is computed only
-    when called, from the pieces they share at ``y``, computed once.  For a
-    stack of ``x``, ``y`` and ``z`` are stacks too, with one result per row.
-    The inner Newton solve returns its converged point; the run loop hands
-    one per iteration to the three lower-level oracles.
+    of its Hessian, ``hvp_yy(z)`` that block applied to ``z`` (length
+    ``dim_y``) and ``hvp_xy(z)`` the mixed xy block applied to ``z`` (a
+    length-``dim_x`` result).  Each is computed only when called, from the
+    pieces they share at ``y``, computed once.  For a stack of ``x``, ``y``
+    and ``z`` are stacks too, with one result per row.  The inner Newton
+    solve returns its converged point; the run loop hands one per iteration
+    to the three lower-level oracles.
     """
 
     y: Vec
@@ -119,23 +120,27 @@ class LowerPoint(NamedTuple):
 class DeterministicOracle:
     """Exact first/second-order maps of one problem instance.
 
-    ``hvp_xy_g(x, y, z)`` is the mixed second-derivative block applied to
-    ``z`` (a length-``dim_x`` vector); ``hvp_yy_g`` the yy block applied to
-    ``z`` (length ``dim_y``).  ``lower_at(x)`` evaluates what depends on
-    ``x`` alone once and returns the map ``y -> LowerPoint`` through which
-    the Newton solves of :mod:`bilevelbench.verify`, the run loop and the
-    frozen-x SGD evaluate the lower level; its gradient and its two products
-    are bit for bit ``grad_y_g(x, y)``, ``hvp_yy_g(x, y, .)`` and
-    ``hvp_xy_g(x, y, .)``.  Hypercleaning's ``lower_at`` and ``grad_y_f``
-    also take a stack, row by row bit for bit, for its stacked solves.
+    ``lower_at(x)`` evaluates what depends on ``x`` alone once and returns
+    the map ``y -> LowerPoint``, the one place a family states its
+    lower-level derivatives.  The Newton solves of :mod:`bilevelbench.verify`,
+    the run loop and the frozen-x SGD evaluate the lower level through it,
+    and the pointwise maps below read one point per call.  Hypercleaning's
+    ``lower_at`` and ``grad_y_f`` also take a stack, row by row bit for bit,
+    for its stacked solves.
     """
 
     grad_x_f: Callable[[Vec, Vec], Vec]
     grad_y_f: Callable[[Vec, Vec], Vec]
-    grad_y_g: Callable[[Vec, Vec], Vec]
-    hvp_xy_g: Callable[[Vec, Vec, Vec], Vec]
-    hvp_yy_g: Callable[[Vec, Vec, Vec], Vec]
     lower_at: Callable[[Vec], Callable[[Vec], LowerPoint]]
+
+    def grad_y_g(self, x: Vec, y: Vec) -> Vec:
+        return self.lower_at(x)(y).grad()
+
+    def hvp_xy_g(self, x: Vec, y: Vec, z: Vec) -> Vec:
+        return self.lower_at(x)(y).hvp_xy(z)
+
+    def hvp_yy_g(self, x: Vec, y: Vec, z: Vec) -> Vec:
+        return self.lower_at(x)(y).hvp_yy(z)
 
 
 def _norm(v: Vec) -> float:

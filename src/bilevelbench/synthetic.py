@@ -122,9 +122,6 @@ def _quadratic_problem(core: QuadraticSpec, noise: NoiseModel,
     def hvp_xy(z: Vec) -> Vec:
         return -(b_t @ z)
 
-    def grad_y_g(x: Vec, y: Vec) -> Vec:
-        return a @ y - (b @ x + c)
-
     def lower_at(x: Vec):
         shift = b @ x + c
         # LowerPoint._make without its length check: a point per iteration
@@ -136,8 +133,7 @@ def _quadratic_problem(core: QuadraticSpec, noise: NoiseModel,
         zs = _mv(a_inv, ys - e)
         return ys, zs, grad_x_f(x, ys) + _mv(b.T, zs)
 
-    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, lambda x, y, z: hvp_xy(z),
-                              lambda x, y, z: hvp_yy(z), lower_at)
+    det = DeterministicOracle(grad_x_f, grad_y_f, lower_at)
     return BilevelProblem(
         dim_x=core.dim_x, dim_y=core.dim_y, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
@@ -316,17 +312,18 @@ def make_hyperclean(spec: HypercleanSpec,
     There is no closed-form lower-level minimizer; the problem's ``solve``
     is backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
     1e-10), one inner and one linear solve per point or per stack of up to
-    ``_SOLVE_ROWS`` points, uncached.  The solvers iterate through
-    ``lower_at(x)``, which evaluates ``sigmoid(x)`` and ``sigmoid(x) *
-    lab_tr`` once; at each ``y`` it computes the margins,
+    ``_SOLVE_ROWS`` points, uncached.  The lower level's derivatives are
+    stated once, in ``lower_at(x)``, which evaluates ``sigmoid(x)`` and
+    ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins,
     ``sigmoid(-margins)`` and ``sigmoid(margins)`` once for the gradient,
-    the Hessian and the two Hessian-vector products, and the run loop's
-    lower-level oracles read one point per iteration.  ``lower_at``, its
-    points, ``grad_y_f`` and ``upper`` take one point or a stack.  The
-    inner solve's converged point serves the linear solve (its Hessian and
-    residual check) and the hypergradient's mixed product, so one solve
-    evaluates ``sigmoid(x)`` once.  The per-sample weights live in dimension
-    ``n_train`` and are meant to be initialized at 1.0.
+    the Hessian and the two Hessian-vector products.  The solvers iterate
+    through it, the run loop's lower-level oracles read one point per
+    iteration, and the pointwise maps of ``det`` read one point per call.
+    ``lower_at``, its points, ``grad_y_f`` and ``upper`` take one point or
+    a stack.  The inner solve's converged point serves the linear solve
+    (its Hessian and residual check) and the hypergradient's mixed product,
+    so one solve evaluates ``sigmoid(x)`` once.  The per-sample weights live
+    in dimension ``n_train`` and are meant to be initialized at 1.0.
     """
     feats_tr, lab_tr, feats_val, lab_val, corrupted = _hyperclean_data(spec)
     n_tr, lam = spec.n_train, spec.reg
@@ -361,9 +358,6 @@ def make_hyperclean(spec: HypercleanSpec,
         v = np.logaddexp(0.0, -lab_val * _mv(feats_val, y)).mean(axis=-1)
         return float(v) if v.ndim == 0 else v
 
-    def grad_y_g(x: Vec, y: Vec) -> Vec:
-        return _grad(sigmoid(x) * lab_tr, sigmoid(-_margins(y)), y)
-
     def lower_at(x: Vec):
         sx = sigmoid(x)
         sx_lab = sx * lab_tr
@@ -377,13 +371,6 @@ def make_hyperclean(spec: HypercleanSpec,
                               hvp_yy=lambda z: _hvp_yy(sx, sp, s, z),
                               hvp_xy=lambda z: _hvp_xy(sx, s, z))
         return at
-
-    def hvp_yy_g(x: Vec, y: Vec, z: Vec) -> Vec:
-        m = _margins(y)
-        return _hvp_yy(sigmoid(x), sigmoid(m), sigmoid(-m), z)
-
-    def hvp_xy_g(x: Vec, y: Vec, z: Vec) -> Vec:
-        return _hvp_xy(sigmoid(x), sigmoid(-_margins(y)), z)
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
         return np.zeros(n_tr)
@@ -419,8 +406,7 @@ def make_hyperclean(spec: HypercleanSpec,
         zs = verify.solve_linear_system_exact(problem, x, point, settings)
         return point.y, zs, grad_x_f(x, point.y) - point.hvp_xy(zs)
 
-    det = DeterministicOracle(grad_x_f, grad_y_f, grad_y_g, hvp_xy_g,
-                              hvp_yy_g, lower_at)
+    det = DeterministicOracle(grad_x_f, grad_y_f, lower_at)
     problem = BilevelProblem(
         dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench.harness import RunConfig, run_experiment, sweep_eps
+from bilevelbench.harness import (RunConfig, run_experiment, sweep_eps,
+                                  tracking_report, warmstart_report)
 from bilevelbench.synthetic import hyperclean_weight_report
 from bilevelbench.trace import trace_to_csv
-from bilevelbench.verify import (SolverSettings, bound_check_tracking,
-                                 check_bias_decomposition, check_warm_start,
+from bilevelbench.verify import (SolverSettings, check_bias_decomposition,
                                  finite_diff_hypergrad, inner_solve_exact)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,19 +120,21 @@ def test_04_oracle_accounting():
 
 
 def test_05_warm_start_bound():
+    # the ensemble of `verify --suite warmstart`, whose step must be this one
     start = time.perf_counter()
     delta, sigma = 0.05, 0.1
-    prob = bb.make_q2(bb.NoiseModel.gaussian(0.0, sigma, 0.0))
-    c = prob.constants
+    c = bb.make_q2(bb.NoiseModel.gaussian(0.0, sigma, 0.0)).constants
     alpha_init = min(1.0 / (2.0 * c.l_g1),
                      c.mu / (2048.0 * c.L1 ** 2 * sigma ** 2
                              * math.log(math.e / delta)))
-    t0 = bb.warm_start_T0(alpha_init, c.mu, c.L1, dist0=math.sqrt(2.0))
-    report = check_warm_start(prob, alpha_init, t0, c.L1, n_seeds=200,
-                              delta=delta)
+    report, suite_alpha, t0 = warmstart_report()
+    assert suite_alpha == alpha_init
+    assert t0 == bb.warm_start_T0(alpha_init, c.mu, c.L1, dist0=math.sqrt(2.0))
+    assert report.n_seeds == 200
     elapsed = time.perf_counter() - start
     bound = delta + 2.0 * math.sqrt(delta * (1 - delta) / 200)
     assert bound == pytest.approx(0.0808, abs=2e-4)
+    assert report.pass_rate_bound == pytest.approx(bound)
     assert report.violation_rate <= bound
     assert elapsed < 30.0
     _report(5, f"violation rate {report.violation_rate:.4f} <= {bound:.4f} "
@@ -140,17 +142,10 @@ def test_05_warm_start_bound():
 
 
 def test_06_tracking_bound():
-    delta, sigma = 0.05, 0.1
-    prob = bb.make_q2(bb.NoiseModel.gaussian(0.0, sigma, 0.0))
-    sched = bb.schedule_practical({"alpha": 0.25, "beta": 0.9, "gamma": 0.1,
-                                   "eta": 0.005, "T": 300, "T0": 50,
-                                   "alpha_init": 0.25})
-    traces = [
-        bb.slip_run(prob, sched, np.zeros(2), np.ones(2), np.zeros(2),
-                    seed=s)[1]
-        for s in range(200)
-    ]
-    report = bound_check_tracking(traces, sched, prob.constants, delta)
+    # the ensemble of `verify --suite tracking`
+    report = tracking_report()
+    assert report.n_seeds == 200
+    assert report.pass_rate_bound == pytest.approx(0.0808, abs=2e-4)
     assert report.violation_rate <= report.pass_rate_bound
     _report(6, f"violation rate {report.violation_rate:.4f} <= "
                f"{report.pass_rate_bound:.4f} over 200 seeds")
@@ -266,8 +261,8 @@ def test_11_determinism(tmp_path):
                              tmp_path / tag / "exp")
         blobs.append(tuple(p.read_bytes() for p in res.trace_paths))
     assert blobs[0] == blobs[1] == blobs[2]
-    _report(11, "trace files byte-identical across reruns and worker pools "
-                "of size 1 and 4")
+    _report(11, "trace files byte-identical across three reruns "
+                "(workers = 1, 1 and 4; seeds run in order either way)")
 
 
 def test_12_bias_inequality():

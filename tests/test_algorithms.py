@@ -25,9 +25,6 @@ def constant_ghat_problem(gx, dim_x=2, dim_y=2):
     det = DeterministicOracle(
         grad_x_f=lambda x, y: gx.copy(),
         grad_y_f=lambda x, y: np.zeros(dim_y),
-        grad_y_g=lambda x, y: np.zeros(dim_y),
-        hvp_xy_g=lambda x, y, z: np.zeros(dim_x),
-        hvp_yy_g=lambda x, y, z: np.zeros(dim_y),
         lower_at=lambda x: lambda y: LowerPoint(
             y, grad=lambda: np.zeros(dim_y), hess=lambda: np.zeros((dim_y, dim_y)),
             hvp_yy=lambda z: np.zeros(dim_y), hvp_xy=lambda z: np.zeros(dim_x)),

@@ -39,7 +39,7 @@ def test_benchmark_inputs_build(tmp_path, seed):
     # a builder change that breaks one of them fails here
     workloads = _load(_TRACING.with_name("workloads.py"))
     for wl in workloads.WORKLOADS.values():
-        for label, text in workloads.render_configs(wl, seed):
+        for i, (label, text) in enumerate(workloads.render_configs(wl, seed)):
             path = tmp_path / f"{wl.name}-{label}.cfg"
             path.write_text(text)
             cfg = harness.parse_config(path)
@@ -47,6 +47,22 @@ def test_benchmark_inputs_build(tmp_path, seed):
             schedule = harness.resolve_schedule(cfg, problem)
             assert problem.metadata["kind"] == cfg.problem_kind
             assert schedule.T > 0
+            if i == 0:
+                _check_probe_call_forms(cfg, problem)
+
+
+def _check_probe_call_forms(cfg, problem):
+    """The per-layer probes call the pointwise map and the oracle without a
+    point, on a workload's first instance at its start point: both must read
+    the lower level's point bit for bit."""
+    meta = problem.metadata
+    x = np.full(problem.dim_x, float(cfg.inits.get("x0", meta.get("x0_default", 0.0))))
+    y = np.full(problem.dim_y, float(cfg.inits.get("y0", meta.get("y0_default", 1.0))))
+    point = problem.det.lower_at(x)(y)
+    np.testing.assert_array_equal(problem.det.grad_y_g(x, y), point.grad())
+    sample = bb.Sample(bb.Stream.PI, 0, cfg.seeds[0])
+    np.testing.assert_array_equal(problem.oracle.grad_y_G(x, y, sample),
+                                  problem.oracle.grad_y_G(x, y, sample, point))
 
 
 def test_tracer_records_every_layer(tmp_path):

@@ -184,6 +184,11 @@ SHIPPED_HYPERCLEAN = bb.HypercleanSpec(
     n_train=200, n_val=200, feature_dim=5, corruption_rate=0.2, reg=0.1, seed=7)
 
 
+def _central_diff(f, v, h=1e-5):
+    """Central differences of ``f`` at ``v``, one row per coordinate of ``v``."""
+    return np.array([(f(v + d) - f(v - d)) / (2 * h) for d in h * np.eye(len(v))])
+
+
 @pytest.mark.parametrize("prob", [
     bb.make_q2(),
     bb.random_quadratic(3, 4, seed=2),
@@ -191,7 +196,9 @@ SHIPPED_HYPERCLEAN = bb.HypercleanSpec(
         a=1.0, core=random_quadratic_spec(3, 4, seed=5, r=0.0))),
     bb.make_hyperclean(SHIPPED_HYPERCLEAN),
 ], ids=lambda prob: prob.name)
-def test_lower_at_agrees_with_the_pointwise_maps(prob):
+def test_lower_at_matches_finite_differences(prob):
+    # each family states its lower-level derivatives once, in lower_at: check
+    # them against differences of the objective g and of the gradient itself
     rng = np.random.default_rng(23)
     for _ in range(4):
         x = rng.uniform(-2, 2, prob.dim_x)
@@ -201,14 +208,19 @@ def test_lower_at_agrees_with_the_pointwise_maps(prob):
             z = rng.standard_normal(prob.dim_y)
             point = lower(y)
             assert point.y is y
-            np.testing.assert_array_equal(point.grad(), prob.det.grad_y_g(x, y))
+            g = point.grad()
+            fd_g = _central_diff(lambda w: prob.lower(x, w), y)
+            assert np.linalg.norm(g - fd_g) <= 1e-8 * max(1.0, np.linalg.norm(g))
             h = point.hess()
-            hz = prob.det.hvp_yy_g(x, y, z)
-            assert np.linalg.norm(h @ z - hz) <= 1e-12 * np.linalg.norm(hz)
             assert np.abs(h - h.T).max() <= 1e-12 * np.abs(h).max()
-            np.testing.assert_array_equal(point.hvp_yy(z), hz)
-            np.testing.assert_array_equal(point.hvp_xy(z),
-                                          prob.det.hvp_xy_g(x, y, z))
+            fd_h = _central_diff(lambda w: lower(w).grad(), y)
+            assert np.abs(h - fd_h).max() <= 1e-8 * np.abs(h).max()
+            hz = point.hvp_yy(z)
+            assert np.linalg.norm(h @ z - hz) <= 1e-12 * np.linalg.norm(hz)
+            # the mixed block: d/dx <grad_y g(x, y), z>
+            hxy = point.hvp_xy(z)
+            fd_xy = _central_diff(lambda v: prob.det.lower_at(v)(y).grad(), x) @ z
+            assert np.linalg.norm(hxy - fd_xy) <= 1e-8 * max(1.0, np.linalg.norm(hxy))
 
 
 def test_hyperclean_solve_evaluates_sigmoid_x_once(monkeypatch):

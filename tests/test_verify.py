@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
+from bilevelbench import harness
 from bilevelbench.harness import run_suite
-from bilevelbench.verify import (SolverError, SolverSettings,
-                                 check_bias_decomposition, check_warm_start,
-                                 finite_diff_hypergrad, inner_solve_exact,
-                                 solve_linear_system_exact)
+from bilevelbench.verify import (SolverError, SolverSettings, TrackingReport,
+                                 WarmStartReport, check_bias_decomposition,
+                                 check_warm_start, finite_diff_hypergrad,
+                                 inner_solve_exact, solve_linear_system_exact)
 
 
 class TestInnerSolve:
@@ -277,11 +278,33 @@ class TestBiasCheck:
             check_bias_decomposition(q2_gauss, [])
 
 
+# the suites tier-1 runs here; the two 200-seed ensembles run in acceptance
+# tests 05 and 06, through the report functions their suites read
+FAST_SUITES = ("oracles", "counts", "bias", "determinism")
+ENSEMBLE_SUITES = ("warmstart", "tracking")
+
+
 class TestSuites:
     def test_fast_suites_pass(self):
-        for name in ("oracles", "counts", "bias", "determinism"):
+        for name in FAST_SUITES:
             results, ok = run_suite(name)
             assert ok, (name, [r for r in results if not r.passed])
+
+    def test_every_suite_runs_in_tier1(self, monkeypatch):
+        assert set(harness.SUITES) == {*FAST_SUITES, *ENSEMBLE_SUITES}
+        for violations, passed in ((0, True), (40, False)):
+            monkeypatch.setattr(harness, "warmstart_report", lambda: (
+                WarmStartReport(200, violations, 0.0625, 0.0808), 0.01, 564))
+            monkeypatch.setattr(harness, "tracking_report",
+                                lambda: TrackingReport(200, violations, 0.0808))
+            rate = f"{violations / 200:.4f}"
+            results, ok = run_suite("warmstart")
+            assert ok is passed
+            assert results[0].detail == (
+                f"violation rate {rate} <= 0.0808 (threshold 0.0625, T0 = 564)")
+            results, ok = run_suite("tracking")
+            assert ok is passed
+            assert results[0].detail == f"violation rate {rate} <= 0.0808"
 
     def test_unknown_suite(self):
         with pytest.raises(bb.ConfigurationError):
