@@ -4,7 +4,7 @@ verification/benchmark harness."""
 
 from .algorithms import (NumericalDivergenceError, OracleCounter, RunAborted,
                          RunError, SlipState, double_loop_run, masoba_run,
-                         sgd_dd, slip_run, ttsa_run, update_z)
+                         sgd_dd, slip_run, ttsa_run)
 from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
                         SmoothnessConstants, derive_constants,
                         schedule_practical, schedule_theorem41,
@@ -32,6 +32,6 @@ __all__ = [
     "hypergrad_estimate", "make_hyperclean", "make_q2", "make_quadratic",
     "make_unbounded_smooth", "masoba_run", "q2_spec", "random_quadratic",
     "read_trace", "schedule_practical", "schedule_theorem41",
-    "schedule_theorem42", "sgd_dd", "slip_run", "ttsa_run", "update_z",
-    "warm_start_T0", "write_trace",
+    "schedule_theorem42", "sgd_dd", "slip_run", "ttsa_run", "warm_start_T0",
+    "write_trace",
 ]

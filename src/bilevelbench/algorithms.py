@@ -1,11 +1,13 @@
 """Optimizers: the single-loop bilevel method and three simplified baselines.
 
 The main optimizer (``slip_run``) warm-starts the lower-level variable by
-plain SGD at frozen x, then per iteration updates, in order: the lower-level
-variable by SGD, the linear-system variable by SGD on its quadratic
-surrogate, the momentum buffer by an exponential moving average of the
-single-sample hypergradient estimate, and the upper-level variable by a
-normalized momentum step of exact length eta.
+plain SGD at frozen x, then makes four updates per iteration, written in
+this order in ``_run_loop``, all from the current ``(x, y, z)`` and each
+oracle on its own sample stream: ``y - alpha * grad_y_G`` (lower-level SGD),
+``z - gamma * (hvp_yy_G - grad_y_F)`` (SGD on the quadratic surrogate whose
+minimizer is z*(x)), ``m`` to ``beta * m + (1 - beta) * (grad_x_F -
+hvp_xy_G)`` (momentum on the single-sample hypergradient estimate) and
+``x - eta * m / ||m||`` (a normalized step of exact length eta).
 
 The baselines are deliberately simplified re-implementations kept for
 oracle-count and convergence-shape comparison, not faithful reproductions of
@@ -57,8 +59,8 @@ from typing import Callable
 import numpy as np
 
 from .constants import ParamSchedule
-from .problem import BilevelProblem, ConfigurationError, LowerPoint, _norm, _norms
-from .samples import Sample, Stream, check_range, unchecked_sample
+from .problem import BilevelProblem, ConfigurationError, _norm, _norms
+from .samples import Stream, check_range, unchecked_sample
 from .trace import Trace, TraceRecord
 
 logger = logging.getLogger(__name__)
@@ -191,22 +193,6 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
     return y
 
 
-def update_z(z: Vec, x: Vec, y: Vec, gamma: float, s_zeta: Sample, s_xi: Sample,
-             problem: BilevelProblem,
-             calls: OracleCounter | None = None, point: LowerPoint | None = None) -> Vec:
-    """One SGD step on the quadratic surrogate whose minimizer is z*(x).
-
-    ``z - gamma * (hvp_yy_G(x, y, z) - grad_y_F(x, y))`` with independent
-    samples for the two oracles; ``point`` is handed on to ``hvp_yy_G``.
-    """
-    hz = problem.oracle.hvp_yy_G(x, y, z, s_zeta, point)
-    gf = problem.oracle.grad_y_F(x, y, s_xi)
-    if calls is not None:
-        calls.n_hvp_yy += 1
-        calls.n_grad_y_F += 1
-    return z - gamma * (hz - gf)
-
-
 def check_schedule_runs(schedule: ParamSchedule,
                         refine: tuple[int, int] = (1, 0), seed: int = 0) -> None:
     """Raise ``ConfigurationError`` unless ``schedule`` can run with
@@ -336,7 +322,12 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                     gy = problem.oracle.grad_y_G(x, y, s_pi, point)
                     calls.n_grad_y_G += 1
                     y_next = y - alpha * gy
-                    z_next = update_z(z, x, y, gamma, s_zeta, s_xi, problem, calls, point)
+                    # each pair of oracles is counted once both return
+                    hz = problem.oracle.hvp_yy_G(x, y, z, s_zeta, point)
+                    gf = problem.oracle.grad_y_F(x, y, s_xi)
+                    calls.n_hvp_yy += 1
+                    calls.n_grad_y_F += 1
+                    z_next = z - gamma * (hz - gf)
                     gx = problem.oracle.grad_x_F(x, y, s_xi_p)
                     hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p, point)
                     calls.n_grad_x_F += 1

@@ -528,10 +528,6 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
 def suite_oracles() -> list[CheckResult]:
     """Ground-truth consistency: ``solve`` vs finite differences, fixed points."""
     results = []
@@ -553,11 +549,11 @@ def suite_oracles() -> list[CheckResult]:
         ys = inner_solve_exact(prob, x, SolverSettings(tol=1e-12)).y
         worst_inner = max(worst_inner, float(np.linalg.norm(
             ys - prob.solve(x)[0])))
-    results.append(_result(
+    results.append(CheckResult(
         "hypergrad-finite-difference",
         worst_fd <= 1e-4,
         f"max relative error {worst_fd:.3e} over 20 instances x 10 points"))
-    results.append(_result(
+    results.append(CheckResult(
         "inner-solve-vs-closed-form", worst_inner <= 1e-8,
         f"max deviation {worst_inner:.3e}"))
 
@@ -570,14 +566,14 @@ def suite_oracles() -> list[CheckResult]:
                 x, ys, zs, Sample(Stream.XI_PRIME, j, 3), Sample(Stream.ZETA_PRIME, j, 3),
                 prob.oracle)
             worst_fix = max(worst_fix, float(np.linalg.norm(est - gphi)))
-    results.append(_result(
+    results.append(CheckResult(
         "fixed-point-consistency", worst_fix <= 1e-10,
         f"max deviation {worst_fix:.3e} at (y*, z*) under noiseless oracles"))
 
     convexity = max(
         probe_strong_convexity(p, p.constants.mu, 1000, seed=5)
         for p in _shipped_instances())
-    results.append(_result(
+    results.append(CheckResult(
         "strong-convexity-probe", convexity <= 1e-9,
         f"worst relative violation {convexity:.3e} over 1000 probes/instance"))
     return results
@@ -608,7 +604,7 @@ def warmstart_report() -> tuple[WarmStartReport, float, int]:
 def suite_warmstart() -> list[CheckResult]:
     """The ensemble of :func:`warmstart_report`."""
     report, _, t0 = warmstart_report()
-    return [_result(
+    return [CheckResult(
         "warm-start-bound", report.passed,
         f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f} "
         f"(threshold {report.threshold:.4f}, T0 = {t0})")]
@@ -630,7 +626,7 @@ def tracking_report() -> TrackingReport:
 def suite_tracking() -> list[CheckResult]:
     """The ensemble of :func:`tracking_report`."""
     report = tracking_report()
-    return [_result(
+    return [CheckResult(
         "tracking-bound", report.passed,
         f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f}")]
 
@@ -642,17 +638,18 @@ def suite_bias() -> list[CheckResult]:
         {"alpha": 0.1, "beta": 0.9, "gamma": 0.1, "eta": 0.01, "T": 500,
          "T0": 50})
     points: list[tuple[Vec, Vec, Vec]] = []
+    metrics = default_metrics(prob)
 
     def record(ts, x, y, z, m):
         points.extend(zip(x, y, z))
-        return (None,) * 5
+        return metrics(ts, x, y, z, m)
 
     slip_run(prob, schedule, np.zeros(2), np.ones(2), np.zeros(2), seed=0,
              metrics=record)
     report = check_bias_decomposition(prob, points)
-    return [_result("bias-inequality", report.passed,
-                    f"max LHS/RHS ratio {report.max_ratio:.4f} over "
-                    f"{report.n_points} iterations")]
+    return [CheckResult("bias-inequality", report.passed,
+                        f"max LHS/RHS ratio {report.max_ratio:.4f} over "
+                        f"{report.n_points} iterations")]
 
 
 def suite_counts() -> list[CheckResult]:
@@ -670,10 +667,10 @@ def suite_counts() -> list[CheckResult]:
     expected2 = (t, t, t0 + t + extra * (t // interval), t, t)
     ok2 = state2.calls.as_tuple() == expected2
     return [
-        _result("oracle-counts-main", ok1,
-                f"{state.calls.as_tuple()} == {expected}"),
-        _result("oracle-counts-refinement", ok2,
-                f"{state2.calls.as_tuple()} == {expected2}"),
+        CheckResult("oracle-counts-main", ok1,
+                    f"{state.calls.as_tuple()} == {expected}"),
+        CheckResult("oracle-counts-refinement", ok2,
+                    f"{state2.calls.as_tuple()} == {expected2}"),
     ]
 
 
@@ -693,8 +690,8 @@ def suite_determinism() -> list[CheckResult]:
             res = run_experiment(cfg, Path(td) / "run")
             blobs.append(tuple(p.read_bytes() for p in res.trace_paths))
     ok = blobs[0] == blobs[1]
-    return [_result("determinism-across-repeats", ok,
-                    f"{len(blobs[0])} traces compared across two repeats")]
+    return [CheckResult("determinism-across-repeats", ok,
+                        f"{len(blobs[0])} traces compared across two repeats")]
 
 
 SUITES = {

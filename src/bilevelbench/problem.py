@@ -268,6 +268,12 @@ def hypergrad_estimate(x: Vec, y: Vec, z: Vec, s1: Sample, s2: Sample,
     Returns ``grad_x_F(x, y; s1) - hvp_xy_G(x, y, z; s2)``.  ``s1`` must sit
     on the x-gradient stream and ``s2`` on the mixed second-order stream so
     the two draws are independent.
+
+    The run loop computes the same ``gx - hxy`` inline, unchecked: its
+    samples come from a range ``check_schedule_runs`` has checked, while this
+    function checks the streams and shapes of input from outside the
+    program, which needs the two oracle outputs apart.
+    ``test_momentum_unrolling`` pins that the two agree.
     """
     if s1.stream is not Stream.XI_PRIME:
         raise ConfigurationError(

@@ -11,7 +11,7 @@ import pytest
 
 import bilevelbench as bb
 from bilevelbench import algorithms, harness, synthetic, verify
-from bilevelbench.algorithms import METRIC_BLOCK, default_metrics, update_z
+from bilevelbench.algorithms import METRIC_BLOCK, default_metrics
 from bilevelbench.problem import (DeterministicOracle, LowerPoint,
                                   StochasticOracle, _norm)
 from bilevelbench.samples import Sample, Stream
@@ -105,28 +105,27 @@ class TestSgdDD:
                                       bb.sgd_dd(q2_gauss, *args))
 
 
-class TestUpdateZ:
-    def test_fixed_point(self, q2):
-        x = np.zeros(2)
-        y = q2.solve(x)[0]
-        zstar = q2.solve(x)[1]
-        np.testing.assert_allclose(zstar, [-0.5, -0.5], atol=1e-15)
-        z1 = update_z(zstar, x, y, 0.3, Sample(Stream.ZETA, 0, 0),
-                      Sample(Stream.XI, 0, 0), q2)
-        np.testing.assert_allclose(z1, zstar, atol=1e-15)
+class TestZStep:
+    """The loop's z-step, ``z - gamma * (hvp_yy_G - grad_y_F)``, read from
+    the state of a one-iteration noiseless run."""
 
-    def test_zero_gamma(self, q2):
-        z = np.array([0.4, -0.9])
-        z1 = update_z(z, np.zeros(2), np.zeros(2), 0.0,
-                      Sample(Stream.ZETA, 0, 0), Sample(Stream.XI, 0, 0), q2)
-        np.testing.assert_array_equal(z1, z)
+    def one_step(self, q2, gamma, y0, z0):
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": gamma,
+                                       "eta": 0.01, "T": 1, "T0": 0})
+        state, _ = bb.slip_run(q2, sched, np.zeros(2), y0, z0, seed=0)
+        return state.z
+
+    def test_fixed_point(self, q2):
+        ys, zstar, _ = q2.solve(np.zeros(2))
+        np.testing.assert_allclose(zstar, [-0.5, -0.5], atol=1e-15)
+        z1 = self.one_step(q2, 0.3, ys, zstar)
+        np.testing.assert_allclose(z1, zstar, atol=1e-15)
 
     def test_one_step_from_zero(self, q2):
         # z1 = -gamma * (0 - grad_y f) = gamma * (y - e)
         gamma = 0.25
-        x, y = np.zeros(2), np.zeros(2)
-        z1 = update_z(np.zeros(2), x, y, gamma, Sample(Stream.ZETA, 0, 0),
-                      Sample(Stream.XI, 0, 0), q2)
+        y = np.zeros(2)
+        z1 = self.one_step(q2, gamma, y, np.zeros(2))
         np.testing.assert_allclose(z1, gamma * (y - np.ones(2)), atol=1e-15)
 
 
@@ -497,6 +496,28 @@ class TestMetricBlocks:
         y = np.ones(2) if stream is Stream.PI_TILDE else rows[0][1]
         np.testing.assert_array_equal(err.state.y, y)
         assert err.state.calls.as_tuple() == (0, 0, warm_calls, 0, 0)
+
+    # one of row 0's oracles after grad_y_G raises: the state counts the
+    # warm start, row 0's grad_y_G, and a pair of oracles (the z-step's, the
+    # hypergradient's) only once both returned
+    @pytest.mark.parametrize("method, calls", [
+        ("hvp_yy_G", (0, 0, 11, 0, 0)), ("grad_y_F", (0, 0, 11, 0, 0)),
+        ("grad_x_F", (0, 1, 11, 0, 1)), ("hvp_xy_G", (0, 1, 11, 0, 1))])
+    def test_oracle_failure_in_row_0_counts(self, q2_gauss, method, calls):
+        def failing(oracle, *args):
+            if next(a for a in args if isinstance(a, Sample)).counter == 0:
+                raise KeyError(f"{method} at row 0")
+            return getattr(StochasticOracle, method)(oracle, *args)
+
+        failing_oracle = type("Failing", (StochasticOracle,), {method: failing})
+        prob = replace(q2_gauss, oracle=failing_oracle(q2_gauss.det,
+                                                       q2_gauss.oracle.noise))
+        with pytest.raises(bb.RunError) as exc_info:
+            self.run(prob, None)
+        err = exc_info.value
+        assert (err.t, len(err.trace)) == (0, 0)
+        assert str(err.__cause__) == repr(f"{method} at row 0")
+        assert err.state.calls.as_tuple() == calls
 
     # row 130 is recorded, with one block evaluated and one pending, before
     # the abort

@@ -68,6 +68,16 @@ class TestHypergradEstimate:
             bb.hypergrad_estimate(np.zeros(2), np.zeros(3), np.zeros(2),
                                   s_xi_prime(), s_zeta_prime(), q2.oracle)
 
+    def test_oracle_output_shapes_must_agree(self, q2):
+        class Short(bb.StochasticOracle):
+            def hvp_xy_G(self, x, y, z, sample, point=None):
+                return super().hvp_xy_G(x, y, z, sample, point)[:-1]
+
+        with pytest.raises(bb.ConfigurationError, match=r"\(2,\) vs \(1,\)"):
+            bb.hypergrad_estimate(np.zeros(2), np.zeros(2), np.zeros(2),
+                                  s_xi_prime(), s_zeta_prime(),
+                                  Short(q2.det, q2.oracle.noise))
+
 
 class TestPurity:
     def test_noisy_oracles_pure(self, q2_gauss):
@@ -150,6 +160,17 @@ class TestUnbiasedness:
         rep = empirical_unbiasedness_check(prob.oracle, prob, np.zeros(2),
                                            np.zeros(2), 10, rng_seed=0)
         assert rep.max_deviation_in_sigmas == 0.0
+
+    def test_zero_sigma_oracles_under_noise(self):
+        # only grad_x_F and grad_y_F are noisy: the other three average to
+        # their exact values and read exactly 0
+        prob = bb.make_q2(bb.NoiseModel.gaussian(0.1, 0.0, 0.0))
+        rep = empirical_unbiasedness_check(prob.oracle, prob, np.array([0.3, -0.2]),
+                                           np.array([0.1, 0.5]), 200, rng_seed=3)
+        for key in ("grad_y_G", "hvp_xy_G", "hvp_yy_G"):
+            assert rep.deviations[key] == 0.0
+        assert rep.deviations["grad_x_F"] > 0.0
+        assert rep.passed
 
     def test_small_n_rejected_under_noise(self, q2_gauss):
         with pytest.raises(bb.ConfigurationError):

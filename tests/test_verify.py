@@ -306,6 +306,24 @@ class TestSuites:
             assert ok is passed
             assert results[0].detail == f"violation rate {rate} <= 0.0808"
 
+    @pytest.mark.parametrize("b_passed", [True, False])
+    def test_all_runs_every_suite_once_in_order(self, monkeypatch, b_passed):
+        calls = []
+
+        def stub(name, passed):
+            def suite():
+                calls.append(name)
+                return [harness.CheckResult(name, passed, "")]
+            return suite
+
+        monkeypatch.setattr(harness, "SUITES", {"a": stub("a", True),
+                                                "b": stub("b", b_passed)})
+        results, ok = run_suite("all")
+        assert calls == ["a", "b"]
+        assert [(r.name, r.passed) for r in results] == [("a", True),
+                                                        ("b", b_passed)]
+        assert ok is b_passed
+
     def test_unknown_suite(self):
         with pytest.raises(bb.ConfigurationError):
             run_suite("bogus")
