@@ -1,13 +1,11 @@
 """Optimizers: the single-loop bilevel method and three simplified baselines.
 
 The main optimizer (``slip_run``) warm-starts the lower-level variable by
-plain SGD at frozen x, then makes four updates per iteration, written in
-this order in ``_run_loop``, all from the current ``(x, y, z)`` and each
-oracle on its own sample stream: ``y - alpha * grad_y_G`` (lower-level SGD),
-``z - gamma * (hvp_yy_G - grad_y_F)`` (SGD on the quadratic surrogate whose
-minimizer is z*(x)), ``m`` to ``beta * m + (1 - beta) * (grad_x_F -
-hvp_xy_G)`` (momentum on the single-sample hypergradient estimate) and
-``x - eta * m / ||m||`` (a normalized step of exact length eta).
+plain SGD at frozen x, then per iteration updates, in order: the lower-level
+variable by SGD, the linear-system variable by SGD on its quadratic
+surrogate, the momentum buffer by an exponential moving average of the
+single-sample hypergradient estimate, and the upper-level variable by a
+normalized momentum step of exact length eta.
 
 The baselines are deliberately simplified re-implementations kept for
 oracle-count and convergence-shape comparison, not faithful reproductions of

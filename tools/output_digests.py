@@ -1,12 +1,12 @@
 """Print the sha256 of every output a behaviour-preserving change must keep.
 
-    python tools/output_digests.py [--seeds 901,1,2]
+    python tools/output_digests.py
 
 Runs, in a temporary directory, with the ``bilevelbench`` sources of the
 checkout this file sits in:
 
 * ``run_experiment`` on each ``configs/*_slip.cfg`` and on each benchmark
-  workload's ``render_configs`` at every seed of ``--seeds``: one digest per
+  workload's ``render_configs`` at every seed of ``SEEDS``: one digest per
   trace CSV and per metadata file, the metadata without its
   ``wall_seconds`` lines;
 * the exit code and stdout of ``bilevelbench verify --suite all``;
@@ -21,7 +21,6 @@ outputs.  ``perfbench/workloads.py`` is loaded by path and nothing under
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -36,6 +35,8 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "src"))
 
 from bilevelbench import cli, harness  # noqa: E402
+
+SEEDS = (901, 1, 2)
 
 
 def _sha256(data: bytes) -> str:
@@ -67,7 +68,7 @@ def _cli_digest(argv: list[str]) -> str:
     return _sha256(f"exit {code}\n{buf.getvalue()}".encode())
 
 
-def output_digests(seeds: list[int], work: Path) -> dict[str, str]:
+def output_digests(seeds: tuple[int, ...], work: Path) -> dict[str, str]:
     digests: dict[str, str] = {}
     for cfg_path in sorted((ROOT / "configs").glob("*_slip.cfg")):
         _run(cfg_path, work / cfg_path.stem / "run", f"configs/{cfg_path.name}",
@@ -88,14 +89,9 @@ def output_digests(seeds: list[int], work: Path) -> dict[str, str]:
     return digests
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="901,1,2",
-                        help="comma-separated benchmark workload seeds")
-    args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+def main() -> int:
     with tempfile.TemporaryDirectory() as td:
-        digests = output_digests(seeds, Path(td))
+        digests = output_digests(SEEDS, Path(td))
     print(json.dumps(digests, indent=2))
     return 0
 
