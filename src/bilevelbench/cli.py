@@ -19,6 +19,7 @@ workers`` is accepted and has no effect.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .harness import SUITES, parse_config, run_experiment, run_suite, sweep_eps
@@ -89,6 +90,9 @@ def _cmd_sweep(args) -> int:
     try:
         eps_list = [float(v) for v in args.eps.split(",") if v]
     except ValueError:
+        eps_list = []
+    # nothing to sweep, or a nan; inf, 0 and negatives get SKIPPED rows
+    if not eps_list or any(math.isnan(e) for e in eps_list):
         print(f"error: bad eps list {args.eps!r}", file=sys.stderr)
         return EXIT_USAGE
     summary = sweep_eps(cfg, eps_list, execute=args.execute)

@@ -160,9 +160,14 @@ def _mv(a: Array, v: Array) -> Array:
     """``a @ v`` for one vector ``v`` or for each row of a stack of them (and
     of ``a``, if a stack of matrices).
 
-    ``matmul`` takes one matrix-vector product per row, so each row is bit
-    for bit ``a @ row`` (a single matrix product ``v @ a.T`` is not).
+    One matrix and one vector take ``a.dot(v)``, a third of ``matmul``'s
+    call cost; a stack takes ``matmul``, one matrix-vector product per row.
+    Each row is bit for bit the one-vector result (a single matrix product
+    ``v @ a.T`` is not): both paths make the same BLAS matrix-vector call,
+    and ``test_problem`` pins their equality on every shape the families use.
     """
+    if a.ndim == 2 and v.ndim == 1:
+        return a.dot(v)
     return np.matmul(a, v[..., None])[..., 0]
 
 
@@ -186,7 +191,12 @@ class StochasticOracle:
         ``scale`` (times ``||z||`` when ``z`` is given): ``scale / sqrt(dim)``
         per coordinate.  When ``clip``, the bounded model clips the draw
         radially at that std, which keeps it mean-zero.  A noiseless model
-        returns ``g`` before any of this is computed."""
+        returns ``g`` before any of this is computed.
+
+        The draw is scaled, clipped and summed with ``g`` in its own array,
+        which is returned; ``g`` is never written.  Float multiplication and
+        addition commute, so the result is bit for bit
+        ``g + (scale / sqrt(dim)) * draw``."""
         kind = self.noise.kind
         if kind is NoiseKind.NOISELESS:
             return g
@@ -195,14 +205,16 @@ class StochasticOracle:
         dim = g.shape[0]
         if scale == 0.0:
             return g + np.zeros(dim)   # no draw; the sum turns -0.0 into 0.0
-        v = (scale / math.sqrt(dim)) * sample.generator(tag).standard_normal(dim)
+        v = sample.generator(tag).standard_normal(dim)
+        v *= scale / math.sqrt(dim)
         if clip and kind is NoiseKind.BOUNDED:
             n = _norm(v)
             if n > scale:
                 # shave slightly below the bound: the almost-sure contract must
                 # survive the add-then-subtract round trip in float arithmetic
                 v *= (scale / n) * (1.0 - 1e-10)
-        return g + v
+        v += g
+        return v
 
     def grad_x_F(self, x: Vec, y: Vec, sample: Sample) -> Vec:
         return self._noisy(self.det.grad_x_f(x, y), sample, OracleTag.GRAD_X_F,

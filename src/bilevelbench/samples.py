@@ -11,8 +11,10 @@ distinct ``(tag, counter)`` disjoint blocks, and any draw can be replayed
 without generator state.  Seeds and counters must lie in ``[0, 2**64)``,
 because each fills one 64-bit word.
 
-No generator is built per draw: each thread keeps one Philox generator, and
-:meth:`Sample.generator` rewinds it by assigning its state.
+No generator and no state dict is built per draw: each thread keeps one
+Philox generator and one state dict for it, and :meth:`Sample.generator`
+writes the draw's counter and key words into that dict and assigns it, which
+rewinds the generator.
 
 Constructing a :class:`Sample` checks both ranges with :func:`check_range`.
 A run calls :func:`check_range` once for its seed and whole counter range,
@@ -31,8 +33,8 @@ import numpy as np
 
 _WORD = 1 << 64
 
-# one generator per thread, rewound to each draw's position by
-# Sample.generator; a generator is never shared between threads
+# per thread: a generator, its state dict and that dict's counter and key
+# words, which Sample.generator rewrites; never shared between threads
 _local = threading.local()
 
 
@@ -82,20 +84,22 @@ class Sample:
         """Return a generator positioned at (seed, stream, counter, tag).
 
         The generator is this thread's one Philox generator, rewound to the
-        draw's position; it stays valid until the next ``generator()`` call
-        on the same thread.
+        draw's position by assigning this thread's one state dict, with only
+        its counter and key words rewritten; the buffer fields stay empty, so
+        the draw starts a fresh block.  The generator stays valid until the
+        next ``generator()`` call on the same thread.
         """
         try:
-            gen = _local.generator
+            gen, state, words = _local.philox
         except AttributeError:
-            gen = _local.generator = np.random.Generator(np.random.Philox())
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, int(tag), self.counter),
-                      "key": (self.seed, int(self.stream))},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
+            gen, words = np.random.Generator(np.random.Philox()), {}
+            state = {"bit_generator": "Philox", "state": words,
+                     "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                     "has_uint32": 0, "uinteger": 0}
+            _local.philox = gen, state, words
+        words["counter"] = (0, 0, tag, self.counter)
+        words["key"] = (self.seed, self.stream)
+        gen.bit_generator.state = state
         return gen
 
 

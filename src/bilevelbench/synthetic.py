@@ -117,16 +117,16 @@ def _quadratic_problem(core: QuadraticSpec, noise: NoiseModel,
         return y - e
 
     # the curvature is constant: every point shares its Hessian and products
-    b_t, hess, hvp_yy = b.T, a.copy, a.__matmul__
+    b_t, hess, hvp_yy = b.T, a.copy, a.dot
 
     def hvp_xy(z: Vec) -> Vec:
-        return -(b_t @ z)
+        return -b_t.dot(z)
 
     def lower_at(x: Vec):
-        shift = b @ x + c
+        shift = b.dot(x) + c
         # LowerPoint._make without its length check: a point per iteration
         return lambda y: tuple.__new__(
-            LowerPoint, (y, lambda: a @ y - shift, hess, hvp_yy, hvp_xy))
+            LowerPoint, (y, lambda: a.dot(y) - shift, hess, hvp_yy, hvp_xy))
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
         ys = _mv(a_inv, _mv(b, x) + c)

@@ -173,6 +173,26 @@ def test_sweep_non_finite_T_skipped(tmp_path, capsys):
         "0.2,SKIPPED,,,,,", "0.1,SKIPPED,,,,,"]
 
 
+@pytest.mark.parametrize("eps", [",", "", "nan", "0.2,nan", "0.2,abc"])
+def test_sweep_bad_eps_list_exit_1(eps, capsys):
+    # an empty list or a nan names no eps to sweep: no CSV, not even a header
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    rc = cli.main(["sweep", "--config", str(cfg), "--eps", eps])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: bad eps list {eps!r}\n"
+
+
+def test_sweep_inf_zero_and_negative_eps_skipped(capsys):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    rc = cli.main(["sweep", "--config", str(cfg), "--eps", "inf,0,-1"])
+    assert rc == 0
+    assert [line.split(",")[:2] for line in
+            capsys.readouterr().out.splitlines()[1:]] == [
+        ["inf", "SKIPPED"], ["0.0", "SKIPPED"], ["-1.0", "SKIPPED"]]
+
+
 def test_sweep_execute_skips_an_eps_that_cannot_run(tmp_path, capsys):
     # eps = 0.01 puts T, and the sample counters, past 2**64: that eps is
     # SKIPPED and the sweep goes on

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
+from bilevelbench.problem import DeterministicOracle, LowerPoint, _mv
+from bilevelbench.synthetic import _hyperclean_data, random_quadratic_spec
 from bilevelbench.verify import empirical_unbiasedness_check
 from bilevelbench.samples import Sample, Stream
 
@@ -205,3 +207,97 @@ def test_phi_requires_analytic():
     # the solver-backed ground truth is present; phi = f(x, y*(x)) evaluates
     x = np.ones(20)
     assert math.isfinite(prob.upper(x, prob.solve(x)[0]))
+
+
+def _family_matrices():
+    """The matrices the families hand to ``_mv`` and to ``.dot``: Q2's and
+    the cosh16 core's ``A``, ``B`` and ``B.T``, and hypercleaning's feature
+    matrices and their (F-ordered) transposes at the shipped config."""
+    q2, cosh = bb.q2_spec(), random_quadratic_spec(16, 16, 0, r=0.0)
+    feats_tr, _, feats_val, _, _ = _hyperclean_data(bb.HypercleanSpec(
+        n_train=200, n_val=200, feature_dim=5, corruption_rate=0.2, seed=7))
+    return {"q2.A": q2.A, "q2.B": q2.B, "q2.B.T": q2.B.T,
+            "cosh16.A": cosh.A, "cosh16.B": cosh.B, "cosh16.B.T": cosh.B.T,
+            "feats_tr": feats_tr, "feats_tr.T": feats_tr.T,
+            "feats_val": feats_val, "feats_val.T": feats_val.T}
+
+
+_MATRICES = _family_matrices()
+
+
+@pytest.mark.parametrize("name", list(_MATRICES))
+def test_one_vector_product_is_the_stacked_product(name):
+    # _mv takes ndarray.dot for one vector and matmul for a stack; the two
+    # must agree bit for bit, or traces would change with the BLAS
+    a = _MATRICES[name]
+    rng = np.random.default_rng(11)
+    vs = rng.standard_normal((300, a.shape[1]))
+    stacked = _mv(a, vs)
+    for v, row in zip(vs, stacked):
+        one = _mv(a, v)
+        assert one.tobytes() == np.matmul(a, v[..., None])[..., 0].tobytes()
+        assert one.tobytes() == row.tobytes()
+
+
+def _recording(det, returned):
+    """``det`` with every map's output appended to ``returned``, with a copy."""
+    def rec(f):
+        def wrapped(*args):
+            out = f(*args)
+            returned.append((out, out.copy()))
+            return out
+        return wrapped
+
+    def lower_at(x):
+        at = det.lower_at(x)
+
+        def point(y):
+            p = at(y)
+            return LowerPoint(p.y, rec(p.grad), p.hess, rec(p.hvp_yy),
+                              rec(p.hvp_xy))
+        return point
+    return DeterministicOracle(rec(det.grad_x_f), rec(det.grad_y_f), lower_at)
+
+
+_NOISES = {"noiseless": bb.NoiseModel.noiseless(),
+           "gaussian": bb.NoiseModel.gaussian(0.1, 0.1, 0.1),
+           "bounded": bb.NoiseModel.bounded(0.1, 0.1, 0.1, 0.1)}
+
+
+@pytest.mark.parametrize("with_point", [False, True])
+@pytest.mark.parametrize("noise", list(_NOISES))
+@pytest.mark.parametrize("family", ["q2", "hyperclean"])
+def test_noise_is_added_into_its_own_draw(family, noise, with_point):
+    # the draw is scaled, clipped and summed in place: no input, and no
+    # array a deterministic map returned, may be written
+    model = _NOISES[noise]
+    prob = (bb.make_q2(model) if family == "q2" else bb.make_hyperclean(
+        bb.HypercleanSpec(n_train=20, n_val=10, feature_dim=3,
+                          corruption_rate=0.2, seed=1), model))
+    returned = []
+    oracle = bb.StochasticOracle(_recording(prob.det, returned), model)
+    rng = np.random.default_rng(5)
+    x, y, z = (rng.standard_normal(n) for n in (prob.dim_x, prob.dim_y, prob.dim_y))
+    inputs = [a.copy() for a in (x, y, z)]
+    calls = {
+        Stream.XI_PRIME: lambda s, pt: oracle.grad_x_F(x, y, s),
+        Stream.XI: lambda s, pt: oracle.grad_y_F(x, y, s),
+        Stream.PI: lambda s, pt: oracle.grad_y_G(x, y, s, pt),
+        Stream.ZETA_PRIME: lambda s, pt: oracle.hvp_xy_G(x, y, z, s, pt),
+        Stream.ZETA: lambda s, pt: oracle.hvp_yy_G(x, y, z, s, pt),
+    }
+    for stream, call in calls.items():
+        # at seed 3, counters 0 to 5 give each bounded oracle of both
+        # families a clipped and an unclipped draw
+        for counter in range(6):
+            s = Sample(stream, counter, 3)
+            del returned[:]
+            point = oracle.det.lower_at(x)(y) if with_point else None
+            first = call(s, point)
+            assert np.array_equal(first, call(s, point))
+            for out, copy in returned:
+                assert out.tobytes() == copy.tobytes()
+                if noise != "noiseless":
+                    assert first is not out
+            for a, before in zip((x, y, z), inputs):
+                assert a.tobytes() == before.tobytes()
