@@ -40,9 +40,10 @@ draw's position (see :mod:`bilevelbench.samples`).
 
 The loop's fixed cost per iteration is kept small: the seed and the counter
 range are checked once per run (:func:`check_schedule_runs`), not once per
-sample, and ``np.errstate`` is entered once around the main loop, so an
-overflow in the in-loop refinement gives ``inf`` without a warning, as one
-in the main update does, and ends the run at the next finiteness check.
+sample, and ``np.errstate`` is entered once around the warm start and the
+main loop, so an overflow in the warm start or the in-loop refinement gives
+``inf`` without a warning, as one in the main update does, and ends the run
+at the next finiteness check.
 """
 
 from __future__ import annotations
@@ -293,13 +294,12 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
 
     t = 0
     try:
-        if schedule.T0 > 0:
-            y = sgd_dd(problem, x, y, schedule.alpha_init, schedule.T0, seed,
-                       calls=calls)
-
-        # updates and metrics of a diverging run overflow: the finiteness
-        # check below decides
+        # updates and metrics of a diverging run overflow, the warm start's
+        # too: the finiteness check below decides
         with np.errstate(over="ignore", invalid="ignore"):
+            if schedule.T0 > 0:
+                y = sgd_dd(problem, x, y, schedule.alpha_init, schedule.T0, seed,
+                           calls=calls)
             try:
                 for t in range(schedule.T):
                     alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta

@@ -225,13 +225,16 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
     """Build the cosh-upper-level instance with analytic ground truth.
 
     Evaluations with ``max|x_i| > 700/a`` raise OverflowError before cosh
-    overflows double precision; for a stack, ``solve`` and ``upper`` check
-    the whole stack once.
+    overflows double precision (outside ``np.errstate``, a point whose
+    ``x.dot(x)`` overflows warns of that first); for a stack, ``solve`` and
+    ``upper`` check the whole stack once.
     """
     a_rate = spec.a
     x_max = 700.0 / a_rate
 
     def _guard(x: Vec) -> None:
+        if x.ndim == 1 and x.dot(x) < x_max * x_max:   # strict: then every |x_i| < x_max
+            return
         m = float(np.abs(x).max()) if x.size else 0.0
         if m > x_max:
             raise OverflowError(
@@ -251,12 +254,21 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
         metadata={"kind": "unbounded", "a": a_rate, "x_max": x_max})
 
 
-# rows per stacked solve: a whole 128-row block's temporaries cost memory, not speed
-_SOLVE_ROWS = 32
+# rows per slice of the stacked Hessian's (rows, n_train, feature_dim) product
+_HESS_ROWS = 32
+
+
+def _sigmoid_neg(u):
+    """``sigmoid(-u) = 1 / (1 + exp(u))``, with one temporary for an array."""
+    if np.ndim(u) == 0:
+        return 1.0 / (1.0 + np.exp(u))
+    e = np.exp(u)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-v))
+    return _sigmoid_neg(-v)
 
 
 @dataclass(frozen=True)
@@ -311,10 +323,10 @@ def make_hyperclean(spec: HypercleanSpec,
 
     There is no closed-form lower-level minimizer; the problem's ``solve``
     is backed by the Newton solvers of :mod:`bilevelbench.verify` (tolerance
-    1e-10), one inner and one linear solve per point or per stack of up to
-    ``_SOLVE_ROWS`` points, uncached.  The lower level's derivatives are
-    stated once, in ``lower_at(x)``, which evaluates ``sigmoid(x)`` and
-    ``sigmoid(x) * lab_tr`` once; at each ``y`` it computes the margins,
+    1e-10), one inner and one linear solve per point or per stack,
+    uncached.  The lower level's derivatives are stated once, in
+    ``lower_at(x)``, which evaluates ``sigmoid(x)`` and ``sigmoid(x) *
+    lab_tr`` once; at each ``y`` it computes the margins,
     ``sigmoid(-margins)`` and ``sigmoid(margins)`` once for the gradient,
     the Hessian and the two Hessian-vector products.  The solvers iterate
     through it, the run loop's lower-level oracles read one point per
@@ -339,9 +351,15 @@ def make_hyperclean(spec: HypercleanSpec,
         return -_mv(feats_tr.T, sx_lab * s) / n_tr + 2.0 * lam * y
 
     def _hess(sx: Vec, sp: Vec, s: Vec) -> np.ndarray:
-        # per row bit for bit (feats_tr.T * w) @ feats_tr, the same product
+        # per row bit for bit (feats_tr.T * w) @ feats_tr, _HESS_ROWS rows at a time
         w = (sx * sp * s)[..., None]
-        return np.matmul(np.swapaxes(feats_tr * w, -1, -2), feats_tr) / n_tr + reg_hess
+        if w.ndim == 2:
+            return np.matmul(np.swapaxes(feats_tr * w, -1, -2), feats_tr) / n_tr + reg_hess
+        h = np.empty(w.shape[:-2] + reg_hess.shape)
+        for i in range(0, len(w), _HESS_ROWS):
+            np.matmul(np.swapaxes(feats_tr * w[i:i + _HESS_ROWS], -1, -2), feats_tr,
+                      out=h[i:i + _HESS_ROWS])
+        return h / n_tr + reg_hess
 
     def _hvp_yy(sx: Vec, sp: Vec, s: Vec, z: Vec) -> Vec:
         return (_mv(feats_tr.T, sx * (sp * s) * _mv(feats_tr, z)) / n_tr
@@ -364,7 +382,7 @@ def make_hyperclean(spec: HypercleanSpec,
 
         def at(y: Vec) -> LowerPoint:
             m = _margins(y)
-            s = sigmoid(-m)
+            s = _sigmoid_neg(m)
             sp = sigmoid(m)
             return LowerPoint(y, grad=lambda: _grad(sx_lab, s, y),
                               hess=lambda: _hess(sx, sp, s),
@@ -376,7 +394,7 @@ def make_hyperclean(spec: HypercleanSpec,
         return np.zeros(n_tr)
 
     def grad_y_f(x: Vec, y: Vec) -> Vec:
-        s = sigmoid(-lab_val * _mv(feats_val, y))
+        s = _sigmoid_neg(lab_val * _mv(feats_val, y))
         return -_mv(feats_val.T, lab_val * s) / spec.n_val
 
     tr_norms = np.linalg.norm(feats_tr, axis=1)
@@ -399,9 +417,6 @@ def make_hyperclean(spec: HypercleanSpec,
     settings = verify.SolverSettings(tol=1e-10, max_iters=200)
 
     def solve(x: Vec) -> tuple[Vec, Vec, Vec]:
-        if x.ndim > 1 and len(x) > _SOLVE_ROWS:
-            return tuple(map(np.concatenate, zip(*(
-                solve(x[i:i + _SOLVE_ROWS]) for i in range(0, len(x), _SOLVE_ROWS)))))
         point = verify.inner_solve_exact(problem, x, settings)
         zs = verify.solve_linear_system_exact(problem, x, point, settings)
         return point.y, zs, grad_x_f(x, point.y) - point.hvp_xy(zs)

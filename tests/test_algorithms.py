@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -371,6 +372,29 @@ class TestFiniteCheck:
                             z0=(-1e300, 1e300))
         assert len(trace) == self.SCHED["T"]
         assert trace.column("eps_err")[0] == math.inf
+
+    # The warm start runs under the loop's np.errstate: a seed's status does
+    # not depend on the warnings filter.
+    def test_warm_start_overflow_is_a_divergence(self, q2_gauss):
+        sched = bb.schedule_practical({**self.SCHED, "alpha": 1e300, "T0": 50})
+        with pytest.warns(UserWarning, match="exceeds"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(bb.NumericalDivergenceError,
+                               match="non-finite iterate at iteration 0") as exc_info:
+                bb.slip_run(q2_gauss, sched, np.zeros(2), np.ones(2), np.zeros(2),
+                            seed=1)
+        assert exc_info.value.t == 0
+
+    def test_warm_start_exact_overflowing_sigmoid_runs(self):
+        # sigmoid(-800) is exactly 0, through exp(800) = inf
+        prob = bb.make_hyperclean(bb.HypercleanSpec(
+            n_train=30, n_val=30, feature_dim=3, corruption_rate=0.2, seed=5))
+        sched = bb.schedule_practical({**self.SCHED, "T0": 10})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, trace = bb.slip_run(prob, sched, np.full(30, -800.0), np.zeros(3),
+                                   np.zeros(3), seed=0)
+        assert len(trace) == self.SCHED["T"]
 
 
 class TestMetricBlocks:
@@ -884,13 +908,14 @@ class TestOneLowerPoint:
             n_train=20, n_val=10, feature_dim=3, corruption_rate=0.1, seed=5))
         sched = bb.schedule_practical({**self.SCHED, "T": 5, "T0": 0})
         calls = []
-        sigmoid = synthetic.sigmoid
+        logistic = synthetic._sigmoid_neg
 
-        def counted(v):
+        def counted(u):
             calls.append(1)
-            return sigmoid(v)
+            return logistic(u)
 
-        monkeypatch.setattr(synthetic, "sigmoid", counted)
+        # every logistic evaluation, sigmoid(v) = _sigmoid_neg(-v) among them
+        monkeypatch.setattr(synthetic, "_sigmoid_neg", counted)
         bb.slip_run(prob, sched, np.ones(20), np.zeros(3), np.zeros(3), seed=0,
                     metrics=lambda *rows: (None,) * 5)
         # per iteration: sigmoid(x) and sigmoid(+-margins) for the point,

@@ -96,6 +96,16 @@ class TestUnboundedSmooth:
             grad = a * math.sinh(a * xv)
             assert hess <= a * a + a * abs(grad) + 1e-12
 
+    def test_overflow_guard_edges(self):
+        # the one-dot shortcut clears a point only strictly inside the bound
+        prob = self.make(a=1.0)
+        x_max = prob.metadata["x_max"]
+        prob.det.grad_x_f(np.array([x_max, 0.0]), np.zeros(2))
+        for v in (np.nextafter(x_max, np.inf), -np.nextafter(x_max, np.inf), np.inf):
+            with pytest.raises(OverflowError, match="exceeds the cosh evaluation range"):
+                prob.det.grad_x_f(np.array([0.0, v]), np.zeros(2))
+        assert np.isnan(prob.det.grad_x_f(np.array([np.nan, 0.0]), np.zeros(2))[0])
+
     def test_overflow_guard(self):
         prob = self.make(a=1.0)
         bad = np.array([701.0, 0.0])
@@ -231,16 +241,43 @@ def test_hyperclean_solve_evaluates_sigmoid_x_once(monkeypatch):
     validation gradient that is 10."""
     prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
     x = np.ones(prob.dim_x)
-    on_x = []
+    on_x, evaluations = [], []
+    logistic = synthetic._sigmoid_neg
 
     def counting(v):
         on_x.append(v is x)
         return sigmoid(v)
 
+    def counting_all(u):
+        evaluations.append(1)
+        return logistic(u)
+
     monkeypatch.setattr(synthetic, "sigmoid", counting)
+    # every logistic evaluation, sigmoid(v) = _sigmoid_neg(-v) among them
+    monkeypatch.setattr(synthetic, "_sigmoid_neg", counting_all)
     prob.solve(x)
     assert sum(on_x) == 1
-    assert len(on_x) == 10
+    assert len(evaluations) == 10
+
+
+@pytest.mark.parametrize("shape", [None, (), (7,), (3, 7)],
+                         ids=["scalar", "0-d", "1-D", "stack"])
+def test_sigmoid_is_the_plain_formula(shape):
+    """``sigmoid`` and ``_sigmoid_neg``, which make one temporary for an
+    array, give bit for bit the textbook expression, types included."""
+    values = [800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 3.5, -1e-300]
+    if shape is None:
+        points = values
+    else:
+        size = math.prod(shape)
+        points = [np.resize(np.roll(values, i), size).reshape(shape)
+                  for i in range(len(values))]
+    with np.errstate(over="ignore"):
+        for v in points:
+            want = 1.0 / (1.0 + np.exp(-v))
+            for got in (sigmoid(v), synthetic._sigmoid_neg(-v)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["q2", "random", "cosh"])
@@ -288,8 +325,29 @@ def test_hyperclean_stack_is_solved_row_by_row():
     assert prob.upper(x, y).tolist() == [prob.upper(*row) for row in zip(x, y)]
 
 
-def test_hyperclean_block_is_solved_as_sub_stacks(monkeypatch):
-    # a 128-row block takes four 32-row solves of each kind, not 128
+@pytest.mark.parametrize("spec", [
+    SHIPPED_HYPERCLEAN,
+    bb.HypercleanSpec(n_train=30, n_val=30, feature_dim=3, corruption_rate=0.2,
+                      seed=5)], ids=["200x5", "30x3"])
+def test_hyperclean_long_stacks_are_row_by_row(spec):
+    """One Newton stack of 200 rows, and a 70-row Hessian formed 32 rows at
+    a time, give each row's bytes alone."""
+    prob = bb.make_hyperclean(spec)
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-2.0, 2.0, (200, prob.dim_x))
+    stacked = prob.solve(x)
+    for i in range(len(x)):
+        for got, want in zip(stacked, prob.solve(x[i])):
+            assert got[i].tobytes() == want.tobytes()
+    y = rng.standard_normal((70, prob.dim_y))
+    hess = prob.det.lower_at(x[:70])(y).hess()
+    assert hess.shape == (70, prob.dim_y, prob.dim_y)
+    for i in range(70):
+        assert hess[i].tobytes() == prob.det.lower_at(x[i])(y[i]).hess().tobytes()
+
+
+def test_hyperclean_block_is_one_solve(monkeypatch):
+    # a 128-row block takes one solve of each kind, not 128
     prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
     calls = {"inner_solve_exact": 0, "solve_linear_system_exact": 0}
 
@@ -305,7 +363,7 @@ def test_hyperclean_block_is_solved_as_sub_stacks(monkeypatch):
         monkeypatch.setattr(verify, name, counting(name))
     x = np.random.default_rng(3).uniform(-2.0, 2.0, (128, prob.dim_x))
     assert [a.shape[0] for a in prob.solve(x)] == [128, 128, 128]
-    assert calls == {"inner_solve_exact": 4, "solve_linear_system_exact": 4}
+    assert calls == {"inner_solve_exact": 1, "solve_linear_system_exact": 1}
 
 
 # sha256 digests of each instance family's oracle outputs and ground truth,

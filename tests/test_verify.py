@@ -78,7 +78,7 @@ class TestStackedSolves:
     def stack():
         # weights near 0 make the lower level nearly quadratic: rows about -9
         # take one Newton step, rows about -3 two, and row 45 (weights 1/2)
-        # three; 70 rows cross the 32-row sub-stacks of ``problem.solve``
+        # three; 70 rows cross the 32-row slices of the stacked Hessian
         rng = np.random.default_rng(5)
         x = (np.where(np.arange(70)[:, None] % 2 == 0, -9.0, -3.0)
              + rng.uniform(-0.5, 0.5, (70, 200)))
