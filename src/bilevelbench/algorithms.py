@@ -40,10 +40,12 @@ draw's position (see :mod:`bilevelbench.samples`).
 
 The loop's fixed cost per iteration is kept small: the seed and the counter
 range are checked once per run (:func:`check_schedule_runs`), not once per
-sample, and ``np.errstate`` is entered once around the warm start and the
-main loop, so an overflow in the warm start or the in-loop refinement gives
-``inf`` without a warning, as one in the main update does, and ends the run
-at the next finiteness check.
+sample; the oracle methods, streams and undecayed steps are bound once per
+run (a method patched on its class before the run is the one bound); and
+``np.errstate`` is entered once around the warm start and the main loop, so
+an overflow in the warm start or the in-loop refinement gives ``inf``
+without a warning, as one in the main update does, and ends the run at the
+next finiteness check.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -170,7 +173,7 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
     Performs exactly ``n_steps`` updates ``y - alpha * grad_y_G(x, y)``,
     consuming the warm-start stream at counters ``counter_start ..
     counter_start + n_steps - 1``, and returns the final iterate, with
-    ``lower_at(x)`` bound once.  Never reads the ground truth.
+    ``lower_at(x)`` and ``grad_y_G`` bound once.  Never reads the ground truth.
     """
     if n_steps < 0:
         raise ConfigurationError(f"n_steps must be non-negative, got {n_steps}")
@@ -183,9 +186,10 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y0, dtype=float).copy()
     lower = problem.det.lower_at(x)
+    grad_y_G = problem.oracle.grad_y_G
     for t in range(n_steps):
-        g = problem.oracle.grad_y_G(
-            x, y, unchecked_sample(Stream.PI_TILDE, counter_start + t, seed), lower(y))
+        g = grad_y_G(x, y, unchecked_sample(Stream.PI_TILDE, counter_start + t, seed),
+                     lower(y))
         if calls is not None:
             calls.n_grad_y_G += 1
         y = y - alpha * g
@@ -253,7 +257,13 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
     calls = OracleCounter()
     m = np.zeros(problem.dim_x)
     beta = schedule.beta
+    alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
     lower_at = problem.det.lower_at
+    oracle = problem.oracle
+    grad_y_G, hvp_yy_G, grad_y_F = oracle.grad_y_G, oracle.hvp_yy_G, oracle.grad_y_F
+    grad_x_F, hvp_xy_G = oracle.grad_x_F, oracle.hvp_xy_G
+    PI, ZETA, XI = Stream.PI, Stream.ZETA, Stream.XI
+    XI_PRIME, ZETA_PRIME = Stream.XI_PRIME, Stream.ZETA_PRIME
     # v.dot(0) is 0 for a finite v and nan once v holds a nan or an inf, and
     # unlike v.dot(v) it cannot overflow on a finite v
     zero_x, zero_y = np.zeros(problem.dim_x), np.zeros(problem.dim_y)
@@ -275,7 +285,9 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
             cols = [[None] * len(ts) if c is None
                     else np.asarray(c).reshape(len(ts)).tolist()
                     for c in metrics(np.array(ts), *map(np.array, iterates))]
-            trace.extend(list(map(TraceRecord._make, zip(ts, *cols, *zip(*row_calls)))))
+            # TraceRecord._make's tuple.__new__, without a frame per row
+            trace.extend(list(map(tuple.__new__, repeat(TraceRecord),
+                                  zip(ts, *cols, *zip(*row_calls)))))
 
         try:
             record(pending)
@@ -302,32 +314,31 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                            calls=calls)
             try:
                 for t in range(schedule.T):
-                    alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
                     if decay is not None:
-                        eta = eta * (t + 1) ** (-decay[0])
-                        alpha = alpha * (t + 1) ** (-decay[1])
-                        gamma = gamma * (t + 1) ** (-decay[1])
+                        eta = schedule.eta * (t + 1) ** (-decay[0])
+                        alpha = schedule.alpha * (t + 1) ** (-decay[1])
+                        gamma = schedule.gamma * (t + 1) ** (-decay[1])
 
-                    s_pi = unchecked_sample(Stream.PI, t, seed)
-                    s_zeta = unchecked_sample(Stream.ZETA, t, seed)
-                    s_xi = unchecked_sample(Stream.XI, t, seed)
-                    s_xi_p = unchecked_sample(Stream.XI_PRIME, t, seed)
-                    s_zeta_p = unchecked_sample(Stream.ZETA_PRIME, t, seed)
+                    s_pi = unchecked_sample(PI, t, seed)
+                    s_zeta = unchecked_sample(ZETA, t, seed)
+                    s_xi = unchecked_sample(XI, t, seed)
+                    s_xi_p = unchecked_sample(XI_PRIME, t, seed)
+                    s_zeta_p = unchecked_sample(ZETA_PRIME, t, seed)
 
                     # updates read the current (x_t, y_t, z_t); z feeds the
                     # momentum update before its own refresh
                     point = lower_at(x)(y)
-                    gy = problem.oracle.grad_y_G(x, y, s_pi, point)
+                    gy = grad_y_G(x, y, s_pi, point)
                     calls.n_grad_y_G += 1
                     y_next = y - alpha * gy
                     # each pair of oracles is counted once both return
-                    hz = problem.oracle.hvp_yy_G(x, y, z, s_zeta, point)
-                    gf = problem.oracle.grad_y_F(x, y, s_xi)
+                    hz = hvp_yy_G(x, y, z, s_zeta, point)
+                    gf = grad_y_F(x, y, s_xi)
                     calls.n_hvp_yy += 1
                     calls.n_grad_y_F += 1
                     z_next = z - gamma * (hz - gf)
-                    gx = problem.oracle.grad_x_F(x, y, s_xi_p)
-                    hxy = problem.oracle.hvp_xy_G(x, y, z, s_zeta_p, point)
+                    gx = grad_x_F(x, y, s_xi_p)
+                    hxy = hvp_xy_G(x, y, z, s_zeta_p, point)
                     calls.n_grad_x_F += 1
                     calls.n_hvp_xy += 1
                     ghat = gx - hxy

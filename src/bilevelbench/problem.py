@@ -171,6 +171,13 @@ def _mv(a: Array, v: Array) -> Array:
     return np.matmul(a, v[..., None])[..., 0]
 
 
+# the enum members the oracles read, bound once: an enum attribute takes
+# about 0.1 us to look up
+_NOISELESS, _BOUNDED = NoiseKind.NOISELESS, NoiseKind.BOUNDED
+_GRAD_X_F, _GRAD_Y_F, _GRAD_Y_G = OracleTag.GRAD_X_F, OracleTag.GRAD_Y_F, OracleTag.GRAD_Y_G
+_HVP_XY_G, _HVP_YY_G = OracleTag.HVP_XY_G, OracleTag.HVP_YY_G
+
+
 class StochasticOracle:
     """The five stochastic oracles, realized as deterministic map + noise.
 
@@ -198,16 +205,16 @@ class StochasticOracle:
         addition commute, so the result is bit for bit
         ``g + (scale / sqrt(dim)) * draw``."""
         kind = self.noise.kind
-        if kind is NoiseKind.NOISELESS:
+        if kind is _NOISELESS:
             return g
         if z is not None:
-            scale = scale * _norm(z)
+            scale = scale * math.sqrt(z.dot(z))   # _norm(z), inline
         dim = g.shape[0]
         if scale == 0.0:
             return g + np.zeros(dim)   # no draw; the sum turns -0.0 into 0.0
         v = sample.generator(tag).standard_normal(dim)
         v *= scale / math.sqrt(dim)
-        if clip and kind is NoiseKind.BOUNDED:
+        if clip and kind is _BOUNDED:
             n = _norm(v)
             if n > scale:
                 # shave slightly below the bound: the almost-sure contract must
@@ -217,29 +224,27 @@ class StochasticOracle:
         return v
 
     def grad_x_F(self, x: Vec, y: Vec, sample: Sample) -> Vec:
-        return self._noisy(self.det.grad_x_f(x, y), sample, OracleTag.GRAD_X_F,
+        return self._noisy(self.det.grad_x_f(x, y), sample, _GRAD_X_F,
                            self.noise.sigma_f1, True)
 
     def grad_y_F(self, x: Vec, y: Vec, sample: Sample) -> Vec:
-        return self._noisy(self.det.grad_y_f(x, y), sample, OracleTag.GRAD_Y_F,
+        return self._noisy(self.det.grad_y_f(x, y), sample, _GRAD_Y_F,
                            self.noise.sigma_f1, True)
 
     def grad_y_G(self, x: Vec, y: Vec, sample: Sample, point=None) -> Vec:
         g = self.det.grad_y_g(x, y) if point is None else point.grad()
         # light-tailed in both noise models, never clipped
-        return self._noisy(g, sample, OracleTag.GRAD_Y_G, self.noise.sigma_g1, False)
+        return self._noisy(g, sample, _GRAD_Y_G, self.noise.sigma_g1, False)
 
     def hvp_xy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample, point=None) -> Vec:
         g = self.det.hvp_xy_g(x, y, z) if point is None else point.hvp_xy(z)
-        return self._noisy(g, sample, OracleTag.HVP_XY_G, self.noise.sigma_g2, True, z)
+        return self._noisy(g, sample, _HVP_XY_G, self.noise.sigma_g2, True, z)
 
     def hvp_yy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample, point=None) -> Vec:
         g = self.det.hvp_yy_g(x, y, z) if point is None else point.hvp_yy(z)
-        if self.noise.kind is NoiseKind.BOUNDED:
-            return self._noisy(g, sample, OracleTag.HVP_YY_G,
-                               self.noise.sigma_z, True)
-        return self._noisy(g, sample, OracleTag.HVP_YY_G, self.noise.sigma_g2,
-                           False, z)
+        if self.noise.kind is _BOUNDED:
+            return self._noisy(g, sample, _HVP_YY_G, self.noise.sigma_z, True)
+        return self._noisy(g, sample, _HVP_YY_G, self.noise.sigma_g2, False, z)
 
 
 @dataclass(frozen=True)

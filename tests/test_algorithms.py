@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -667,6 +668,40 @@ def test_solver_failure_inside_a_block_ends_the_run_at_its_row(monkeypatch):
     for got, want in zip((state.x, state.y, state.z, state.m), rows[130]):
         np.testing.assert_array_equal(got, want)
     assert state.calls.as_tuple() == full.records[130][6:]
+
+
+def test_run_reads_layers_as_patched_before_it_starts(monkeypatch):
+    # a run binds its oracle methods once, at its start: a wrapper put on
+    # the class before then sees every oracle call, and every draw goes
+    # through Sample.generator
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    oracles = ("grad_x_F", "grad_y_F", "grad_y_G", "hvp_xy_G", "hvp_yy_G")
+    for name in oracles:
+        monkeypatch.setattr(StochasticOracle, name,
+                            counted(name, getattr(StochasticOracle, name)))
+    monkeypatch.setattr(Sample, "generator", counted("draw", Sample.generator))
+    prob = bb.make_q2(bb.NoiseModel.gaussian(0.05, 0.05, 0.05))
+    t = 20
+    sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                   "eta": 0.01, "T": t, "T0": 5})
+    x0, y0, z0 = np.zeros(2), np.ones(2), np.zeros(2)
+    # grad_y_G: T0 + T, plus 3 refinement steps after every 2nd iteration
+    for run, gyg in ((lambda: bb.slip_run(prob, sched, x0, y0, z0, seed=1), 25),
+                     (lambda: bb.double_loop_run(prob, sched, 2, 3, x0, y0, z0,
+                                                 seed=1), 55)):
+        counts.clear()
+        run()
+        # with z0 = 0 both z-scaled products at t = 0 have noise scale 0
+        # and draw nothing: 103 draws for 105 calls, 133 for 135
+        assert counts == {"grad_x_F": t, "grad_y_F": t, "grad_y_G": gyg,
+                          "hvp_xy_G": t, "hvp_yy_G": t, "draw": 4 * t + gyg - 2}
 
 
 class TestBaselines:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bilevelbench import samples
 from bilevelbench.samples import (ConfigurationError, OracleTag, Sample,
                                   Stream, check_range, unchecked_sample)
 
@@ -155,6 +156,19 @@ def test_threads_draw_as_one_thread_does():
     for draws in got:
         assert draws is not None
         assert all(np.array_equal(g, e) for g, e in zip(draws, expected, strict=True))
+
+
+def test_each_thread_keeps_one_generator():
+    # one generator per thread, rewound per draw, and never another thread's
+    a = Sample(Stream.PI, 3, 11).generator(OracleTag.GRAD_Y_G)
+    b = Sample(Stream.ZETA, 4, 12).generator(OracleTag.HVP_YY_G)
+    assert a is b and samples._local.philox[0] is a
+    other = []
+    th = threading.Thread(target=lambda: other.append(
+        Sample(Stream.PI, 3, 11).generator(OracleTag.GRAD_Y_G)))
+    th.start()
+    th.join(timeout=30)
+    assert len(other) == 1 and other[0] is not a
 
 
 @pytest.mark.parametrize("stream", list(Stream))

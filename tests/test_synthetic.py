@@ -117,6 +117,25 @@ class TestUnboundedSmooth:
         with pytest.raises(OverflowError):
             prob2.upper(np.array([351.0, 0.0]), np.zeros(2))
 
+    @pytest.mark.parametrize("dim", [2, 16, 64])
+    @pytest.mark.parametrize("call", ["grad_x_f", "upper"])
+    def test_overflow_guard_never_overflows_itself(self, dim, call):
+        # a coordinate whose square overflows still gets the guard's own
+        # OverflowError, not a numpy overflow warning (an error under the
+        # warnings filter the tests run with)
+        prob = bb.make_unbounded_smooth(bb.UnboundedSmoothSpec(
+            a=1.0, core=random_quadratic_spec(dim, dim, seed=3)))
+        fn = prob.det.grad_x_f if call == "grad_x_f" else prob.upper
+        x_max = prob.metadata["x_max"]
+        for v in (1e200, -1e200, np.finfo(float).max, np.nextafter(x_max, np.inf)):
+            x = np.full(dim, 1.0)
+            x[dim // 2] = v
+            with pytest.raises(OverflowError, match="exceeds the cosh evaluation range"):
+                fn(x, np.zeros(dim))
+        x = np.zeros(dim)
+        x[dim // 2] = x_max
+        fn(x, np.zeros(dim))   # on the bound: no raise
+
     def test_finite_diff_matches_analytic(self):
         prob = self.make(a=1.3)
         rng = np.random.default_rng(5)

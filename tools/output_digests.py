@@ -6,9 +6,9 @@ Runs, in a temporary directory, with the ``bilevelbench`` sources of the
 checkout this file sits in:
 
 * ``run_experiment`` on each ``configs/*_slip.cfg``, on
-  ``HYPERCLEAN_SMALL`` and on each benchmark workload's ``render_configs``
-  at every seed of ``SEEDS``: one digest per trace CSV and per metadata
-  file, the metadata without its ``wall_seconds`` lines;
+  ``HYPERCLEAN_SMALL``, on ``Q2_BOUNDED`` and on each benchmark workload's
+  ``render_configs`` at every seed of ``SEEDS``: one digest per trace CSV
+  and per metadata file, the metadata without its ``wall_seconds`` lines;
 * the exit code and stdout of ``bilevelbench verify --suite all``;
 * the exit code and stdout of ``bilevelbench sweep --config
   configs/q2_theorem_sweep.cfg --eps 0.2,0.02,0.01``.
@@ -71,6 +71,35 @@ z0 = 0.0
 """
 
 
+# Q2 under the bounded noise model, over SEEDS: the only run here whose
+# draws are clipped (about a third of them), so the only digest of the
+# oracles' clip branch.
+Q2_BOUNDED = """[problem]
+kind = quadratic
+preset = q2
+noise = bounded
+sigma_f1 = 0.05
+sigma_g1 = 0.05
+sigma_g2 = 0.05
+sigma_z = 0.05
+
+[algorithm]
+name = slip
+
+[schedule]
+mode = practical
+alpha = 0.1
+beta = 0.9
+gamma = 0.1
+eta = 0.01
+T = 300
+T0 = 10
+
+[run]
+seeds = {seeds}
+"""
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -105,10 +134,13 @@ def output_digests(seeds: tuple[int, ...], work: Path) -> dict[str, str]:
     for cfg_path in sorted((ROOT / "configs").glob("*_slip.cfg")):
         _run(cfg_path, work / cfg_path.stem / "run", f"configs/{cfg_path.name}",
              digests)
-    small = work / "hyperclean-small"
-    small.mkdir()
-    (small / "run.cfg").write_text(HYPERCLEAN_SMALL)
-    _run(small / "run.cfg", small / "run", "hyperclean-small", digests)
+    for name, text in (("hyperclean-small", HYPERCLEAN_SMALL),
+                       ("q2-bounded", Q2_BOUNDED.format(
+                           seeds=", ".join(map(str, seeds))))):
+        run_dir = work / name
+        run_dir.mkdir()
+        (run_dir / "run.cfg").write_text(text)
+        _run(run_dir / "run.cfg", run_dir / "run", name, digests)
     wl = _workloads()
     for name, workload in wl.WORKLOADS.items():
         for seed in seeds:
