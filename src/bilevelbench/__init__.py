@@ -6,9 +6,8 @@ from .algorithms import (NumericalDivergenceError, OracleCounter, RunAborted,
                          RunError, SlipState, double_loop_run, masoba_run,
                          sgd_dd, slip_run, ttsa_run)
 from .constants import (ParamSchedule, ScheduleMode, SchedulingError,
-                        SmoothnessConstants, derive_constants,
-                        schedule_practical, schedule_theorem41,
-                        schedule_theorem42, warm_start_T0)
+                        SmoothnessConstants, schedule_practical,
+                        schedule_theorem41, schedule_theorem42, warm_start_T0)
 from .problem import (BilevelProblem, ConfigurationError, DeterministicOracle,
                       LowerPoint, NoiseKind, NoiseModel, StochasticOracle,
                       hypergrad_estimate)
@@ -28,7 +27,7 @@ __all__ = [
     "ParamSchedule", "QuadraticSpec", "RunAborted", "RunError", "Sample",
     "ScheduleMode", "SchedulingError", "SlipState", "SmoothnessConstants",
     "StochasticOracle", "Stream", "Trace", "TraceRecord", "UnboundedSmoothSpec",
-    "derive_constants", "double_loop_run", "empirical_unbiasedness_check",
+    "double_loop_run", "empirical_unbiasedness_check",
     "hypergrad_estimate", "make_hyperclean", "make_q2", "make_quadratic",
     "make_unbounded_smooth", "masoba_run", "q2_spec", "random_quadratic",
     "read_trace", "schedule_practical", "schedule_theorem41",

@@ -187,8 +187,9 @@ def sgd_dd(problem: BilevelProblem, x: Vec, y0: Vec, alpha: float,
     y = np.asarray(y0, dtype=float).copy()
     lower = problem.det.lower_at(x)
     grad_y_G = problem.oracle.grad_y_G
+    PI_TILDE = Stream.PI_TILDE
     for t in range(n_steps):
-        g = grad_y_G(x, y, unchecked_sample(Stream.PI_TILDE, counter_start + t, seed),
+        g = grad_y_G(x, y, unchecked_sample(PI_TILDE, counter_start + t, seed),
                      lower(y))
         if calls is not None:
             calls.n_grad_y_G += 1

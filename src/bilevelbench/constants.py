@@ -2,10 +2,11 @@
 
 Holds the constant vocabulary of the analysis (strong convexity ``mu``,
 lower-level smoothness ``l_g1``/``l_g2``, relaxed-smoothness constants of the
-upper level, noise levels) together with the derived constants ``L0``, ``L1``
-and ``l_zstar``, and produces the two analysis-driven step-size schedules as
-well as a pass-through "practical" schedule for hand-tuned runs.  Bad input
-raises :class:`~bilevelbench.samples.ConfigurationError` or its subclass
+upper level, noise levels), whose read-only properties ``L0``, ``L1`` and
+``l_zstar`` derive the constants of the composed objective from them on each
+read, and produces the two analysis-driven step-size schedules as well as a
+pass-through "practical" schedule for hand-tuned runs.  Bad input raises
+:class:`~bilevelbench.samples.ConfigurationError` or its subclass
 :class:`SchedulingError`.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from .samples import ConfigurationError
@@ -35,11 +36,11 @@ class SchedulingError(ConfigurationError):
 
 @dataclass(frozen=True)
 class SmoothnessConstants:
-    """Problem constants; the ``L0 / L1 / l_zstar`` fields are derived.
+    """Declared upper bounds for one problem instance, each non-negative.
 
-    The raw fields are declared upper bounds for one problem instance.  Call
-    :func:`derive_constants` to fill the derived fields; it is idempotent and
-    never reads them.
+    ``L0``, ``L1`` and ``l_zstar`` are derived from them on each read, so a
+    copy made with ``dataclasses.replace`` never carries stale values;
+    reading one with ``mu <= 0`` raises.
     """
 
     mu: float
@@ -54,39 +55,41 @@ class SmoothnessConstants:
     sigma_g1: float = 0.0
     sigma_g2: float = 0.0
     sigma_z: float = 0.0
-    L0: float | None = None
-    L1: float | None = None
-    l_zstar: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("mu", "l_g1", "l_g2", "l_f0", "L_x0", "L_x1", "L_y0",
-                     "L_y1", "sigma_f1", "sigma_g1", "sigma_g2", "sigma_z"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not v >= 0:   # nan fails too
-                raise ConfigurationError(f"constant {name} must be non-negative, got {v}")
+                raise ConfigurationError(f"constant {f.name} must be non-negative, got {v}")
 
+    @property
+    def _kappa(self) -> float:
+        if self.mu <= 0:
+            raise ConfigurationError("mu must be strictly positive to derive constants "
+                                     f"(got mu={self.mu}); a zero mu divides by zero")
+        return math.sqrt(1.0 + (self.l_g1 / self.mu) ** 2)
 
-def derive_constants(raw: SmoothnessConstants) -> SmoothnessConstants:
-    """Fill ``L0``, ``L1`` and ``l_zstar`` from the raw constants.
+    @property
+    def L1(self) -> float:
+        """The gradient-growth coefficient of ``x -> f(x, y*(x))``."""
+        return self._kappa * self.L_x1
 
-    ``L1 = sqrt(1 + l_g1^2/mu^2) * L_x1``;  ``L0`` and ``l_zstar`` follow the
-    corresponding closed forms for the composed objective ``x -> f(x, y*(x))``
-    and for the Lipschitz constant of the linear-system solution ``z*(x)``.
-    """
-    if raw.mu <= 0:
-        raise ConfigurationError("mu must be strictly positive to derive constants "
-                                 f"(got mu={raw.mu}); a zero mu divides by zero")
-    kappa = math.sqrt(1.0 + (raw.l_g1 / raw.mu) ** 2)
-    l1 = kappa * raw.L_x1
-    l0 = kappa * (
-        raw.L_x0
-        + raw.L_x1 * raw.l_g1 * raw.l_f0 / raw.mu
-        + (raw.l_g1 / raw.mu) * (raw.L_y0 + raw.L_y1 * raw.l_f0)
-        + raw.l_f0 * (raw.l_g1 * raw.l_g2 + raw.l_g2 * raw.mu) / raw.mu ** 2
-    )
-    lz = kappa * (raw.l_g2 * raw.l_f0 / raw.mu ** 2
-                  + (raw.L_y0 + raw.L_y1 * raw.l_f0) / raw.mu)
-    return replace(raw, L0=l0, L1=l1, l_zstar=lz)
+    @property
+    def L0(self) -> float:
+        """The constant term of the relaxed smoothness of ``x -> f(x, y*(x))``."""
+        mu, l1, l_f0 = self.mu, self.l_g1, self.l_f0
+        return self._kappa * (
+            self.L_x0
+            + self.L_x1 * l1 * l_f0 / mu
+            + (l1 / mu) * (self.L_y0 + self.L_y1 * l_f0)
+            + l_f0 * (l1 * self.l_g2 + self.l_g2 * mu) / mu ** 2
+        )
+
+    @property
+    def l_zstar(self) -> float:
+        """The Lipschitz constant of the linear-system solution ``z*(x)``."""
+        return self._kappa * (self.l_g2 * self.l_f0 / self.mu ** 2
+                              + (self.L_y0 + self.L_y1 * self.l_f0) / self.mu)
 
 
 class ScheduleMode(enum.Enum):
@@ -153,12 +156,6 @@ def warm_start_T0(alpha_init: float, mu: float, L1: float, dist0: float) -> int:
     if target <= 1.0:
         return 0
     return math.ceil(math.log(target) / math.log(2.0 / (2.0 - mu * alpha_init)))
-
-
-def _require_derived(c: SmoothnessConstants) -> SmoothnessConstants:
-    if c.L0 is None or c.L1 is None or c.l_zstar is None:
-        return derive_constants(c)
-    return c
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -238,7 +235,7 @@ def _theorem_schedule(eps: float, delta: float, c: SmoothnessConstants,
                       Delta0: float, Delta_y0: float, Delta_z0: float,
                       grad_phi_x0: float | None,
                       mode: ScheduleMode) -> ParamSchedule:
-    c = _require_derived(c)
+    mu, l1, L0 = c.mu, c.l_g1, c.L0   # raises first when mu <= 0
     if not 0.0 < delta < 1.0:
         raise SchedulingError(f"delta must lie in (0, 1), got {delta}")
     # written so that nan fails each check
@@ -254,10 +251,10 @@ def _theorem_schedule(eps: float, delta: float, c: SmoothnessConstants,
             "sigma_g1 = 0 makes the analysis-driven step sizes degenerate "
             "(the momentum and warm-start formulas divide by sigma_g1^2); "
             "use the practical schedule for noiseless runs")
-    if c.l_g1 <= 0 or c.L0 <= 0:
+    if l1 <= 0 or L0 <= 0:
         raise SchedulingError(
-            f"theorem schedules need l_g1 > 0 and L0 > 0 (got l_g1={c.l_g1}, "
-            f"L0={c.L0})")
+            f"theorem schedules need l_g1 > 0 and L0 > 0 (got l_g1={l1}, "
+            f"L0={L0})")
 
     terms = _eps_ceiling_terms(c, delta, Delta0, Delta_y0, Delta_z0, grad_phi_x0)
     scale = 1.0
@@ -273,7 +270,6 @@ def _theorem_schedule(eps: float, delta: float, c: SmoothnessConstants,
             f"(binding term: {binding})",
             ceiling=ceiling, binding_term=binding)
 
-    mu, l1, L0 = c.mu, c.l_g1, c.L0
     # Work in log space: B itself overflows for small eps.
     log_b = 4.0 * (21.0 * math.log(2.0) + 1.0 + math.log(l1) + math.log(Delta0)
                    + 3.0 * math.log(L0) + 2.0 * math.log(c.sigma_g1)

@@ -571,7 +571,7 @@ def suite_oracles() -> list[CheckResult]:
         f"max deviation {worst_fix:.3e} at (y*, z*) under noiseless oracles"))
 
     convexity = max(
-        probe_strong_convexity(p, p.constants.mu, 1000, seed=5)
+        probe_strong_convexity(p, 1000, seed=5)
         for p in _shipped_instances())
     results.append(CheckResult(
         "strong-convexity-probe", convexity <= 1e-9,
@@ -598,7 +598,7 @@ def warmstart_report() -> tuple[WarmStartReport, float, int]:
     alpha_init = warm_start_alpha(c, 0.05)
     # dist0 = ||y0_init - y*(x0)|| = sqrt(2) for y0_init = 1, x0 = 0
     t0 = warm_start_T0(alpha_init, c.mu, c.L1, math.sqrt(2.0))
-    return check_warm_start(prob, alpha_init, t0, c.L1, 200, 0.05), alpha_init, t0
+    return check_warm_start(prob, alpha_init, t0, 200, 0.05), alpha_init, t0
 
 
 def suite_warmstart() -> list[CheckResult]:

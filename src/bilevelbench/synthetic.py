@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import verify
-from .constants import SmoothnessConstants, derive_constants
+from .constants import SmoothnessConstants
 from .problem import (SIGMAS, BilevelProblem, ConfigurationError,
                       DeterministicOracle, LowerPoint, NoiseModel,
                       StochasticOracle, _mv)
@@ -99,11 +99,11 @@ def _quadratic_problem(core: QuadraticSpec, noise: NoiseModel,
     # sup over [-1, 1]^dim_x of ||y*(x) - e||, via the operator-norm bound
     l_f0 = (float(np.linalg.norm(a_inv @ b, 2)) * math.sqrt(core.dim_x)
             + float(np.linalg.norm(a_inv @ c - e)))
-    consts = derive_constants(SmoothnessConstants(
+    consts = SmoothnessConstants(
         mu=mu, l_g1=l_g1, l_g2=0.0, l_f0=l_f0,
         L_x0=L_x0, L_x1=L_x1, L_y0=1.0, L_y1=0.0,
         **{s: getattr(noise, s) for s in SIGMAS},
-    ))
+    )
 
     def lower(x: Vec, y: Vec) -> float:
         return float(0.5 * y @ (a @ y) - y @ (b @ x + c))
@@ -401,7 +401,7 @@ def make_hyperclean(spec: HypercleanSpec,
 
     tr_norms = np.linalg.norm(feats_tr, axis=1)
     val_norms = np.linalg.norm(feats_val, axis=1)
-    consts = derive_constants(SmoothnessConstants(
+    consts = SmoothnessConstants(
         mu=2.0 * lam,
         l_g1=0.25 * float(np.mean(tr_norms ** 2)) + 2.0 * lam,
         # third-derivative bound of the logistic loss is 1/(6*sqrt(3))
@@ -411,7 +411,7 @@ def make_hyperclean(spec: HypercleanSpec,
         L_x0=0.0, L_x1=0.0,
         L_y0=0.25 * float(np.mean(val_norms ** 2)), L_y1=0.0,
         **{s: getattr(noise, s) for s in SIGMAS},
-    ))
+    )
 
     # The ground truth from the deterministic solvers, read as module
     # attributes at each call so that a wrapper patched onto them sees every

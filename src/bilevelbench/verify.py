@@ -30,7 +30,7 @@ import numpy as np
 from .algorithms import sgd_dd
 from .constants import ParamSchedule, SmoothnessConstants
 from .problem import (SIGMAS, BilevelProblem, ConfigurationError, LowerPoint,
-                      NoiseKind, StochasticOracle, _mv, _norms)
+                      NoiseKind, _mv, _norms)
 from .samples import Sample, Stream
 from .trace import Trace
 
@@ -182,15 +182,15 @@ class WarmStartReport:
 
 
 def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
-                     L1: float, n_seeds: int, delta: float, *,
+                     n_seeds: int, delta: float, *,
                      y0_init: Vec | None = None) -> WarmStartReport:
     """Empirical check of the warm-start guarantee.
 
     Runs the frozen-x lower-level SGD at ``x = 0`` from ``y0_init`` (all
     ones by default) for ``T0`` steps per seed ``0 .. n_seeds-1`` and reports
     the fraction of seeds whose final distance to the minimizer exceeds
-    ``1/(8*sqrt(2)*L1)``; PASS when the fraction stays within ``delta`` plus
-    a two-sigma binomial margin.
+    ``1/(8*sqrt(2)*L1)``, ``L1`` the problem's own; PASS when the fraction
+    stays within ``delta`` plus a two-sigma binomial margin.
     """
     if n_seeds < 100:
         raise ConfigurationError(f"need at least 100 seeds, got {n_seeds}")
@@ -198,6 +198,7 @@ def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
     y0_init = (np.ones(problem.dim_y) if y0_init is None
                else np.asarray(y0_init, dtype=float))
     ystar = problem.solve(x0)[0]
+    L1 = problem.constants.L1
     threshold = math.inf if L1 == 0 else 1.0 / (8.0 * math.sqrt(2.0) * L1)
     violations = 0
     for s in range(n_seeds):
@@ -254,14 +255,15 @@ def check_bias_decomposition(problem: BilevelProblem,
     return BiasReport(n_points=len(points), max_ratio=max_ratio)
 
 
-def probe_strong_convexity(problem: BilevelProblem, mu: float, n_probes: int,
+def probe_strong_convexity(problem: BilevelProblem, n_probes: int,
                            seed: int) -> float:
     """Largest relative violation of the three-point strong-convexity bound.
 
     Probes ``g(x, y2) >= g(x, y1) + <grad_y g(x, y1), y2 - y1> +
-    mu/2 * ||y2 - y1||^2`` at random points; returns the worst normalized
-    slack deficiency (0.0 when the inequality always holds).
+    mu/2 * ||y2 - y1||^2`` at random points, ``mu`` the problem's own;
+    returns the worst normalized slack deficiency (0.0 when it always holds).
     """
+    mu = problem.constants.mu
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
@@ -353,10 +355,10 @@ class UnbiasednessReport:
         return self.max_deviation_in_sigmas <= 4.0
 
 
-def empirical_unbiasedness_check(oracle: StochasticOracle, problem: BilevelProblem,
-                                 x: Vec, y: Vec, n: int,
+def empirical_unbiasedness_check(problem: BilevelProblem, x: Vec, y: Vec, n: int,
                                  rng_seed: int) -> UnbiasednessReport:
     """Average n independent draws of each oracle against its exact value."""
+    oracle = problem.oracle
     noise = oracle.noise
     names = ("grad_x_F", "grad_y_F", "grad_y_G", "hvp_xy_G", "hvp_yy_G")
     if noise.kind is NoiseKind.NOISELESS or all(

@@ -195,13 +195,13 @@ def test_09_schedule_identities():
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 100:
-        c = bb.derive_constants(bb.SmoothnessConstants(
+        c = bb.SmoothnessConstants(
             mu=rng.uniform(0.2, 3.0), l_g1=rng.uniform(0.5, 6.0),
             l_g2=rng.uniform(0.0, 1.0), l_f0=rng.uniform(0.0, 3.0),
             L_x0=rng.uniform(0.1, 3.0), L_x1=rng.uniform(0.01, 2.0),
             L_y0=rng.uniform(0.0, 2.0), L_y1=rng.uniform(0.0, 1.0),
             sigma_f1=rng.uniform(0.0, 1.0), sigma_g1=rng.uniform(0.05, 1.0),
-            sigma_g2=rng.uniform(0.0, 1.0), sigma_z=rng.uniform(0.0, 1.0)))
+            sigma_g2=rng.uniform(0.0, 1.0), sigma_z=rng.uniform(0.0, 1.0))
         if c.l_g1 < c.mu:
             continue
         d0, dy0, dz0 = rng.uniform(0.1, 5.0, size=3)

@@ -9,11 +9,12 @@ from bilevelbench.constants import ScheduleMode
 
 
 def paper_scale_constants():
-    """Unit constants with the derived fields pinned directly."""
+    """Unit constants: ``L_x0 = L_x1 = 1/sqrt(2)`` times ``sqrt(1 + l_g1^2/mu^2)
+    = sqrt(2)`` gives ``L0 = L1 = 1.0`` exactly."""
     return bb.SmoothnessConstants(
-        mu=1.0, l_g1=1.0, l_g2=0.0, l_f0=0.0, L_x0=1.0, L_x1=1.0,
-        L_y0=0.0, L_y1=0.0, sigma_f1=1.0, sigma_g1=1.0, sigma_g2=1.0,
-        sigma_z=1.0, L0=1.0, L1=1.0, l_zstar=1.0)
+        mu=1.0, l_g1=1.0, l_g2=0.0, l_f0=0.0, L_x0=1.0 / math.sqrt(2.0),
+        L_x1=1.0 / math.sqrt(2.0), L_y0=0.0, L_y1=0.0, sigma_f1=1.0,
+        sigma_g1=1.0, sigma_g2=1.0, sigma_z=1.0)
 
 
 def random_constants(rng):
@@ -30,35 +31,62 @@ def random_constants(rng):
         sigma_g1=rng.uniform(0.05, 1.0),
         sigma_g2=rng.uniform(0.0, 1.0),
         sigma_z=rng.uniform(0.0, 1.0))
-    return bb.derive_constants(
-        dataclasses.replace(c, l_g1=c.mu * rng.uniform(1.0, 4.0)))
+    return dataclasses.replace(c, l_g1=c.mu * rng.uniform(1.0, 4.0))
 
 
 class TestDeriveConstants:
     def test_l1_no_coupling(self):
-        c = bb.derive_constants(bb.SmoothnessConstants(mu=1.0, l_g1=0.0, L_x1=3.0))
+        c = bb.SmoothnessConstants(mu=1.0, l_g1=0.0, L_x1=3.0)
         assert c.L1 == 3.0
 
     def test_l1_sqrt2(self):
-        c = bb.derive_constants(bb.SmoothnessConstants(mu=1.0, l_g1=1.0, L_x1=1.0))
+        c = bb.SmoothnessConstants(mu=1.0, l_g1=1.0, L_x1=1.0)
         assert c.L1 == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert c.L1 == pytest.approx(1.41421, abs=1e-5)
 
     def test_l_zstar(self):
-        c = bb.derive_constants(bb.SmoothnessConstants(
-            mu=1.0, l_g1=1.0, l_g2=0.0, l_f0=0.0, L_y0=2.0, L_y1=0.0))
+        c = bb.SmoothnessConstants(
+            mu=1.0, l_g1=1.0, l_g2=0.0, l_f0=0.0, L_y0=2.0, L_y1=0.0)
         assert c.l_zstar == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
 
     def test_idempotent(self):
-        c1 = bb.derive_constants(bb.SmoothnessConstants(
+        # the derived constants are read-only and read alike every time
+        c1 = bb.SmoothnessConstants(
             mu=0.7, l_g1=2.0, l_g2=0.3, l_f0=1.1, L_x0=0.5, L_x1=0.9,
-            L_y0=0.4, L_y1=0.2))
-        c2 = bb.derive_constants(c1)
+            L_y0=0.4, L_y1=0.2)
+        c2 = dataclasses.replace(c1)
         assert (c1.L0, c1.L1, c1.l_zstar) == (c2.L0, c2.L1, c2.l_zstar)
+        for name in ("L0", "L1", "l_zstar"):
+            with pytest.raises(AttributeError):
+                setattr(c1, name, 1.0)
+            with pytest.raises(TypeError):
+                bb.SmoothnessConstants(mu=0.7, l_g1=2.0, **{name: 1.0})
 
     def test_zero_mu_rejected(self):
-        with pytest.raises(ValueError, match="mu"):
-            bb.derive_constants(bb.SmoothnessConstants(mu=0.0, l_g1=1.0))
+        c = bb.SmoothnessConstants(mu=0.0, l_g1=1.0)
+        for name in ("L0", "L1", "l_zstar"):
+            with pytest.raises(ValueError, match="mu"):
+                getattr(c, name)
+
+    def test_replace_derives_afresh(self):
+        # a copy of Q2's constants with L_x1 = 3 carries the L1 and schedule
+        # of the Q2 instance built with L_x1 = 3
+        noise = bb.NoiseModel.gaussian(0.05, 0.05, 0.05)
+        bumped = dataclasses.replace(bb.make_q2(noise).constants, L_x1=3.0)
+        fresh = bb.make_quadratic(bb.q2_spec(), noise, declared_L_x1=3.0).constants
+        assert bumped == fresh
+        assert bumped.L1 == fresh.L1 == pytest.approx(3.0 * math.sqrt(2.0))
+        assert (bumped.L0, bumped.l_zstar) == (fresh.L0, fresh.l_zstar)
+        s = bb.schedule_theorem41(0.05, 0.1, bumped, 1.0, 1.0, 1.0)
+        assert s == bb.schedule_theorem41(0.05, 0.1, fresh, 1.0, 1.0, 1.0)
+        assert (s.T0, s.T) == (1280, pytest.approx(3.91e17, rel=1e-3))
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(bb.SmoothnessConstants)])
+    def test_negative_or_nan_field_rejected(self, name):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(bb.ConfigurationError, match=f"constant {name} "):
+                bb.SmoothnessConstants(**{"mu": 1.0, "l_g1": 1.0, name: bad})
 
     def test_monotone_in_raw_constants(self):
         # increasing any raw constant other than the strong-convexity modulus
@@ -69,8 +97,8 @@ class TestDeriveConstants:
         for _ in range(50):
             base = random_constants(rng)
             name = fields[rng.integers(len(fields))]
-            bumped = bb.derive_constants(dataclasses.replace(
-                base, **{name: getattr(base, name) + rng.uniform(0.01, 1.0)}))
+            bumped = dataclasses.replace(
+                base, **{name: getattr(base, name) + rng.uniform(0.01, 1.0)})
             assert bumped.L0 >= base.L0 - 1e-12
             assert bumped.L1 >= base.L1 - 1e-12
 

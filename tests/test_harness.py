@@ -71,8 +71,7 @@ class TestTrackingBoundCheck:
 
     def test_r_zero_reduces_to_static_bound(self):
         # with no drift the bound is the frozen-x tracking bound
-        c = bb.derive_constants(bb.SmoothnessConstants(
-            mu=2.0, l_g1=2.0, sigma_g1=0.1, L_x1=1.0))
+        c = bb.SmoothnessConstants(mu=2.0, l_g1=2.0, sigma_g1=0.1, L_x1=1.0)
         got = tracking_bound(7, 0.5, 0.1, 0.0, c, horizon=100, delta=0.05)
         static = ((1 - c.mu * 0.1 / 2) ** 7 * 0.5
                   + (8 * 0.1 * c.sigma_g1 ** 2 / c.mu)
@@ -87,7 +86,7 @@ class TestTrackingBoundCheck:
     def test_missing_y_err_raises(self):
         sched = bb.schedule_practical({"alpha": 0.25, "beta": 0.9,
                                        "gamma": 0.1, "eta": 0.005, "T": 5})
-        c = bb.derive_constants(bb.SmoothnessConstants(mu=1.0, l_g1=1.0))
+        c = bb.SmoothnessConstants(mu=1.0, l_g1=1.0)
         no_metrics = Trace()
         no_metrics.append(
             TraceRecord(0, None, None, None, None, None, 1, 1, 1, 1, 1))

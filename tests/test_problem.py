@@ -144,30 +144,30 @@ class TestNoiseModels:
 
 class TestUnbiasedness:
     def test_noiseless_trivial(self, q2):
-        rep = empirical_unbiasedness_check(q2.oracle, q2, np.zeros(2),
-                                           np.zeros(2), 100, rng_seed=0)
+        rep = empirical_unbiasedness_check(q2, np.zeros(2), np.zeros(2), 100,
+                                           rng_seed=0)
         assert rep.max_deviation_in_sigmas == 0.0
         assert rep.passed
 
     def test_gaussian_pinned(self, q2_gauss):
         rep = empirical_unbiasedness_check(
-            q2_gauss.oracle, q2_gauss, np.array([0.3, -0.2]),
-            np.array([0.1, 0.5]), 10000, rng_seed=42)
+            q2_gauss, np.array([0.3, -0.2]), np.array([0.1, 0.5]), 10000,
+            rng_seed=42)
         assert rep.max_deviation_in_sigmas <= 4.0
         # pinned seed: the observed worst deviation stays stable
         assert rep.max_deviation_in_sigmas == pytest.approx(1.196, abs=0.02)
 
     def test_zero_sigma_gaussian_small_n(self, q2):
         prob = bb.make_q2(bb.NoiseModel.gaussian(0.0, 0.0, 0.0))
-        rep = empirical_unbiasedness_check(prob.oracle, prob, np.zeros(2),
-                                           np.zeros(2), 10, rng_seed=0)
+        rep = empirical_unbiasedness_check(prob, np.zeros(2), np.zeros(2), 10,
+                                           rng_seed=0)
         assert rep.max_deviation_in_sigmas == 0.0
 
     def test_zero_sigma_oracles_under_noise(self):
         # only grad_x_F and grad_y_F are noisy: the other three average to
         # their exact values and read exactly 0
         prob = bb.make_q2(bb.NoiseModel.gaussian(0.1, 0.0, 0.0))
-        rep = empirical_unbiasedness_check(prob.oracle, prob, np.array([0.3, -0.2]),
+        rep = empirical_unbiasedness_check(prob, np.array([0.3, -0.2]),
                                            np.array([0.1, 0.5]), 200, rng_seed=3)
         for key in ("grad_y_G", "hvp_xy_G", "hvp_yy_G"):
             assert rep.deviations[key] == 0.0
@@ -176,9 +176,8 @@ class TestUnbiasedness:
 
     def test_small_n_rejected_under_noise(self, q2_gauss):
         with pytest.raises(bb.ConfigurationError):
-            empirical_unbiasedness_check(q2_gauss.oracle, q2_gauss,
-                                         np.zeros(2), np.zeros(2), 99,
-                                         rng_seed=0)
+            empirical_unbiasedness_check(q2_gauss, np.zeros(2), np.zeros(2),
+                                         99, rng_seed=0)
 
 
 def test_consistency_at_optimum_all_instances():

@@ -97,7 +97,7 @@ class TestUnboundedSmooth:
             assert hess <= a * a + a * abs(grad) + 1e-12
 
     def test_overflow_guard_edges(self):
-        # the one-dot shortcut clears a point only strictly inside the bound
+        # the math.hypot shortcut clears a point only strictly inside the bound
         prob = self.make(a=1.0)
         x_max = prob.metadata["x_max"]
         prob.det.grad_x_f(np.array([x_max, 0.0]), np.zeros(2))
@@ -174,7 +174,7 @@ class TestHyperclean:
             n_train=40, n_val=40, feature_dim=3, corruption_rate=0.2,
             reg=lam, seed=2))
         assert prob.constants.mu == pytest.approx(2 * lam)
-        assert probe_strong_convexity(prob, 2 * lam, 300, seed=0) <= 1e-9
+        assert probe_strong_convexity(prob, 300, seed=0) <= 1e-9
 
     def test_solver_backed_ground_truth(self):
         prob = bb.make_hyperclean(bb.HypercleanSpec(
@@ -204,7 +204,7 @@ def test_strong_convexity_probe_all_instances():
                                              corruption_rate=0.25, seed=3)),
     ]
     for prob in instances:
-        worst = probe_strong_convexity(prob, prob.constants.mu, 1000, seed=17)
+        worst = probe_strong_convexity(prob, 1000, seed=17)
         assert worst <= 1e-9, (prob.name, worst)
 
 

@@ -201,8 +201,7 @@ class TestWarmStartCheck:
         c = q2.constants
         alpha_init = 1.0 / (2.0 * c.l_g1)
         t0 = bb.warm_start_T0(alpha_init, c.mu, c.L1, dist0=math.sqrt(2.0))
-        report = check_warm_start(q2, alpha_init, t0, c.L1, n_seeds=100,
-                                  delta=0.05)
+        report = check_warm_start(q2, alpha_init, t0, n_seeds=100, delta=0.05)
         assert report.n_violations == 0
         assert report.passed
 
@@ -212,27 +211,25 @@ class TestWarmStartCheck:
         dist0 = 1.0 / (16.0 * math.sqrt(2.0) * c.L1)
         t0 = bb.warm_start_T0(0.1, c.mu, c.L1, dist0=dist0)
         assert t0 == 0
-        report = check_warm_start(q2, 0.1, t0, c.L1, n_seeds=100, delta=0.05,
+        report = check_warm_start(q2, 0.1, t0, n_seeds=100, delta=0.05,
                                   y0_init=np.full(2, dist0 / math.sqrt(2.0)))
         assert report.n_violations == 0
 
     def test_seed_minimum(self, q2):
         with pytest.raises(bb.ConfigurationError):
-            check_warm_start(q2, 0.1, 1, 1.0, n_seeds=10, delta=0.05)
+            check_warm_start(q2, 0.1, 1, n_seeds=10, delta=0.05)
 
     def test_delta_one_always_passes(self):
         # with delta -> 1 the pass bound exceeds any violation rate
         prob = bb.make_q2(bb.NoiseModel.gaussian(0.0, 2.0, 0.0))
-        report = check_warm_start(prob, 0.01, 1, prob.constants.L1,
-                                  n_seeds=100, delta=0.999)
+        report = check_warm_start(prob, 0.01, 1, n_seeds=100, delta=0.999)
         assert report.passed
 
     def test_delta_zero_passes_only_without_violations(self, q2):
         c = q2.constants
         alpha_init = 1.0 / (2.0 * c.l_g1)
         t0 = bb.warm_start_T0(alpha_init, c.mu, c.L1, dist0=math.sqrt(2.0))
-        report = check_warm_start(q2, alpha_init, t0, c.L1, n_seeds=100,
-                                  delta=0.0)
+        report = check_warm_start(q2, alpha_init, t0, n_seeds=100, delta=0.0)
         assert report.pass_rate_bound == 0.0
         assert report.passed  # noiseless: zero violations
 

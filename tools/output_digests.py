@@ -11,24 +11,31 @@ checkout this file sits in:
   and per metadata file, the metadata without its ``wall_seconds`` lines;
 * the exit code and stdout of ``bilevelbench verify --suite all``;
 * the exit code and stdout of ``bilevelbench sweep --config
-  configs/q2_theorem_sweep.cfg --eps 0.2,0.02,0.01``.
+  configs/q2_theorem_sweep.cfg --eps 0.2,0.02,0.01``, and of the sweep of
+  ``Q2_THEOREM42`` at ``--eps 0.65,0.64,0.2,0.02,0.01``.
 
-It prints one JSON object mapping each output's name to its sha256.  Run it
-in two checkouts and compare the objects: equal objects mean byte-identical
-outputs.  ``perfbench/workloads.py`` is loaded by path and nothing under
-``perfbench/`` is written.
+It prints one JSON object mapping each output's name to its sha256 on
+stdout, and the Python and numpy versions and the OpenBLAS build and core
+numpy calls on stderr: float outputs are byte-identical only on the same
+BLAS kernel.  Run it in two checkouts and compare the objects: equal objects
+mean byte-identical outputs.  ``perfbench/workloads.py`` is loaded by path
+and nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
@@ -100,6 +107,48 @@ seeds = {seeds}
 """
 
 
+# configs/q2_theorem_sweep.cfg in the high-probability mode, the only mode
+# whose admissibility ceiling reads l_zstar; the ceiling lies between 0.64
+# and 0.65, the two largest eps of its sweep.
+Q2_THEOREM42 = """[problem]
+kind = quadratic
+preset = q2
+noise = gaussian
+sigma_f1 = 0.1
+sigma_g1 = 0.1
+sigma_g2 = 0.1
+
+[algorithm]
+name = slip
+
+[schedule]
+mode = theorem42
+eps = 0.1
+delta = 0.1
+delta0 = 1.0
+delta_y0 = 1.0
+delta_z0 = 1.0
+
+[run]
+seeds = 1
+"""
+
+
+def _environment() -> str:
+    """Python, numpy, and the build and core of the OpenBLAS numpy bundles,
+    read through numpy's own extension module (which links it)."""
+    blas = "OpenBLAS unknown"
+    with contextlib.suppress(OSError, AttributeError):
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        info = []
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_"):
+            fn = getattr(lib, name)
+            fn.restype = ctypes.c_char_p
+            info.append(fn().decode().strip())
+        blas = "{}; core {}".format(*info)
+    return f"Python {platform.python_version()}, numpy {np.__version__}, {blas}"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -154,10 +203,15 @@ def output_digests(seeds: tuple[int, ...], work: Path) -> dict[str, str]:
     digests["sweep q2_theorem_sweep"] = _cli_digest(
         ["sweep", "--config", str(ROOT / "configs" / "q2_theorem_sweep.cfg"),
          "--eps", "0.2,0.02,0.01"])
+    cfg_path = work / "q2_theorem42.cfg"
+    cfg_path.write_text(Q2_THEOREM42)
+    digests["sweep q2_theorem42"] = _cli_digest(
+        ["sweep", "--config", str(cfg_path), "--eps", "0.65,0.64,0.2,0.02,0.01"])
     return digests
 
 
 def main() -> int:
+    print(_environment(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as td:
         digests = output_digests(SEEDS, Path(td))
     print(json.dumps(digests, indent=2))
