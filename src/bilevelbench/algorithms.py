@@ -257,8 +257,11 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
 
     calls = OracleCounter()
     m = np.zeros(problem.dim_x)
-    beta = schedule.beta
-    alpha, gamma, eta = schedule.alpha, schedule.gamma, schedule.eta
+    # the undecayed steps as 0-d arrays, which numpy applies to an array
+    # faster than a Python float of the same value
+    alpha, gamma, eta, beta, beta_c = (np.array(v, dtype=float) for v in (
+        schedule.alpha, schedule.gamma, schedule.eta, schedule.beta,
+        1.0 - schedule.beta))
     lower_at = problem.det.lower_at
     oracle = problem.oracle
     grad_y_G, hvp_yy_G, grad_y_F = oracle.grad_y_G, oracle.hvp_yy_G, oracle.grad_y_F
@@ -343,7 +346,7 @@ def _run_loop(problem: BilevelProblem, schedule: ParamSchedule, x0: Vec,
                     calls.n_grad_x_F += 1
                     calls.n_hvp_xy += 1
                     ghat = gx - hxy
-                    m = beta * m + (1.0 - beta) * ghat
+                    m = beta * m + beta_c * ghat
 
                     norm_m = _norm(m)
                     if normalize:

@@ -100,6 +100,9 @@ def _cmd_sweep(args) -> int:
     if args.out:
         write_atomic(args.out, text)
     sys.stdout.write(text)
+    for row in summary.rows:
+        if row.reason is not None:
+            print(f"SKIPPED eps={row.eps!r}: {row.reason}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -451,6 +451,7 @@ class SweepRow:
     total_calls: int | None
     avg_grad_norm: float | None
     binding_term: str | None
+    reason: str | None = None   # why a SKIPPED eps cannot run; not in the CSV
 
 
 @dataclass(frozen=True)
@@ -463,7 +464,7 @@ class SweepSummary:
             return "" if v is None else v if isinstance(v, str) else repr(v)
 
         lines = [SWEEP_HEADER,
-                 *(",".join(map(cell, astuple(r))) for r in self.rows)]
+                 *(",".join(map(cell, astuple(r)[:-1])) for r in self.rows)]
         if self.slope is not None:
             lines.append(f"# slope of log T vs log(1/eps): {self.slope!r}")
         return "\n".join(lines) + "\n"
@@ -499,7 +500,8 @@ def sweep_eps(cfg: RunConfig, eps_list: Sequence[float], *,
             schedule = resolve_schedule(sub, problem)
         except ConfigurationError as exc:
             binding = getattr(exc, "binding_term", None)
-            rows.append(SweepRow(eps, "SKIPPED", None, None, None, None, binding))
+            rows.append(SweepRow(eps, "SKIPPED", None, None, None, None, binding,
+                                 str(exc)))
             continue
         infos = [_run_single(problem, schedule, sub, seed)[1]
                  for seed in cfg.seeds] if execute else []

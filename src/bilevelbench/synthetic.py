@@ -258,15 +258,16 @@ def make_unbounded_smooth(spec: UnboundedSmoothSpec,
 
 # rows per slice of the stacked Hessian's (rows, n_train, feature_dim) product
 _HESS_ROWS = 32
+_ONE = np.array(1.0)
 
 
 def _sigmoid_neg(u):
     """``sigmoid(-u) = 1 / (1 + exp(u))``, with one temporary for an array."""
     if np.ndim(u) == 0:
-        return 1.0 / (1.0 + np.exp(u))
+        return _ONE / (_ONE + np.exp(u))
     e = np.exp(u)
-    e += 1.0
-    return np.divide(1.0, e, out=e)
+    e += _ONE
+    return np.divide(_ONE, e, out=e)
 
 
 def sigmoid(v):
@@ -340,8 +341,12 @@ def make_hyperclean(spec: HypercleanSpec,
     in dimension ``n_train`` and are meant to be initialized at 1.0.
     """
     feats_tr, lab_tr, feats_val, lab_val, corrupted = _hyperclean_data(spec)
-    n_tr, lam = spec.n_train, spec.reg
-    reg_hess = 2.0 * lam * np.eye(spec.feature_dim)
+    lam = spec.reg
+    # 0-d arrays: numpy applies them to an array faster than a Python float
+    n_tr, n_val, two_lam = map(np.array, (float(spec.n_train), float(spec.n_val),
+                                          2.0 * lam))
+    reg_hess = two_lam * np.eye(spec.feature_dim)
+    feats_tr_T = np.ascontiguousarray(feats_tr.T)
 
     def _margins(y: Vec) -> Vec:
         return lab_tr * _mv(feats_tr, y)
@@ -350,25 +355,29 @@ def make_hyperclean(spec: HypercleanSpec,
     # sigmoid(x)``, ``sx_lab = sx * lab_tr``, and at y the margins ``m``,
     # ``s = sigmoid(-m)`` and ``sp = sigmoid(m)``.
     def _grad(sx_lab: Vec, s: Vec, y: Vec) -> Vec:
-        return -_mv(feats_tr.T, sx_lab * s) / n_tr + 2.0 * lam * y
+        return -_mv(feats_tr.T, sx_lab * s) / n_tr + two_lam * y
 
     def _hess(sx: Vec, sp: Vec, s: Vec) -> np.ndarray:
-        # per row bit for bit (feats_tr.T * w) @ feats_tr, _HESS_ROWS rows at a time
-        w = (sx * sp * s)[..., None]
-        if w.ndim == 2:
-            return np.matmul(np.swapaxes(feats_tr * w, -1, -2), feats_tr) / n_tr + reg_hess
-        h = np.empty(w.shape[:-2] + reg_hess.shape)
-        for i in range(0, len(w), _HESS_ROWS):
-            np.matmul(np.swapaxes(feats_tr * w[i:i + _HESS_ROWS], -1, -2), feats_tr,
-                      out=h[i:i + _HESS_ROWS])
-        return h / n_tr + reg_hess
+        # per row bit for bit (feats_tr.T * w) @ feats_tr, _HESS_ROWS rows at a
+        # time: feats_tr * w is formed along n_train, the long axis, into one
+        # C-ordered buffer, and matmul reads its transposed view, the layout
+        # each row's BLAS call (and so its bits) depends on
+        w = sx * sp * s
+        rows = w.reshape(-1, 1, spec.n_train)
+        h = np.empty((len(rows),) + reg_hess.shape)
+        buf = np.empty((min(len(rows), _HESS_ROWS),) + feats_tr.shape)
+        for i in range(0, len(rows), _HESS_ROWS):
+            wi = rows[i:i + _HESS_ROWS]
+            prod = np.multiply(feats_tr_T, wi, out=np.swapaxes(buf[:len(wi)], -1, -2))
+            np.matmul(prod, feats_tr, out=h[i:i + _HESS_ROWS])
+        return h.reshape(w.shape[:-1] + reg_hess.shape) / n_tr + reg_hess
 
     def _hvp_yy(sx: Vec, sp: Vec, s: Vec, z: Vec) -> Vec:
         return (_mv(feats_tr.T, sx * (sp * s) * _mv(feats_tr, z)) / n_tr
-                + 2.0 * lam * z)
+                + two_lam * z)
 
     def _hvp_xy(sx: Vec, s: Vec, z: Vec) -> Vec:
-        return sx * (1.0 - sx) * (-(lab_tr * s) * _mv(feats_tr, z)) / n_tr
+        return sx * (_ONE - sx) * (-(lab_tr * s) * _mv(feats_tr, z)) / n_tr
 
     def lower(x: Vec, y: Vec) -> float:
         losses = np.logaddexp(0.0, -_margins(y))
@@ -393,11 +402,11 @@ def make_hyperclean(spec: HypercleanSpec,
         return at
 
     def grad_x_f(x: Vec, y: Vec) -> Vec:
-        return np.zeros(n_tr)
+        return np.zeros(spec.n_train)
 
     def grad_y_f(x: Vec, y: Vec) -> Vec:
         s = _sigmoid_neg(lab_val * _mv(feats_val, y))
-        return -_mv(feats_val.T, lab_val * s) / spec.n_val
+        return -_mv(feats_val.T, lab_val * s) / n_val
 
     tr_norms = np.linalg.norm(feats_tr, axis=1)
     val_norms = np.linalg.norm(feats_val, axis=1)
@@ -425,7 +434,7 @@ def make_hyperclean(spec: HypercleanSpec,
 
     det = DeterministicOracle(grad_x_f, grad_y_f, lower_at)
     problem = BilevelProblem(
-        dim_x=n_tr, dim_y=spec.feature_dim, upper=upper, lower=lower,
+        dim_x=spec.n_train, dim_y=spec.feature_dim, upper=upper, lower=lower,
         det=det, oracle=StochasticOracle(det, noise),
         solve=solve,
         constants=consts, name="hyperclean",

@@ -97,6 +97,21 @@ class TestSgdDD:
         with pytest.warns(UserWarning, match="tracking"):
             bb.sgd_dd(q2, np.zeros(2), np.ones(2), alpha=1.0, n_steps=1, seed=0)
 
+    def test_refinement_warns_as_for_a_float_alpha(self, q2):
+        # the loop binds alpha as a 0-d array and hands it to the refinement
+        alpha = 0.3141592653589793   # above 1/(2*l_g1) = 0.25 on Q2
+        sched = bb.schedule_practical({"alpha": alpha, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.01, "T": 2, "T0": 0})
+        with pytest.warns(UserWarning) as in_loop:
+            bb.double_loop_run(q2, sched, 1, 2, np.zeros(2), np.ones(2),
+                               np.zeros(2), seed=0)
+        with pytest.warns(UserWarning) as alone:
+            bb.sgd_dd(q2, np.zeros(2), np.ones(2), alpha, n_steps=1, seed=0)
+        want = [str(w.message) for w in alone]
+        assert want == ["alpha=0.314159 exceeds 1/(2*l_g1)=0.25; "
+                        "the tracking guarantees assume the smaller step"]
+        assert [str(w.message) for w in in_loop] == want * 2
+
     def test_never_reads_ground_truth(self, q2_gauss):
         def unreachable(x):
             raise AssertionError("sgd_dd read the ground truth")
@@ -705,6 +720,20 @@ def test_run_reads_layers_as_patched_before_it_starts(monkeypatch):
 
 
 class TestBaselines:
+    @pytest.mark.parametrize("name", ["slip", "masoba", "doubleloop", "ttsa"])
+    def test_state_iterates_are_float64_vectors(self, q2_gauss, name):
+        # the loop's undecayed steps are 0-d arrays; the iterates stay vectors
+        run = {"slip": bb.slip_run, "masoba": bb.masoba_run, "ttsa": bb.ttsa_run,
+               "doubleloop": lambda p, s, *args, **kw: bb.double_loop_run(
+                   p, s, 2, 3, *args, **kw)}[name]
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.01, "T": 5, "T0": 3})
+        state, _ = run(q2_gauss, sched, np.zeros(2), np.ones(2), np.zeros(2),
+                       seed=1)
+        for v in (state.x, state.y, state.z, state.m):
+            assert type(v) is np.ndarray
+            assert v.dtype == np.float64 and v.shape == (2,)
+
     def test_masoba_unnormalized_step(self):
         prob = constant_ghat_problem([30.0, 40.0])
         sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,

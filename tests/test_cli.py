@@ -219,6 +219,21 @@ def test_sweep_skips_an_eps_that_cannot_run(capsys):
     assert out[3] == "0.01,SKIPPED,,,,,"
 
 
+def test_sweep_says_why_an_eps_is_skipped(tmp_path, capsys):
+    # the CSV and the --out file keep their bytes; stderr gives the reason
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
+    out_file = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--config", str(cfg), "--eps", "0.2,0.02,0.01",
+                   "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == out_file.read_text()
+    assert captured.out.splitlines()[3] == "0.01,SKIPPED,,,,,"
+    assert captured.err == (
+        "SKIPPED eps=0.01: the schedule cannot run: sample counters must lie "
+        "in [0, 2**64), got 0..191249713052564553727\n")
+
+
 def test_sweep_execute_bad_init_exit_1(tmp_path, capsys):
     # a bad init is the config's fault, not one eps's: the sweep ends
     cfg = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"

@@ -365,6 +365,23 @@ def test_hyperclean_long_stacks_are_row_by_row(spec):
         assert hess[i].tobytes() == prob.det.lower_at(x[i])(y[i]).hess().tobytes()
 
 
+@pytest.mark.parametrize("height", [1, 31, 32, 33, 80, 128])
+def test_hyperclean_stacked_hessian_is_each_rows_own(height):
+    """A stacked ``hess()`` reuses one buffer per 32-row slice and ends on a
+    partial slice; each row still has the bytes of its own single-row
+    Hessian."""
+    prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)
+    rng = np.random.default_rng(height)
+    x = rng.uniform(-2.0, 2.0, (height, prob.dim_x))
+    y = rng.standard_normal((height, prob.dim_y))
+    hess = prob.det.lower_at(x)(y).hess()
+    assert hess.shape == (height, prob.dim_y, prob.dim_y)
+    for i in range(height):
+        alone = prob.det.lower_at(x[i])(y[i]).hess()
+        assert alone.shape == (prob.dim_y, prob.dim_y)
+        assert hess[i].tobytes() == alone.tobytes()
+
+
 def test_hyperclean_block_is_one_solve(monkeypatch):
     # a 128-row block takes one solve of each kind, not 128
     prob = bb.make_hyperclean(SHIPPED_HYPERCLEAN)

@@ -1,6 +1,8 @@
 """Print the sha256 of every output a behaviour-preserving change must keep.
 
-    python tools/output_digests.py
+    python tools/output_digests.py            # print the digests
+    python tools/output_digests.py --write    # record them in the manifest
+    python tools/output_digests.py --check    # compare them with the manifest
 
 Runs, in a temporary directory, with the ``bilevelbench`` sources of the
 checkout this file sits in:
@@ -15,15 +17,21 @@ checkout this file sits in:
   ``Q2_THEOREM42`` at ``--eps 0.65,0.64,0.2,0.02,0.01``.
 
 It prints one JSON object mapping each output's name to its sha256 on
-stdout, and the Python and numpy versions and the OpenBLAS build and core
-numpy calls on stderr: float outputs are byte-identical only on the same
-BLAS kernel.  Run it in two checkouts and compare the objects: equal objects
-mean byte-identical outputs.  ``perfbench/workloads.py`` is loaded by path
-and nothing under ``perfbench/`` is written.
+stdout, and the platform facts (the Python and numpy versions and the
+OpenBLAS build and core numpy calls) on stderr: float outputs are
+byte-identical only on the same BLAS kernel.  Equal objects mean
+byte-identical outputs.  ``--write`` records the facts and the digests in
+``tools/output_digests.json``, the committed manifest.  ``--check`` reads
+the manifest first: on other platform facts it says the manifest is not
+comparable and exits 2 without computing anything; otherwise it computes
+the digests, names each output whose digest moved, appeared or went, and
+exits 1 if there is one, else 0.  ``perfbench/workloads.py`` is loaded by
+path and nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import ctypes
 import hashlib
@@ -38,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tools" / "output_digests.json"
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -134,19 +143,42 @@ seeds = 1
 """
 
 
-def _environment() -> str:
+def platform_facts() -> dict[str, str]:
     """Python, numpy, and the build and core of the OpenBLAS numpy bundles,
     read through numpy's own extension module (which links it)."""
-    blas = "OpenBLAS unknown"
+    facts = {"python": platform.python_version(), "numpy": np.__version__,
+             "openblas_config": "unknown", "openblas_core": "unknown"}
     with contextlib.suppress(OSError, AttributeError):
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        info = []
-        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_"):
+        for key, name in (("openblas_config", "scipy_openblas_get_config64_"),
+                          ("openblas_core", "scipy_openblas_get_corename64_")):
             fn = getattr(lib, name)
-            fn.restype = ctypes.c_char_p
-            info.append(fn().decode().strip())
-        blas = "{}; core {}".format(*info)
-    return f"Python {platform.python_version()}, numpy {np.__version__}, {blas}"
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            facts[key] = fn().decode().strip()
+    return facts
+
+
+def platform_mismatch(recorded: dict[str, str], facts: dict[str, str]) -> list[str]:
+    """One line per platform fact that differs between the manifest's
+    ``recorded`` facts and ``facts``; empty when the two are comparable."""
+    return [f"{key}: manifest {recorded.get(key)!r}, here {facts.get(key)!r}"
+            for key in sorted(recorded.keys() | facts.keys())
+            if recorded.get(key) != facts.get(key)]
+
+
+def moved_outputs(recorded: dict[str, str], digests: dict[str, str]) -> list[str]:
+    """One line per output whose digest differs between the manifest's
+    ``recorded`` digests and ``digests``, in name order: moved, new (not in
+    the manifest) or gone (not computed)."""
+    lines = []
+    for name in sorted(recorded.keys() | digests.keys()):
+        if name not in digests:
+            lines.append(f"gone: {name}")
+        elif name not in recorded:
+            lines.append(f"new: {name}")
+        elif recorded[name] != digests[name]:
+            lines.append(f"moved: {name}")
+    return lines
 
 
 def _sha256(data: bytes) -> str:
@@ -210,11 +242,36 @@ def output_digests(seeds: tuple[int, ...], work: Path) -> dict[str, str]:
     return digests
 
 
-def main() -> int:
-    print(_environment(), file=sys.stderr)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true",
+                      help="record the platform facts and digests in the manifest")
+    mode.add_argument("--check", action="store_true",
+                      help="compare the digests with the manifest")
+    args = parser.parse_args(argv)
+    facts = platform_facts()
+    print(json.dumps(facts), file=sys.stderr)
+    if args.check:
+        manifest = json.loads(MANIFEST.read_text())
+        mismatch = platform_mismatch(manifest["platform"], facts)
+        if mismatch:
+            print("the manifest is not comparable: it was made on other platform "
+                  "facts", *mismatch, sep="\n")
+            return 2
     with tempfile.TemporaryDirectory() as td:
         digests = output_digests(SEEDS, Path(td))
-    print(json.dumps(digests, indent=2))
+    if args.write:
+        MANIFEST.write_text(json.dumps({"platform": facts, "digests": digests},
+                                       indent=2) + "\n")
+    elif args.check:
+        lines = moved_outputs(manifest["digests"], digests)
+        if lines:
+            print(*lines, sep="\n")
+            return 1
+        print(f"all {len(digests)} digests match the manifest")
+    else:
+        print(json.dumps(digests, indent=2))
     return 0
 
 
