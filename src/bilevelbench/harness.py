@@ -33,8 +33,9 @@ import numpy as np
 from .algorithms import (RunAborted, check_schedule_runs, double_loop_run,
                          default_metrics, masoba_run, slip_run, ttsa_run,
                          ttsa_schedule)
-from .constants import (ParamSchedule, schedule_practical, schedule_theorem41,
-                        schedule_theorem42, warm_start_alpha, warm_start_T0)
+from .constants import (ParamSchedule, ScheduleMode, schedule_practical,
+                        schedule_theorem41, schedule_theorem42, warm_start_alpha,
+                        warm_start_T0)
 from .problem import (SIGMAS, BilevelProblem, ConfigurationError, NoiseKind,
                       NoiseModel, hypergrad_estimate)
 from .samples import Sample, Stream, check_range
@@ -42,10 +43,10 @@ from .synthetic import (HypercleanSpec, UnboundedSmoothSpec, make_hyperclean,
                         make_q2, make_quadratic, make_unbounded_smooth,
                         q2_spec, random_quadratic, random_quadratic_spec)
 from .trace import COLUMNS, Trace, write_atomic, write_trace
-from .verify import (SolverSettings, TrackingReport, WarmStartReport,
-                     bound_check_tracking, check_bias_decomposition,
-                     check_warm_start, finite_diff_hypergrad,
-                     inner_solve_exact, probe_strong_convexity)
+from .verify import (EnsembleReport, SolverSettings, bound_check_tracking,
+                     check_bias_decomposition, check_warm_start,
+                     finite_diff_hypergrad, inner_solve_exact,
+                     probe_strong_convexity)
 
 logger = logging.getLogger(__name__)
 
@@ -86,12 +87,12 @@ class RunConfig:
     schedule value or an init as a float.  ``seeds`` and an init (``x0``,
     ``y0``, ``z0``) take a comma- or space-separated string, a sequence or
     one value; an init of one number is a float, else a tuple, all finite.
-    ``schedule`` is a :class:`ParamSchedule` or a mapping of ``mode`` and
-    the ``[schedule]`` keys: a practical one becomes its
-    :class:`ParamSchedule`, a theorem one stays a mapping for
-    :func:`resolve_schedule`.  ``max_wall_seconds`` is a float ``>= 0``
-    (``inf``, the default, sets no deadline).  ``workers`` has no effect:
-    seeds always run in order.
+    ``schedule`` is a :class:`ParamSchedule` or a mapping of ``mode`` (a
+    :class:`ScheduleMode` or its value) and the ``[schedule]`` keys: a
+    practical one becomes its :class:`ParamSchedule`, a theorem one stays a
+    mapping, its ``mode`` the value, for :func:`resolve_schedule`.
+    ``max_wall_seconds`` is a float ``>= 0`` (``inf``, the default, sets no
+    deadline).  ``workers`` has no effect: seeds always run in order.
     """
 
     problem_kind: str
@@ -143,20 +144,23 @@ class RunConfig:
                                          f"mapping, got {self.schedule!r}")
             values = dict(self.schedule)
             mode = values.pop("mode", None)
-            if mode not in ("practical", "theorem41", "theorem42"):
-                raise ConfigurationError(f"unknown schedule mode {mode!r}")
-            if mode != "practical":   # schedule_practical checks its own keys
+            try:
+                mode = ScheduleMode(mode)
+            except ValueError:
+                raise ConfigurationError(f"unknown schedule mode {mode!r}") from None
+            if mode is not ScheduleMode.PRACTICAL:   # practical checks its own keys
                 unknown = set(values) - _THEOREM_KEYS
                 if unknown:
                     raise ConfigurationError(f"unknown [schedule] keys for mode="
-                                             f"{mode}: {sorted(unknown, key=str)}")
+                                             f"{mode.value}: {sorted(unknown, key=str)}")
                 missing = _THEOREM_KEYS - {"grad_phi_x0"} - set(values)
                 if missing:
                     raise ConfigurationError(f"missing [schedule] keys for mode="
-                                             f"{mode}: {sorted(missing)}")
+                                             f"{mode.value}: {sorted(missing)}")
             values = {k: _converted(v, k, float) for k, v in values.items()}
             object.__setattr__(self, "schedule", schedule_practical(values)
-                               if mode == "practical" else {"mode": mode, **values})
+                               if mode is ScheduleMode.PRACTICAL
+                               else {"mode": mode.value, **values})
         object.__setattr__(self, "workers",
                            _converted(self.workers, "workers", int))
         if self.workers < 1:
@@ -312,7 +316,8 @@ def resolve_schedule(cfg: RunConfig, problem: BilevelProblem) -> ParamSchedule:
     built or run (:func:`check_schedule_runs`) raises ConfigurationError."""
     s = cfg.schedule
     if not isinstance(s, ParamSchedule):
-        builder = schedule_theorem41 if s["mode"] == "theorem41" else schedule_theorem42
+        theorem41 = ScheduleMode(s["mode"]) is ScheduleMode.THEOREM41
+        builder = schedule_theorem41 if theorem41 else schedule_theorem42
         try:
             s = builder(s["eps"], s["delta"], problem.constants, s["delta0"],
                         s["delta_y0"], s["delta_z0"], s.get("grad_phi_x0"))
@@ -590,7 +595,7 @@ def _shipped_instances() -> list[BilevelProblem]:
     ]
 
 
-def warmstart_report() -> tuple[WarmStartReport, float, int]:
+def warmstart_report() -> tuple[EnsembleReport, float, int]:
     """Warm-start tail bound on the noisy pinned quadratic instance
     (``sigma_g1 = 0.1``), 200 seeds at ``delta = 0.05``, with the warm-start
     step capped for that ``delta`` and the ``T0`` it needs from ``y0 = 1``.
@@ -608,11 +613,10 @@ def suite_warmstart() -> list[CheckResult]:
     report, _, t0 = warmstart_report()
     return [CheckResult(
         "warm-start-bound", report.passed,
-        f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f} "
-        f"(threshold {report.threshold:.4f}, T0 = {t0})")]
+        f"{report.summary} (threshold {report.threshold:.4f}, T0 = {t0})")]
 
 
-def tracking_report() -> TrackingReport:
+def tracking_report() -> EnsembleReport:
     """Main-loop tracking bound with drift radius equal to the step length,
     200 seeds at ``delta = 0.05``."""
     prob = make_q2(NoiseModel.gaussian(0.0, 0.1, 0.0))
@@ -628,9 +632,7 @@ def tracking_report() -> TrackingReport:
 def suite_tracking() -> list[CheckResult]:
     """The ensemble of :func:`tracking_report`."""
     report = tracking_report()
-    return [CheckResult(
-        "tracking-bound", report.passed,
-        f"violation rate {report.violation_rate:.4f} <= {report.pass_rate_bound:.4f}")]
+    return [CheckResult("tracking-bound", report.passed, report.summary)]
 
 
 def suite_bias() -> list[CheckResult]:

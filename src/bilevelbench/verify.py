@@ -2,21 +2,22 @@
 
 High-precision deterministic solvers for the lower-level minimizer and the
 linear system, finite-difference hypergradients, and one empirical checker
-with its report per guarantee: the warm-start tail bound
-(:func:`check_warm_start`), the drift-aware tracking bound
-(:func:`bound_check_tracking`), the pointwise hypergradient bias inequality
-(:func:`check_bias_decomposition`), lower-level strong convexity
-(:func:`probe_strong_convexity`) and oracle unbiasedness
-(:func:`empirical_unbiasedness_check`).  Both solvers are Newton on the
-materialized lower-level Hessian, read through the x-bound view
-``det.lower_at(x)`` that every problem carries: the inner solve returns
-its converged ``LowerPoint``, which the linear solve takes in place of
-``y``.  Both take a stack of points wherever ``lower_at`` does, through
-the one code path of a single point.  They are deliberately
-independent of the optimizers: they only consume the deterministic maps of
-a problem.  The named suites that run these checkers on fixed instances
-live in :mod:`bilevelbench.harness`, which, like the instances of
-:mod:`bilevelbench.synthetic`, builds on this module and never the reverse.
+per guarantee: the warm-start tail bound (:func:`check_warm_start`), the
+drift-aware tracking bound (:func:`bound_check_tracking`), the pointwise
+hypergradient bias inequality (:func:`check_bias_decomposition`),
+lower-level strong convexity (:func:`probe_strong_convexity`) and oracle
+unbiasedness (:func:`empirical_unbiasedness_check`).  The two seed-ensemble
+checks share one report, :class:`EnsembleReport`, which derives its pass
+bound from ``delta``.  Both solvers are Newton on the materialized
+lower-level Hessian, read through the x-bound view ``det.lower_at(x)`` that
+every problem carries: the inner solve returns its converged
+``LowerPoint``, which the linear solve takes in place of ``y``.  Both take
+a stack of points wherever ``lower_at`` does, through the one code path of
+a single point.  They are deliberately independent of the optimizers: they
+only consume the deterministic maps of a problem.  The named suites that
+run these checkers on fixed instances live in :mod:`bilevelbench.harness`,
+which, like the instances of :mod:`bilevelbench.synthetic`, builds on this
+module and never the reverse.
 """
 
 from __future__ import annotations
@@ -166,11 +167,19 @@ def binomial_margin(delta: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class WarmStartReport:
+class EnsembleReport:
+    """A seed ensemble's verdict: PASS when the violating fraction stays within
+    ``delta`` plus a two-sigma binomial margin, :attr:`pass_rate_bound`.
+    ``threshold`` is the warm start's distance bound, ``None`` for tracking."""
+
     n_seeds: int
     n_violations: int
-    threshold: float
-    pass_rate_bound: float
+    delta: float
+    threshold: float | None = None
+
+    @property
+    def pass_rate_bound(self) -> float:
+        return binomial_margin(self.delta, self.n_seeds)
 
     @property
     def violation_rate(self) -> float:
@@ -180,17 +189,22 @@ class WarmStartReport:
     def passed(self) -> bool:
         return self.violation_rate <= self.pass_rate_bound
 
+    @property
+    def summary(self) -> str:
+        """``violation rate <rate> <= <bound>``, the line both suites print."""
+        return (f"violation rate {self.violation_rate:.4f} <= "
+                f"{self.pass_rate_bound:.4f}")
+
 
 def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
                      n_seeds: int, delta: float, *,
-                     y0_init: Vec | None = None) -> WarmStartReport:
+                     y0_init: Vec | None = None) -> EnsembleReport:
     """Empirical check of the warm-start guarantee.
 
     Runs the frozen-x lower-level SGD at ``x = 0`` from ``y0_init`` (all
-    ones by default) for ``T0`` steps per seed ``0 .. n_seeds-1`` and reports
-    the fraction of seeds whose final distance to the minimizer exceeds
-    ``1/(8*sqrt(2)*L1)``, ``L1`` the problem's own; PASS when the fraction
-    stays within ``delta`` plus a two-sigma binomial margin.
+    ones by default) for ``T0`` steps per seed ``0 .. n_seeds-1``; a seed
+    violates when its final distance to the minimizer exceeds the report's
+    ``threshold``, ``1/(8*sqrt(2)*L1)`` with ``L1`` the problem's own.
     """
     if n_seeds < 100:
         raise ConfigurationError(f"need at least 100 seeds, got {n_seeds}")
@@ -205,9 +219,7 @@ def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
         y_end = sgd_dd(problem, x0, y0_init, alpha_init, T0, s)
         if float(np.linalg.norm(y_end - ystar)) > threshold:
             violations += 1
-    return WarmStartReport(n_seeds=n_seeds, n_violations=violations,
-                           threshold=threshold,
-                           pass_rate_bound=binomial_margin(delta, n_seeds))
+    return EnsembleReport(n_seeds, violations, delta, threshold)
 
 
 @dataclass(frozen=True)
@@ -290,31 +302,14 @@ def tracking_bound(t: int, dist0_sq: float, alpha: float, drift_radius: float,
             + (noise_term + drift_term) * log_factor)
 
 
-@dataclass(frozen=True)
-class TrackingReport:
-    n_seeds: int
-    n_violations: int
-    pass_rate_bound: float
-
-    @property
-    def violation_rate(self) -> float:
-        return self.n_violations / self.n_seeds if self.n_seeds else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_rate <= self.pass_rate_bound
-
-
 def bound_check_tracking(traces: Sequence[Trace],
                          schedule: ParamSchedule, c: SmoothnessConstants,
-                         delta: float) -> TrackingReport:
+                         delta: float) -> EnsembleReport:
     """Check the all-iterations tracking bound across a seed ensemble.
 
-    A seed violates when any of its iterations exceeds the bound; PASS when
-    the violating fraction stays within ``delta`` plus a two-sigma binomial
-    margin.  The drift radius is the upper-level step length
-    ``schedule.eta``.  A trace with no rows or an empty ``y_err`` column
-    raises ``ConfigurationError``.
+    A seed violates when any of its iterations exceeds the bound.  The drift
+    radius is the upper-level step length ``schedule.eta``.  A trace with no
+    rows or an empty ``y_err`` column raises ``ConfigurationError``.
     """
     if len(traces) < 50:
         raise ConfigurationError(f"need at least 50 seeds, got {len(traces)}")
@@ -330,9 +325,7 @@ def bound_check_tracking(traces: Sequence[Trace],
                 t, d0_sq, schedule.alpha, schedule.eta, c, horizon, delta)
             for t in range(horizon))
         n_viol += violated
-    return TrackingReport(n_seeds=len(traces),
-                          n_violations=n_viol,
-                          pass_rate_bound=binomial_margin(delta, len(traces)))
+    return EnsembleReport(len(traces), n_viol, delta)
 
 
 @dataclass(frozen=True)

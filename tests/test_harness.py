@@ -117,6 +117,15 @@ class TestTraceCsv:
         text = trace_to_csv(tr)
         assert trace_to_csv(trace_from_csv(text)) == text
 
+    def test_blank_lines_skipped(self, q2_gauss):
+        sched = bb.schedule_practical({"alpha": 0.1, "beta": 0.9, "gamma": 0.1,
+                                       "eta": 0.01, "T": 4, "T0": 1})
+        _, trace = bb.slip_run(q2_gauss, sched, np.zeros(2), np.ones(2),
+                               np.zeros(2), seed=9)
+        header, *rows = trace_to_csv(trace).splitlines()
+        text = "\n".join([header, "", rows[0], "", "", *rows[1:], "", ""])
+        assert trace_from_csv(text).records == trace.records
+
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "exp_seed0.csv"
         good = Trace()
@@ -327,6 +336,24 @@ class TestConfig:
                        "T": 5})}
         with pytest.raises(ConfigurationError, match="unknown"):
             RunConfig(**(fields | change))
+
+    @pytest.mark.parametrize("mode", list(bb.ScheduleMode), ids=str)
+    def test_schedule_mode_member_reads_as_its_value(self, mode):
+        # a member raised "unknown schedule mode <ScheduleMode.THEOREM41: ...>"
+        keys = ({"alpha": 0.1, "beta": 0.5, "gamma": 0.1, "eta": 0.01, "T": 5}
+                if mode is bb.ScheduleMode.PRACTICAL else THEOREM)
+        fields = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
+                  "noise": bb.NoiseModel.gaussian(0.1, 0.1, 0.1),
+                  "algorithm": "slip"}
+        by_member = RunConfig(**fields, schedule={**keys, "mode": mode})
+        by_value = RunConfig(**fields, schedule={**keys, "mode": mode.value})
+        assert by_member == by_value
+        if mode is not bb.ScheduleMode.PRACTICAL:
+            assert type(by_member.schedule["mode"]) is str
+        assert resolve_schedule(by_member, build_problem(by_member)).mode is mode
+        with pytest.raises(ConfigurationError,
+                           match=r"^unknown schedule mode 'Theorem41'$"):
+            RunConfig(**fields, schedule={**keys, "mode": "Theorem41"})
 
     def test_algorithm_defaults_filled(self):
         cfg = RunConfig(problem_kind="quadratic", problem_params={"preset": "q2"},
@@ -820,6 +847,22 @@ class TestRunExperiment:
         res = run_experiment(parse_config(path), tmp_path / "quiet")
         assert [s["skipped_steps"] for s in res.metadata["seeds"]] == [1, 1, 1]
         assert res.metadata["problem"]["sigma_g1"] == 0.0
+
+    def test_numpy_sigma_written_as_strict_json_float(self, tmp_path):
+        # json.dumps hands a numpy float32 to _json_default
+        cfg = RunConfig(problem_kind="quadratic", problem_params={"preset": "q2"},
+                        noise=bb.NoiseModel.gaussian(np.float32(0.05), 0.05, 0.05),
+                        algorithm="slip", schedule={"mode": "practical", "alpha": 0.1,
+                                                    "beta": 0.5, "gamma": 0.1,
+                                                    "eta": 0.01, "T": 5})
+
+        def refuse(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        res = run_experiment(cfg, tmp_path / "f32")
+        meta = json.loads(res.metadata_path.read_text(), parse_constant=refuse)
+        sigma = meta["problem"]["sigma_f1"]
+        assert type(sigma) is float and sigma == float(np.float32(0.05))
 
     @pytest.mark.parametrize("x0", [np.int64(1), np.array(1.0)],
                              ids=["int64", "0-d-array"])

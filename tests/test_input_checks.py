@@ -1,14 +1,20 @@
 """Input checks no other test reaches: each rejects its bad input with its
-own message before any work is done."""
+own message before any work is done.  The last test reads the one closed
+form that saturates to ``inf`` instead of rejecting its input."""
 
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench.harness import RunConfig, parse_config, sweep_eps
+from bilevelbench.harness import (RunConfig, build_problem, parse_config,
+                                  resolve_schedule, sweep_eps)
 from bilevelbench.verify import SolverSettings
+
+SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
 
 PRACTICAL = {"alpha": 0.1, "beta": 0.5, "gamma": 0.1, "eta": 0.01, "T": 5}
 CONFIG = {"problem_kind": "quadratic", "problem_params": {"preset": "q2"},
@@ -45,6 +51,13 @@ def _no_seeds_file(tmp_path):
     parse_config(path)
 
 
+def _overflowing_theorem_schedule(_):
+    # warm_start_T0 squares Delta_y0 past 1e308
+    cfg = parse_config(SWEEP_CFG)
+    cfg = dataclasses.replace(cfg, schedule={**cfg.schedule, "delta_y0": 1e200})
+    resolve_schedule(cfg, build_problem(cfg))
+
+
 CASES = {
     "run-z0-shape": (
         lambda _: bb.slip_run(bb.make_q2(), bb.schedule_practical(PRACTICAL),
@@ -53,6 +66,21 @@ CASES = {
     "config-no-seeds": (
         lambda _: RunConfig(**CONFIG, seeds=[]),
         bb.ConfigurationError, "seeds must be nonempty"),
+    "config-workers-0": (
+        lambda _: RunConfig(**CONFIG, workers=0),
+        bb.ConfigurationError, "workers must be >= 1"),
+    "schedule-T-0": (
+        lambda _: bb.schedule_practical({**PRACTICAL, "T": 0}),
+        bb.SchedulingError, "T must be a positive integer, got 0"),
+    "schedule-T0-negative": (
+        lambda _: bb.schedule_practical({**PRACTICAL, "T0": -1}),
+        bb.SchedulingError, "T0 must be non-negative, got -1"),
+    "warm-start-dist0-0": (
+        lambda _: bb.warm_start_T0(0.1, 1.0, 1.0, dist0=0.0),
+        bb.SchedulingError, "dist0 must be strictly positive, got 0.0"),
+    "theorem-closed-forms-overflow": (
+        _overflowing_theorem_schedule, bb.ConfigurationError,
+        r"the schedule's closed forms overflow \(OverflowError: "),
     "file-no-seeds": (
         _no_seeds_file, bb.ConfigurationError, r"\[run\] seeds is required"),
     "sweep-practical": (
@@ -92,3 +120,12 @@ def test_bad_input_rejected(case, tmp_path):
     call, error, match = CASES[case]
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+def test_theorem_schedule_past_exp_range_reads_inf():
+    # A = exp(log_A) past float range is inf, while T stays a finite int
+    c = bb.make_q2(bb.NoiseModel.gaussian(0.1, 0.1, 0.1)).constants
+    s = bb.schedule_theorem41(0.2, 0.1, c, 1e150, 1.0, 1.0)
+    assert s.A == math.inf and s.B == math.inf
+    assert s.log_A > math.log(np.finfo(float).max)
+    assert type(s.T) is int

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bilevelbench as bb
-from bilevelbench.plotting import (PlotError, plot, render_chart,
+from bilevelbench.plotting import (PlotError, Series, plot, render_chart,
                                    series_from_traces)
 
 
@@ -112,3 +112,30 @@ def test_refused_rename_keeps_old_chart(trace_files, tmp_path, monkeypatch):
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "algo1.csv", "algo2.csv", "chart.svg"]
+
+
+def test_no_values_to_plot():
+    series = [Series("a", [0.0, 1.0], [None, math.nan])]
+    with pytest.raises(PlotError, match="^no values to plot for metric 'y_err'$"):
+        render_chart(series, "y_err")
+
+
+@pytest.mark.parametrize("ts,values,x_ticks,y_ticks,points", [
+    ([3.0], [2.0], ["3", "3.25", "3.5", "3.75", "4"],
+     ["2", "2.25", "2.5", "2.75", "3"], "64.00,376.00"),
+    ([0.0, 1.0, 2.0], [5.0, 5.0, 5.0], ["0", "0.5", "1", "1.5", "2"],
+     ["5", "5.25", "5.5", "5.75", "6"],
+     "64.00,376.00 344.00,376.00 624.00,376.00"),
+], ids=["one-row", "constant-metric"])
+def test_zero_width_range_spans_one_unit(ts, values, x_ticks, y_ticks, points):
+    # a range of one value becomes [lo, lo + 1], its values on the low axis
+    svg = render_chart([Series("a", ts, values)], "grad_norm")
+    texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+
+    def labels(anchor):
+        return [t.firstChild.data for t in texts
+                if t.getAttribute("text-anchor") == anchor]
+
+    assert labels("middle") == [*x_ticks, "t"]
+    assert labels("end") == y_ticks
+    assert f'points="{points}"' in svg

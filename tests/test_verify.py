@@ -6,8 +6,8 @@ import pytest
 import bilevelbench as bb
 from bilevelbench import harness
 from bilevelbench.harness import run_suite
-from bilevelbench.verify import (SolverError, SolverSettings, TrackingReport,
-                                 WarmStartReport, check_bias_decomposition,
+from bilevelbench.verify import (EnsembleReport, SolverError, SolverSettings,
+                                 check_bias_decomposition,
                                  check_warm_start, finite_diff_hypergrad,
                                  inner_solve_exact, solve_linear_system_exact)
 
@@ -291,9 +291,9 @@ class TestSuites:
         assert set(harness.SUITES) == {*FAST_SUITES, *ENSEMBLE_SUITES}
         for violations, passed in ((0, True), (40, False)):
             monkeypatch.setattr(harness, "warmstart_report", lambda: (
-                WarmStartReport(200, violations, 0.0625, 0.0808), 0.01, 564))
+                EnsembleReport(200, violations, 0.05, 0.0625), 0.01, 564))
             monkeypatch.setattr(harness, "tracking_report",
-                                lambda: TrackingReport(200, violations, 0.0808))
+                                lambda: EnsembleReport(200, violations, 0.05))
             rate = f"{violations / 200:.4f}"
             results, ok = run_suite("warmstart")
             assert ok is passed
