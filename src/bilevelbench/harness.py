@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algorithms import (RunAborted, check_schedule_runs, double_loop_run,
-                         default_metrics, masoba_run, slip_run, ttsa_run,
-                         ttsa_schedule)
+                         default_metrics, masoba_run, sgd_dd, slip_run,
+                         ttsa_run, ttsa_schedule)
 from .constants import (ParamSchedule, ScheduleMode, schedule_practical,
                         schedule_theorem41, schedule_theorem42, warm_start_alpha,
                         warm_start_T0)
@@ -597,15 +597,17 @@ def _shipped_instances() -> list[BilevelProblem]:
 
 def warmstart_report() -> tuple[EnsembleReport, float, int]:
     """Warm-start tail bound on the noisy pinned quadratic instance
-    (``sigma_g1 = 0.1``), 200 seeds at ``delta = 0.05``, with the warm-start
-    step capped for that ``delta`` and the ``T0`` it needs from ``y0 = 1``.
-    Returns the report, that step and ``T0``."""
+    (``sigma_g1 = 0.1``) at ``delta = 0.05``: 200 seeds of :func:`sgd_dd` at
+    ``x0 = 0`` from ``y0 = 1``, with the step capped for that ``delta`` and
+    the ``T0`` that start needs.  Returns the report, that step and ``T0``."""
     prob = make_q2(NoiseModel.gaussian(0.0, 0.1, 0.0))
     c = prob.constants
+    x0, y0 = np.zeros(prob.dim_x), np.ones(prob.dim_y)
     alpha_init = warm_start_alpha(c, 0.05)
-    # dist0 = ||y0_init - y*(x0)|| = sqrt(2) for y0_init = 1, x0 = 0
-    t0 = warm_start_T0(alpha_init, c.mu, c.L1, math.sqrt(2.0))
-    return check_warm_start(prob, alpha_init, t0, 200, 0.05), alpha_init, t0
+    t0 = warm_start_T0(alpha_init, c.mu, c.L1,
+                       float(np.linalg.norm(y0 - prob.solve(x0)[0])))
+    y_ends = [sgd_dd(prob, x0, y0, alpha_init, t0, s) for s in range(200)]
+    return check_warm_start(prob, x0, y_ends, 0.05), alpha_init, t0
 
 
 def suite_warmstart() -> list[CheckResult]:

@@ -122,9 +122,9 @@ class DeterministicOracle:
 
     ``lower_at(x)`` evaluates what depends on ``x`` alone once and returns
     the map ``y -> LowerPoint``, the one place a family states its
-    lower-level derivatives.  The Newton solves of :mod:`bilevelbench.verify`,
-    the run loop and the frozen-x SGD evaluate the lower level through it,
-    and the pointwise maps below read one point per call.  Hypercleaning's
+    lower-level derivatives.  Every caller in the package evaluates the lower
+    level through it; the pointwise maps below, which only the oracles'
+    fallback without a point calls, read one point per call.  Hypercleaning's
     ``lower_at`` and ``grad_y_f`` also take a stack, row by row bit for bit,
     for its stacked solves.
     """
@@ -182,8 +182,8 @@ class StochasticOracle:
     """The five stochastic oracles, realized as deterministic map + noise.
 
     Each method evaluates its deterministic map, or reads it from ``point``
-    (``det.lower_at(x)(y)``, which an oracle the run loop calls must accept
-    on the three lower-level methods), and states its noise scale and whether
+    (``det.lower_at(x)(y)``, which every caller in the package passes to
+    the three lower-level methods), and states its noise scale and whether
     the bounded model clips it; one noise path (:meth:`_noisy`) adds the
     draw.  Each is a pure function of its arguments, bit-identical per sample.
     """
@@ -302,7 +302,7 @@ def hypergrad_estimate(x: Vec, y: Vec, z: Vec, s1: Sample, s2: Sample,
         raise ConfigurationError(
             f"y and z must share the lower-level dimension, got {y.shape} vs {z.shape}")
     g = oracle.grad_x_F(x, y, s1)
-    h = oracle.hvp_xy_G(x, y, z, s2)
+    h = oracle.hvp_xy_G(x, y, z, s2, oracle.det.lower_at(x)(y))
     if g.shape != h.shape:
         raise ConfigurationError(
             f"oracle outputs disagree on the upper-level dimension: "

@@ -13,11 +13,11 @@ lower-level Hessian, read through the x-bound view ``det.lower_at(x)`` that
 every problem carries: the inner solve returns its converged
 ``LowerPoint``, which the linear solve takes in place of ``y``.  Both take
 a stack of points wherever ``lower_at`` does, through the one code path of
-a single point.  They are deliberately independent of the optimizers: they
-only consume the deterministic maps of a problem.  The named suites that
-run these checkers on fixed instances live in :mod:`bilevelbench.harness`,
-which, like the instances of :mod:`bilevelbench.synthetic`, builds on this
-module and never the reverse.
+a single point.  The module is independent of the optimizers: it reads
+only what a problem states and what a run produced, and runs nothing.  The
+named suites, which run the optimizers for these checkers, live in
+:mod:`bilevelbench.harness`, which, like the instances of
+:mod:`bilevelbench.synthetic`, builds on this module and never the reverse.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import sgd_dd
 from .constants import ParamSchedule, SmoothnessConstants
 from .problem import (SIGMAS, BilevelProblem, ConfigurationError, LowerPoint,
                       NoiseKind, _mv, _norms)
@@ -196,30 +195,22 @@ class EnsembleReport:
                 f"{self.pass_rate_bound:.4f}")
 
 
-def check_warm_start(problem: BilevelProblem, alpha_init: float, T0: int,
-                     n_seeds: int, delta: float, *,
-                     y0_init: Vec | None = None) -> EnsembleReport:
-    """Empirical check of the warm-start guarantee.
-
-    Runs the frozen-x lower-level SGD at ``x = 0`` from ``y0_init`` (all
-    ones by default) for ``T0`` steps per seed ``0 .. n_seeds-1``; a seed
-    violates when its final distance to the minimizer exceeds the report's
-    ``threshold``, ``1/(8*sqrt(2)*L1)`` with ``L1`` the problem's own.
+def check_warm_start(problem: BilevelProblem, x: Vec, y_ends: Sequence[Vec],
+                     delta: float) -> EnsembleReport:
+    """Empirical check of the warm-start guarantee on ``y_ends``, the end
+    iterates of one frozen-x lower-level SGD run per seed at ``x``: a seed
+    violates when its end iterate lies farther from ``solve(x)[0]`` than the
+    report's ``threshold``, ``1/(8*sqrt(2)*L1)`` with ``L1`` the problem's own.
     """
-    if n_seeds < 100:
-        raise ConfigurationError(f"need at least 100 seeds, got {n_seeds}")
-    x0 = np.zeros(problem.dim_x)
-    y0_init = (np.ones(problem.dim_y) if y0_init is None
-               else np.asarray(y0_init, dtype=float))
-    ystar = problem.solve(x0)[0]
+    if not 0.0 <= delta <= 1.0:   # nan fails too
+        raise ConfigurationError(f"delta must lie in [0, 1], got {delta}")
+    if len(y_ends) < 100:
+        raise ConfigurationError(f"need at least 100 seeds, got {len(y_ends)}")
+    ystar = problem.solve(x)[0]
     L1 = problem.constants.L1
     threshold = math.inf if L1 == 0 else 1.0 / (8.0 * math.sqrt(2.0) * L1)
-    violations = 0
-    for s in range(n_seeds):
-        y_end = sgd_dd(problem, x0, y0_init, alpha_init, T0, s)
-        if float(np.linalg.norm(y_end - ystar)) > threshold:
-            violations += 1
-    return EnsembleReport(n_seeds, violations, delta, threshold)
+    violations = sum(float(np.linalg.norm(y - ystar)) > threshold for y in y_ends)
+    return EnsembleReport(len(y_ends), violations, delta, threshold)
 
 
 @dataclass(frozen=True)
@@ -241,13 +232,15 @@ def check_bias_decomposition(problem: BilevelProblem,
     must deviate from the true hypergradient by at most
     ``L_x1*||y-y*||*||gradPhi|| + (L_x0 + L_x1*l_g1*l_f0/mu + l_g2*l_f0/mu)
     * ||y-y*|| + l_g1*||z-z*||`` with the instance's declared constants.
-    Only noiseless problems are accepted: with noise the estimate the run
-    used is not its own conditional expectation.
+    Only noiseless problems and at least one point are accepted: with noise
+    the estimate the run used is not its own conditional expectation.
     """
     if problem.oracle.noise.kind is not NoiseKind.NOISELESS:
         raise ConfigurationError(
             "bias decomposition needs a noiseless run; the per-sample "
             "estimate does not reveal its conditional expectation under noise")
+    if not points:
+        raise ConfigurationError("bias decomposition needs at least one point")
     c = problem.constants
     coeff = c.L_x0 + c.L_x1 * c.l_g1 * c.l_f0 / c.mu + c.l_g2 * c.l_f0 / c.mu
     det = problem.det
@@ -256,7 +249,7 @@ def check_bias_decomposition(problem: BilevelProblem,
         ys, zs, gphi = problem.solve(x)
         y_err = float(np.linalg.norm(y - ys))
         z_err = float(np.linalg.norm(z - zs))
-        ghat = det.grad_x_f(x, y) - det.hvp_xy_g(x, y, z)
+        ghat = det.grad_x_f(x, y) - det.lower_at(x)(y).hvp_xy(z)
         lhs = float(np.linalg.norm(ghat - gphi))
         rhs = (c.L_x1 * y_err * float(np.linalg.norm(gphi))
                + coeff * y_err + c.l_g1 * z_err)
@@ -275,6 +268,8 @@ def probe_strong_convexity(problem: BilevelProblem, n_probes: int,
     mu/2 * ||y2 - y1||^2`` at random points, ``mu`` the problem's own;
     returns the worst normalized slack deficiency (0.0 when it always holds).
     """
+    if n_probes < 1:
+        raise ConfigurationError(f"need at least one probe, got {n_probes}")
     mu = problem.constants.mu
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -284,7 +279,7 @@ def probe_strong_convexity(problem: BilevelProblem, n_probes: int,
         y2 = rng.standard_normal(problem.dim_y)
         lhs = problem.lower(x, y2)
         rhs = (problem.lower(x, y1)
-               + float(problem.det.grad_y_g(x, y1) @ (y2 - y1))
+               + float(problem.det.lower_at(x)(y1).grad() @ (y2 - y1))
                + 0.5 * mu * float(np.sum((y2 - y1) ** 2)))
         scale = max(1.0, abs(lhs), abs(rhs))
         worst = max(worst, (rhs - lhs) / scale)
@@ -311,6 +306,8 @@ def bound_check_tracking(traces: Sequence[Trace],
     radius is the upper-level step length ``schedule.eta``.  A trace with no
     rows or an empty ``y_err`` column raises ``ConfigurationError``.
     """
+    if not 0.0 < delta <= 1.0:   # nan fails too
+        raise ConfigurationError(f"delta must lie in (0, 1], got {delta}")
     if len(traces) < 50:
         raise ConfigurationError(f"need at least 50 seeds, got {len(traces)}")
     n_viol = 0
@@ -350,7 +347,8 @@ class UnbiasednessReport:
 
 def empirical_unbiasedness_check(problem: BilevelProblem, x: Vec, y: Vec, n: int,
                                  rng_seed: int) -> UnbiasednessReport:
-    """Average n independent draws of each oracle against its exact value."""
+    """Average n independent draws of each oracle against its exact value,
+    the lower-level ones at one point ``det.lower_at(x)(y)``."""
     oracle = problem.oracle
     noise = oracle.noise
     names = ("grad_x_F", "grad_y_F", "grad_y_G", "hvp_xy_G", "hvp_yy_G")
@@ -362,21 +360,20 @@ def empirical_unbiasedness_check(problem: BilevelProblem, x: Vec, y: Vec, n: int
 
     z = np.random.default_rng(rng_seed).standard_normal(problem.dim_y)
     znorm = float(np.linalg.norm(z))
+    point = problem.det.lower_at(x)(y)
     plans = {
         "grad_x_F": (Stream.XI_PRIME, noise.sigma_f1,
                      lambda s: oracle.grad_x_F(x, y, s), problem.det.grad_x_f(x, y)),
         "grad_y_F": (Stream.XI, noise.sigma_f1,
                      lambda s: oracle.grad_y_F(x, y, s), problem.det.grad_y_f(x, y)),
         "grad_y_G": (Stream.PI, noise.sigma_g1,
-                     lambda s: oracle.grad_y_G(x, y, s), problem.det.grad_y_g(x, y)),
+                     lambda s: oracle.grad_y_G(x, y, s, point), point.grad()),
         "hvp_xy_G": (Stream.ZETA_PRIME, noise.sigma_g2 * znorm,
-                     lambda s: oracle.hvp_xy_G(x, y, z, s),
-                     problem.det.hvp_xy_g(x, y, z)),
+                     lambda s: oracle.hvp_xy_G(x, y, z, s, point), point.hvp_xy(z)),
         "hvp_yy_G": (Stream.ZETA,
                      noise.sigma_z if noise.kind is NoiseKind.BOUNDED
                      else noise.sigma_g2 * znorm,
-                     lambda s: oracle.hvp_yy_G(x, y, z, s),
-                     problem.det.hvp_yy_g(x, y, z)),
+                     lambda s: oracle.hvp_yy_G(x, y, z, s, point), point.hvp_yy(z)),
     }
     deviations: dict[str, float] = {}
     for key, (stream, sigma, draw, exact) in plans.items():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,13 @@ class TestTrackingBoundCheck:
         for tr in (Trace(), no_metrics):
             with pytest.raises(ConfigurationError, match="y_err"):
                 bound_check_tracking([tr] * 50, sched, c, 0.05)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.5, math.nan])
+    def test_delta_outside_half_open_unit_interval_rejected(self, delta):
+        prob, sched, traces = self.make_traces(0.0, 50, T=10)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"delta must lie in (0, 1], got {delta}")):
+            bound_check_tracking(traces, sched, prob.constants, delta)
 
 
 class TestTraceCsv:

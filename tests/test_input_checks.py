@@ -12,7 +12,7 @@ import pytest
 import bilevelbench as bb
 from bilevelbench.harness import (RunConfig, build_problem, parse_config,
                                   resolve_schedule, sweep_eps)
-from bilevelbench.verify import SolverSettings
+from bilevelbench.verify import SolverSettings, probe_strong_convexity
 
 SWEEP_CFG = Path(__file__).resolve().parents[1] / "configs" / "q2_theorem_sweep.cfg"
 
@@ -92,6 +92,9 @@ CASES = {
     "solver-tol-0": (
         lambda _: SolverSettings(tol=0.0),
         bb.ConfigurationError, "tol must be positive, got 0.0"),
+    "convexity-probes-0": (
+        lambda _: probe_strong_convexity(bb.make_q2(), 0, seed=0),
+        bb.ConfigurationError, "need at least one probe, got 0"),
     "solver-max-iters-0": (
         lambda _: SolverSettings(max_iters=0),
         bb.ConfigurationError, "max_iters must be >= 1, got 0"),

@@ -79,7 +79,16 @@ def test_internal_import_graph_is_acyclic():
 
 
 def test_verify_depends_on_neither_runs_nor_instances():
-    assert not _graph()["verify"] & {"harness", "synthetic"}
+    # the checkers read what a problem states and what a run produced
+    assert not _graph()["verify"] & {"algorithms", "harness", "synthetic"}
+
+
+def test_only_problem_names_the_pointwise_lower_level_maps():
+    # every other module reads the lower level through det.lower_at(x)(y)
+    pointwise = re.compile(r"\b(grad_y_g|hvp_xy_g|hvp_yy_g)\b")
+    naming = sorted(path.stem for path in SRC.glob("*.py")
+                    if pointwise.search(path.read_text()))
+    assert naming == ["problem"]
 
 
 def test_all_names_the_package_imports_once():

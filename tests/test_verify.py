@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,12 +197,21 @@ class TestFiniteDiff:
             finite_diff_hypergrad(q2, np.zeros(2), h=0.0)
 
 
+def warm_ends(prob, alpha_init, t0, n_seeds, y0=None):
+    """End iterates of the frozen-x SGD at x = 0 from y0 (all ones by
+    default), one per seed 0 .. n_seeds-1."""
+    y0 = np.ones(prob.dim_y) if y0 is None else y0
+    return [bb.sgd_dd(prob, np.zeros(prob.dim_x), y0, alpha_init, t0, s)
+            for s in range(n_seeds)]
+
+
 class TestWarmStartCheck:
     def test_noiseless_no_violations(self, q2):
         c = q2.constants
         alpha_init = 1.0 / (2.0 * c.l_g1)
         t0 = bb.warm_start_T0(alpha_init, c.mu, c.L1, dist0=math.sqrt(2.0))
-        report = check_warm_start(q2, alpha_init, t0, n_seeds=100, delta=0.05)
+        report = check_warm_start(q2, np.zeros(2), warm_ends(q2, alpha_init, t0, 100),
+                                  delta=0.05)
         assert report.n_violations == 0
         assert report.passed
 
@@ -211,27 +221,35 @@ class TestWarmStartCheck:
         dist0 = 1.0 / (16.0 * math.sqrt(2.0) * c.L1)
         t0 = bb.warm_start_T0(0.1, c.mu, c.L1, dist0=dist0)
         assert t0 == 0
-        report = check_warm_start(q2, 0.1, t0, n_seeds=100, delta=0.05,
-                                  y0_init=np.full(2, dist0 / math.sqrt(2.0)))
+        report = check_warm_start(q2, np.zeros(2), warm_ends(
+            q2, 0.1, t0, 100, np.full(2, dist0 / math.sqrt(2.0))), delta=0.05)
         assert report.n_violations == 0
 
     def test_seed_minimum(self, q2):
         with pytest.raises(bb.ConfigurationError):
-            check_warm_start(q2, 0.1, 1, n_seeds=10, delta=0.05)
+            check_warm_start(q2, np.zeros(2), warm_ends(q2, 0.1, 1, 10), delta=0.05)
 
     def test_delta_one_always_passes(self):
         # with delta -> 1 the pass bound exceeds any violation rate
         prob = bb.make_q2(bb.NoiseModel.gaussian(0.0, 2.0, 0.0))
-        report = check_warm_start(prob, 0.01, 1, n_seeds=100, delta=0.999)
+        report = check_warm_start(prob, np.zeros(2), warm_ends(prob, 0.01, 1, 100),
+                                  delta=0.999)
         assert report.passed
 
     def test_delta_zero_passes_only_without_violations(self, q2):
         c = q2.constants
         alpha_init = 1.0 / (2.0 * c.l_g1)
         t0 = bb.warm_start_T0(alpha_init, c.mu, c.L1, dist0=math.sqrt(2.0))
-        report = check_warm_start(q2, alpha_init, t0, n_seeds=100, delta=0.0)
+        report = check_warm_start(q2, np.zeros(2), warm_ends(q2, alpha_init, t0, 100),
+                                  delta=0.0)
         assert report.pass_rate_bound == 0.0
         assert report.passed  # noiseless: zero violations
+
+    @pytest.mark.parametrize("delta", [1.5, -0.1, 1.0 + 1e-12, math.nan])
+    def test_delta_outside_unit_interval_rejected(self, q2, delta):
+        with pytest.raises(bb.ConfigurationError,
+                           match=re.escape(f"delta must lie in [0, 1], got {delta}")):
+            check_warm_start(q2, np.zeros(2), [np.zeros(2)] * 100, delta)
 
 
 class TestBiasCheck:
@@ -273,6 +291,11 @@ class TestBiasCheck:
     def test_noisy_run_rejected(self, q2_gauss):
         with pytest.raises(bb.ConfigurationError, match="noiseless"):
             check_bias_decomposition(q2_gauss, [])
+
+    def test_no_points_rejected(self, q2):
+        # an empty list is no evidence, not a pass
+        with pytest.raises(bb.ConfigurationError, match="at least one point"):
+            check_bias_decomposition(q2, [])
 
 
 # the suites tier-1 runs here; the two 200-seed ensembles run in acceptance
