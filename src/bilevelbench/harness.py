@@ -403,15 +403,6 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     out_prefix = Path(out_prefix)
     problem = build_problem(cfg)
     schedule = resolve_schedule(cfg, problem)
-
-    def job(seed: int):
-        # the trace is dropped on return, so one seed's rows are alive at a time
-        trace, info = _run_single(problem, schedule, cfg, seed)
-        path = Path(f"{out_prefix}_seed{seed}.csv")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_trace(path, trace)
-        return path, info
-
     metadata = {
         "problem": {"kind": cfg.problem_kind, "name": problem.name,
                     "params": cfg.problem_params,
@@ -424,7 +415,12 @@ def run_experiment(cfg: RunConfig, out_prefix) -> RunResult:
     meta_path = Path(f"{out_prefix}_meta.json")
     trace_paths = []
     for seed in cfg.seeds:
-        path, info = job(seed)
+        trace, info = _run_single(problem, schedule, cfg, seed)
+        path = Path(f"{out_prefix}_seed{seed}.csv")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_trace(path, trace)
+        # the trace is dropped once written, so one seed's rows are alive at a time
+        del trace
         trace_paths.append(path)
         metadata["seeds"].append(info)
         write_atomic(meta_path,

@@ -2,14 +2,14 @@
 
 A :class:`BilevelProblem` bundles the two deterministic objectives, their
 deterministic first/second-order maps (the lower level's stated once, as
-an x-bound view that materializes its Hessian, which the pointwise maps
-read), the five stochastic oracles built from them by an additive noise
-model (the lower-level ones also from that view's point), the ground
-truth ``solve`` (exact lower-level minimizer, linear-system solution and
-hypergradient from one call) used only for verification and metrics, and
-the declared smoothness constants.  Every problem carries all three:
-there is no path for a problem without them.  The checkers that test a
-problem's oracles against these maps live in :mod:`bilevelbench.verify`.
+an x-bound view that materializes its Hessian), the five stochastic
+oracles built from them by an additive noise model (the lower-level ones
+from that view's point), the ground truth ``solve`` (exact lower-level
+minimizer, linear-system solution and hypergradient from one call) used
+only for verification and metrics, and the declared smoothness constants.
+Every problem carries all three: there is no path for a problem without
+them.  The checkers that test a problem's oracles against these maps live
+in :mod:`bilevelbench.verify`.
 
 For one point, ``solve`` returns three 1-D arrays (``y*`` and ``z*`` of
 length ``dim_y``, the hypergradient of length ``dim_x``) and ``upper`` a
@@ -123,8 +123,9 @@ class DeterministicOracle:
     ``lower_at(x)`` evaluates what depends on ``x`` alone once and returns
     the map ``y -> LowerPoint``, the one place a family states its
     lower-level derivatives.  Every caller in the package evaluates the lower
-    level through it; the pointwise maps below, which only the oracles'
-    fallback without a point calls, read one point per call.  Hypercleaning's
+    level through it.  The pointwise :meth:`grad_y_g` reads one point per
+    call; only ``grad_y_G`` without a point calls it, as does the
+    benchmark's probe of the noiseless gradient.  Hypercleaning's
     ``lower_at`` and ``grad_y_f`` also take a stack, row by row bit for bit,
     for its stacked solves.
     """
@@ -135,12 +136,6 @@ class DeterministicOracle:
 
     def grad_y_g(self, x: Vec, y: Vec) -> Vec:
         return self.lower_at(x)(y).grad()
-
-    def hvp_xy_g(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return self.lower_at(x)(y).hvp_xy(z)
-
-    def hvp_yy_g(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return self.lower_at(x)(y).hvp_yy(z)
 
 
 def _norm(v: Vec) -> float:
@@ -181,11 +176,13 @@ _HVP_XY_G, _HVP_YY_G = OracleTag.HVP_XY_G, OracleTag.HVP_YY_G
 class StochasticOracle:
     """The five stochastic oracles, realized as deterministic map + noise.
 
-    Each method evaluates its deterministic map, or reads it from ``point``
-    (``det.lower_at(x)(y)``, which every caller in the package passes to
-    the three lower-level methods), and states its noise scale and whether
-    the bounded model clips it; one noise path (:meth:`_noisy`) adds the
-    draw.  Each is a pure function of its arguments, bit-identical per sample.
+    The upper-level methods evaluate their deterministic map; the three
+    lower-level methods read theirs from ``point``, ``det.lower_at(x)(y)``,
+    which every caller in the package passes.  ``grad_y_G`` alone also
+    takes no point and then reads ``det.grad_y_g``, for the benchmark's
+    probe.  Each method states its noise scale and whether the bounded
+    model clips it; one noise path (:meth:`_noisy`) adds the draw.  Each is
+    a pure function of its arguments, bit-identical per sample.
     """
 
     def __init__(self, det: DeterministicOracle, noise: NoiseModel):
@@ -236,12 +233,14 @@ class StochasticOracle:
         # light-tailed in both noise models, never clipped
         return self._noisy(g, sample, _GRAD_Y_G, self.noise.sigma_g1, False)
 
-    def hvp_xy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample, point=None) -> Vec:
-        g = self.det.hvp_xy_g(x, y, z) if point is None else point.hvp_xy(z)
-        return self._noisy(g, sample, _HVP_XY_G, self.noise.sigma_g2, True, z)
+    def hvp_xy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample,
+                 point: LowerPoint) -> Vec:
+        return self._noisy(point.hvp_xy(z), sample, _HVP_XY_G,
+                           self.noise.sigma_g2, True, z)
 
-    def hvp_yy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample, point=None) -> Vec:
-        g = self.det.hvp_yy_g(x, y, z) if point is None else point.hvp_yy(z)
+    def hvp_yy_G(self, x: Vec, y: Vec, z: Vec, sample: Sample,
+                 point: LowerPoint) -> Vec:
+        g = point.hvp_yy(z)
         if self.noise.kind is _BOUNDED:
             return self._noisy(g, sample, _HVP_YY_G, self.noise.sigma_z, True)
         return self._noisy(g, sample, _HVP_YY_G, self.noise.sigma_g2, False, z)

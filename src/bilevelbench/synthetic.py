@@ -7,9 +7,7 @@ Three families:
 * the same lower level under a ``cosh`` upper level whose curvature grows
   with the gradient norm (a relaxed-smoothness stress case),
 * a data-hypercleaning instance: per-sample weights on a corrupted logistic
-  training set, scored on a clean validation set, with the report of how the
-  learned weights separate clean from corrupted samples
-  (:func:`hyperclean_weight_report`).
+  training set, scored on a clean validation set.
 
 The first two differ only in the upper level's x-part: one builder,
 :func:`_quadratic_problem`, states their lower level, closed forms and
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -195,12 +193,11 @@ def random_quadratic_spec(dim_x: int, dim_y: int, seed: int, *,
                          e=rng.standard_normal(dim_y), r=r)
 
 
-def random_quadratic(dim_x: int, dim_y: int, seed: int, *,
-                     noise: NoiseModel = NoiseModel.noiseless()) -> BilevelProblem:
-    """The quadratic instance of :func:`random_quadratic_spec` at its default
-    ``mu``, ``l_g1`` and ``r``."""
+def random_quadratic(dim_x: int, dim_y: int, seed: int) -> BilevelProblem:
+    """The noiseless quadratic instance of :func:`random_quadratic_spec` at
+    its default ``mu``, ``l_g1`` and ``r``."""
     spec = random_quadratic_spec(dim_x, dim_y, seed)
-    return make_quadratic(spec, noise, name=f"quadratic-{seed}")
+    return make_quadratic(spec, name=f"quadratic-{seed}")
 
 
 @dataclass(frozen=True)
@@ -262,9 +259,7 @@ _ONE = np.array(1.0)
 
 
 def _sigmoid_neg(u):
-    """``sigmoid(-u) = 1 / (1 + exp(u))``, with one temporary for an array."""
-    if np.ndim(u) == 0:
-        return _ONE / (_ONE + np.exp(u))
+    """``sigmoid(-u) = 1 / (1 + exp(u))`` of an array, with one temporary."""
     e = np.exp(u)
     e += _ONE
     return np.divide(_ONE, e, out=e)
@@ -444,27 +439,3 @@ def make_hyperclean(spec: HypercleanSpec,
     )
     return problem
 
-
-@dataclass(frozen=True)
-class WeightReport:
-    mean_sigma_clean: float
-    mean_sigma_corrupted: float | None
-
-    @property
-    def separated(self) -> bool:
-        return (self.mean_sigma_corrupted is not None
-                and self.mean_sigma_corrupted < self.mean_sigma_clean)
-
-
-def hyperclean_weight_report(x: Vec, corrupted_indices: Sequence[int]) -> WeightReport:
-    """Mean learned weight ``sigmoid(x_i)`` over clean vs corrupted samples."""
-    x = np.asarray(x, dtype=float)
-    corrupted = np.asarray(corrupted_indices, dtype=int)
-    if corrupted.size and (corrupted.min() < 0 or corrupted.max() >= x.shape[0]):
-        raise ConfigurationError("corrupted indices out of range for the weight vector")
-    mask = np.zeros(x.shape[0], dtype=bool)
-    mask[corrupted] = True
-    sig = sigmoid(x)
-    clean_mean = float(sig[~mask].mean()) if (~mask).any() else float("nan")
-    corr_mean = float(sig[mask].mean()) if mask.any() else None
-    return WeightReport(mean_sigma_clean=clean_mean, mean_sigma_corrupted=corr_mean)

@@ -169,12 +169,19 @@ def binomial_margin(delta: float, n: int) -> float:
 class EnsembleReport:
     """A seed ensemble's verdict: PASS when the violating fraction stays within
     ``delta`` plus a two-sigma binomial margin, :attr:`pass_rate_bound`.
-    ``threshold`` is the warm start's distance bound, ``None`` for tracking."""
+    ``threshold`` is the warm start's distance bound, ``None`` for tracking.
+    Construction rejects ``delta`` outside [0, 1] and fewer than one seed."""
 
     n_seeds: int
     n_violations: int
     delta: float
     threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.delta <= 1.0:   # nan fails too
+            raise ConfigurationError(f"delta must lie in [0, 1], got {self.delta}")
+        if self.n_seeds < 1:
+            raise ConfigurationError(f"need at least 1 seed, got {self.n_seeds}")
 
     @property
     def pass_rate_bound(self) -> float:
@@ -288,7 +295,10 @@ def probe_strong_convexity(problem: BilevelProblem, n_probes: int,
 
 def tracking_bound(t: int, dist0_sq: float, alpha: float, drift_radius: float,
                    c: SmoothnessConstants, horizon: int, delta: float) -> float:
-    """All-iterations high-probability tracking bound at iteration ``t``."""
+    """All-iterations high-probability tracking bound at iteration ``t``;
+    ``delta`` must lie in (0, 1]."""
+    if not 0.0 < delta <= 1.0:   # nan fails too
+        raise ConfigurationError(f"delta must lie in (0, 1], got {delta}")
     noise_term = 8.0 * alpha * c.sigma_g1 ** 2 / c.mu
     drift_term = (4.0 * drift_radius ** 2 * c.l_g1 ** 2
                   / (c.mu ** 4 * alpha ** 2))

@@ -6,6 +6,7 @@ shows them); tolerances and golden values are pinned here, not configurable.
 
 import math
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import bilevelbench as bb
 from bilevelbench.harness import (RunConfig, run_experiment, sweep_eps,
                                   tracking_report, warmstart_report)
-from bilevelbench.synthetic import hyperclean_weight_report
+from bilevelbench.synthetic import sigmoid
 from bilevelbench.trace import trace_to_csv
 from bilevelbench.verify import (SolverSettings, check_bias_decomposition,
                                  finite_diff_hypergrad, inner_solve_exact)
@@ -164,6 +165,48 @@ def test_07_benchmark_convergence_golden_trace():
     assert trace_to_csv(trace) == golden
     _report(7, f"final grad norm {grad_norm:.6f} <= 0.02 in {elapsed:.2f}s, "
                f"trace matches golden fixture byte-exactly")
+
+
+# test 08's report: how the learned weights separate clean from corrupted
+# training samples
+@dataclass(frozen=True)
+class WeightReport:
+    mean_sigma_clean: float
+    mean_sigma_corrupted: float | None
+
+    @property
+    def separated(self) -> bool:
+        return (self.mean_sigma_corrupted is not None
+                and self.mean_sigma_corrupted < self.mean_sigma_clean)
+
+
+def hyperclean_weight_report(x, corrupted_indices) -> WeightReport:
+    """Mean learned weight ``sigmoid(x_i)`` over clean vs corrupted samples."""
+    x = np.asarray(x, dtype=float)
+    corrupted = np.asarray(corrupted_indices, dtype=int)
+    if corrupted.size and (corrupted.min() < 0 or corrupted.max() >= x.shape[0]):
+        raise bb.ConfigurationError("corrupted indices out of range for the weight vector")
+    mask = np.zeros(x.shape[0], dtype=bool)
+    mask[corrupted] = True
+    sig = sigmoid(x)
+    clean_mean = float(sig[~mask].mean()) if (~mask).any() else float("nan")
+    corr_mean = float(sig[mask].mean()) if mask.any() else None
+    return WeightReport(mean_sigma_clean=clean_mean, mean_sigma_corrupted=corr_mean)
+
+
+class TestWeightReport:
+    def test_uniform_weights(self):
+        rep = hyperclean_weight_report(np.ones(10), [2, 5])
+        assert rep.mean_sigma_clean == pytest.approx(rep.mean_sigma_corrupted)
+
+    def test_empty_corrupted(self):
+        rep = hyperclean_weight_report(np.ones(10), [])
+        assert rep.mean_sigma_corrupted is None
+        assert not rep.separated
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(bb.ConfigurationError):
+            hyperclean_weight_report(np.ones(5), [7])
 
 
 def test_08_hypercleaning_weight_separation():

@@ -12,7 +12,6 @@ from bilevelbench import harness
 from bilevelbench.harness import (RunConfig, build_problem, parse_config,
                                   resolve_schedule, run_experiment, sweep_eps)
 from bilevelbench.problem import ConfigurationError
-from bilevelbench.synthetic import hyperclean_weight_report
 from bilevelbench.trace import (Trace, TraceRecord, trace_from_csv,
                                 trace_to_csv, write_trace)
 from bilevelbench.verify import bound_check_tracking, tracking_bound
@@ -78,6 +77,12 @@ class TestTrackingBoundCheck:
                   + (8 * 0.1 * c.sigma_g1 ** 2 / c.mu)
                   * math.log(math.e * 100 / 0.05))
         assert got == pytest.approx(static, rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 1.5, math.nan])
+    def test_bound_rejects_delta_outside_half_open_unit_interval(self, delta):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"delta must lie in (0, 1], got {delta}")):
+            tracking_bound(1, 1.0, 0.1, 0.0, bb.make_q2().constants, 10, delta)
 
     def test_requires_50_seeds(self):
         prob, sched, traces = self.make_traces(0.0, 3, T=10)
@@ -959,17 +964,3 @@ class TestSweep:
         two_ok = sweep_eps(self.sweep_cfg(), [0.2, 0.1]).to_csv()
         assert two_ok.splitlines()[-1].startswith("# slope")
 
-
-class TestWeightReport:
-    def test_uniform_weights(self):
-        rep = hyperclean_weight_report(np.ones(10), [2, 5])
-        assert rep.mean_sigma_clean == pytest.approx(rep.mean_sigma_corrupted)
-
-    def test_empty_corrupted(self):
-        rep = hyperclean_weight_report(np.ones(10), [])
-        assert rep.mean_sigma_corrupted is None
-        assert not rep.separated
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            hyperclean_weight_report(np.ones(5), [7])

@@ -84,11 +84,13 @@ def test_verify_depends_on_neither_runs_nor_instances():
 
 
 def test_only_problem_names_the_pointwise_lower_level_maps():
-    # every other module reads the lower level through det.lower_at(x)(y)
-    pointwise = re.compile(r"\b(grad_y_g|hvp_xy_g|hvp_yy_g)\b")
-    naming = sorted(path.stem for path in SRC.glob("*.py")
-                    if pointwise.search(path.read_text()))
-    assert naming == ["problem"]
+    # every other module reads the lower level through det.lower_at(x)(y),
+    # and the two Hessian-vector products have no pointwise map at all
+    def naming(pattern):
+        return sorted(path.stem for path in SRC.glob("*.py")
+                      if re.search(pattern, path.read_text()))
+    assert naming(r"\bgrad_y_g\b") == ["problem"]
+    assert naming(r"\b(hvp_xy_g|hvp_yy_g)\b") == []
 
 
 def test_all_names_the_package_imports_once():
@@ -130,3 +132,32 @@ def test_every_module_level_name_is_referenced():
                     if not (name.startswith("__") and name.endswith("__"))
                     and lines[name] <= {(module, line)}]
     assert unreferenced == []
+
+
+def _names_in_code(tree):
+    """Every identifier, attribute and imported name a module's code uses;
+    docstrings and comments do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_src_defines_no_test_only_code():
+    # a function or class that only tests reach belongs in the tests: code
+    # in src/, perfbench/ or tools/ must name it, or the package export it
+    root = SRC.parent.parent
+    used = set()
+    for path in [*SRC.glob("*.py"), *(root / "perfbench").glob("*.py"),
+                 *(root / "tools").glob("*.py")]:
+        used.update(_names_in_code(ast.parse(path.read_text(), filename=str(path))))
+    test_only = [f"{module}.{node.name}"
+                 for module, tree in MODULES.items()
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                 and node.name not in used and node.name not in bb.__all__]
+    assert test_only == []

@@ -47,7 +47,7 @@ class TestHypergradEstimate:
         y = np.ones(2)
         z = np.array([-0.5, -0.5])
         term1 = q2.det.grad_x_f(x, y)
-        term2 = q2.det.hvp_xy_g(x, y, z)
+        term2 = q2.det.lower_at(x)(y).hvp_xy(z)
         np.testing.assert_array_equal(term1, [0.0, 0.0])
         np.testing.assert_array_equal(term2, [0.5, 0.5])
         est = bb.hypergrad_estimate(x, y, z, s_xi_prime(), s_zeta_prime(),
@@ -89,8 +89,9 @@ class TestPurity:
         b = q2_gauss.oracle.grad_y_G(x, y, s)
         assert np.array_equal(a, b)
         s2 = Sample(Stream.ZETA, 5, 99)
-        assert np.array_equal(q2_gauss.oracle.hvp_yy_G(x, y, z, s2),
-                              q2_gauss.oracle.hvp_yy_G(x, y, z, s2))
+        point = q2_gauss.det.lower_at(x)(y)
+        assert np.array_equal(q2_gauss.oracle.hvp_yy_G(x, y, z, s2, point),
+                              q2_gauss.oracle.hvp_yy_G(x, y, z, s2, point))
 
     def test_distinct_counters_differ(self, q2_gauss):
         x, y = np.zeros(2), np.zeros(2)
@@ -117,16 +118,17 @@ class TestNoiseModels:
         x, y = np.array([0.3, -0.2]), np.array([0.1, 0.5])
         z = np.array([1.0, -2.0])
         zn = np.linalg.norm(z)
+        point = prob.det.lower_at(x)(y)
         for i in range(500):
             dev_f = np.linalg.norm(
                 prob.oracle.grad_x_F(x, y, Sample(Stream.XI_PRIME, i, 9))
                 - prob.det.grad_x_f(x, y))
             dev_yy = np.linalg.norm(
-                prob.oracle.hvp_yy_G(x, y, z, Sample(Stream.ZETA, i, 9))
-                - prob.det.hvp_yy_g(x, y, z))
+                prob.oracle.hvp_yy_G(x, y, z, Sample(Stream.ZETA, i, 9), point)
+                - point.hvp_yy(z))
             dev_xy = np.linalg.norm(
-                prob.oracle.hvp_xy_G(x, y, z, Sample(Stream.ZETA_PRIME, i, 9))
-                - prob.det.hvp_xy_g(x, y, z))
+                prob.oracle.hvp_xy_G(x, y, z, Sample(Stream.ZETA_PRIME, i, 9), point)
+                - point.hvp_xy(z))
             assert dev_f <= 0.2
             assert dev_yy <= 0.3
             assert dev_xy <= 0.2 * zn
@@ -281,7 +283,8 @@ def test_noise_is_added_into_its_own_draw(family, noise, with_point):
     calls = {
         Stream.XI_PRIME: lambda s, pt: oracle.grad_x_F(x, y, s),
         Stream.XI: lambda s, pt: oracle.grad_y_F(x, y, s),
-        Stream.PI: lambda s, pt: oracle.grad_y_G(x, y, s, pt),
+        # without a point, only grad_y_G reads the lower level itself
+        Stream.PI: lambda s, pt: oracle.grad_y_G(x, y, s, pt if with_point else None),
         Stream.ZETA_PRIME: lambda s, pt: oracle.hvp_xy_G(x, y, z, s, pt),
         Stream.ZETA: lambda s, pt: oracle.hvp_yy_G(x, y, z, s, pt),
     }
@@ -291,7 +294,7 @@ def test_noise_is_added_into_its_own_draw(family, noise, with_point):
         for counter in range(6):
             s = Sample(stream, counter, 3)
             del returned[:]
-            point = oracle.det.lower_at(x)(y) if with_point else None
+            point = oracle.det.lower_at(x)(y)
             first = call(s, point)
             assert np.array_equal(first, call(s, point))
             for out, copy in returned:

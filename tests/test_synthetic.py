@@ -159,7 +159,8 @@ class TestHyperclean:
         assert len(prob.metadata["corrupted_indices"]) == 40
 
     def test_sigmoid_value(self):
-        assert sigmoid(1.0) == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert sigmoid(np.array([1.0]))[0] == pytest.approx(0.7310585786300049,
+                                                            abs=1e-15)
 
     def test_rate_out_of_range(self):
         with pytest.raises(bb.ConfigurationError):
@@ -183,7 +184,7 @@ class TestHyperclean:
         ys = prob.solve(x)[0]
         assert np.linalg.norm(prob.det.grad_y_g(x, ys)) <= 1e-10
         zs = prob.solve(x)[1]
-        res = prob.det.hvp_yy_g(x, ys, zs) - prob.det.grad_y_f(x, ys)
+        res = prob.det.lower_at(x)(ys).hvp_yy(zs) - prob.det.grad_y_f(x, ys)
         assert np.linalg.norm(res) <= 1e-10
         fd = finite_diff_hypergrad(prob, x, h=1e-4,
                                    settings=SolverSettings(tol=1e-11))
@@ -279,18 +280,14 @@ def test_hyperclean_solve_evaluates_sigmoid_x_once(monkeypatch):
     assert len(evaluations) == 10
 
 
-@pytest.mark.parametrize("shape", [None, (), (7,), (3, 7)],
-                         ids=["scalar", "0-d", "1-D", "stack"])
+@pytest.mark.parametrize("shape", [(7,), (3, 7)], ids=["1-D", "stack"])
 def test_sigmoid_is_the_plain_formula(shape):
-    """``sigmoid`` and ``_sigmoid_neg``, which make one temporary for an
-    array, give bit for bit the textbook expression, types included."""
+    """``sigmoid`` and ``_sigmoid_neg``, which make one temporary, give bit
+    for bit the textbook expression, types included."""
     values = [800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 3.5, -1e-300]
-    if shape is None:
-        points = values
-    else:
-        size = math.prod(shape)
-        points = [np.resize(np.roll(values, i), size).reshape(shape)
-                  for i in range(len(values))]
+    size = math.prod(shape)
+    points = [np.resize(np.roll(values, i), size).reshape(shape)
+              for i in range(len(values))]
     with np.errstate(over="ignore"):
         for v in points:
             want = 1.0 / (1.0 + np.exp(-v))
@@ -472,9 +469,12 @@ def test_problem_layer_is_pinned_bit_for_bit(name):
             s = bb.Sample(bb.Stream.PI, k, 31)
             point = prob.det.lower_at(x)(y)
             for dest, p in ((out, None), (via_point, point)):
+                # without a point, grad_y_G reads its own; the products
+                # always take one, here a fresh one
+                q = prob.det.lower_at(x)(y) if p is None else p
                 dest += [o.grad_x_F(x, y, s), o.grad_y_F(x, y, s),
-                         o.grad_y_G(x, y, s, p), o.hvp_xy_G(x, y, z, s, p),
-                         o.hvp_yy_G(x, y, z, s, p)]
+                         o.grad_y_G(x, y, s, p), o.hvp_xy_G(x, y, z, s, q),
+                         o.hvp_yy_G(x, y, z, s, q)]
         got[kind] = _digest(out)
         assert _digest(via_point) == got[kind], kind
     prob = _PIN_INSTANCES[name](bb.NoiseModel.noiseless())

@@ -62,7 +62,7 @@ class TestLinearSystem:
             y = rng.uniform(-2, 2, 2)
             z = solve_linear_system_exact(q2, x, q2.det.lower_at(x)(y),
                                           settings)
-            res = q2.det.hvp_yy_g(x, y, z) - q2.det.grad_y_f(x, y)
+            res = q2.det.lower_at(x)(y).hvp_yy(z) - q2.det.grad_y_f(x, y)
             assert np.linalg.norm(res) <= settings.tol
 
 
@@ -250,6 +250,17 @@ class TestWarmStartCheck:
         with pytest.raises(bb.ConfigurationError,
                            match=re.escape(f"delta must lie in [0, 1], got {delta}")):
             check_warm_start(q2, np.zeros(2), [np.zeros(2)] * 100, delta)
+
+
+@pytest.mark.parametrize("n_seeds, delta, message", [
+    (100, 1.5, "delta must lie in [0, 1], got 1.5"),
+    (100, -0.1, "delta must lie in [0, 1], got -0.1"),
+    (100, math.nan, "delta must lie in [0, 1], got nan"),
+    (0, 0.05, "need at least 1 seed, got 0"),
+], ids=["1.5", "-0.1", "nan", "no-seeds"])
+def test_ensemble_report_rejects_bad_delta_or_no_seeds(n_seeds, delta, message):
+    with pytest.raises(bb.ConfigurationError, match=re.escape(message)):
+        EnsembleReport(n_seeds, 0, delta)
 
 
 class TestBiasCheck:
